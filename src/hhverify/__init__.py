@@ -14,8 +14,7 @@ from .means import (ApplicationVerdict, LinkResiduals, MeanRequest,
                     generalized_log_mean)
 from .numerics import (HolderPair, Interval, QuadratureResult, beta,
                        conjugate_exponent, integrate)
-from .quasiconvex import (QuasiConvexityCertificate, UnimodalProfile,
-                          check_quasi_convex, check_unimodal_profile)
+from .quasiconvex import QuasiConvexityCertificate, check_quasi_convex
 from .bounds import (BoundReport, THEOREMS, check_bound, lhs_midpoint_corrected,
                      lhs_trapezoid, lhs_trapezoid_corrected, rhs_bound)
 from .search import (SearchResult, best_exponent, tightness_ratio,
@@ -28,10 +27,10 @@ __all__ = [
     "HolderPair", "IdentityReport", "Interval", "LinkResiduals",
     "MeanRequest", "ParameterError", "QuadratureError", "QuadratureResult",
     "QuasiConvexityCertificate", "RunConfig", "RunReport", "SearchResult",
-    "SmoothFunction", "THEOREMS", "UnimodalProfile", "application_check",
+    "SmoothFunction", "THEOREMS", "application_check",
     "arithmetic_mean", "best_exponent", "beta", "builtin_corpus",
     "check_bound", "check_identity", "check_quasi_convex",
-    "check_unimodal_profile", "conjugate_exponent", "f_alpha_link_check",
+    "conjugate_exponent", "f_alpha_link_check",
     "fd_validate", "generalized_log_mean", "integrate",
     "lhs_midpoint_corrected", "lhs_trapezoid", "lhs_trapezoid_corrected",
     "make_power_family", "midpoint_defect_identity", "rhs_bound", "run",

@@ -4,14 +4,12 @@ Subcommands map to the checker families: verify-identity, verify-bound,
 verify-application, tightness, scan (everything), and report (re-render a
 saved JSON report).  Exit codes: 0 all checks pass, 1 usage/configuration
 error, 2 at least one inequality failure or refuted hypothesis, 3
-numerical non-convergence.  HHV_THREADS caps worker threads; results do
-not depend on the thread count.
+numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,14 +19,6 @@ from . import __version__
 from .errors import ConfigError, DomainError, ParameterError
 from .report import emit, parse_json
 from .runner import ALL_TASKS, OUTPUT_FORMATS, RunConfig, run
-
-
-def _threads() -> int:
-    raw = os.environ.get("HHV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"HHV_THREADS: not an integer: {raw!r}") from None
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -120,7 +110,7 @@ def _execute_with(tasks, kwargs, **config_overrides) -> int:
             data = config.to_dict()
             data[key] = list(value) if isinstance(value, (list, tuple)) else value
             config = RunConfig.from_dict(data)
-    report = run(config, threads=_threads())
+    report = run(config)
     rendered = emit(report.to_dict(), config.format, config.out)
     if rendered is not None:
         click.echo(rendered, nl=False)
@@ -194,7 +184,11 @@ def report_command(input_path, fmt, out):
         data = parse_json(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"report: invalid JSON in {input_path}: {err}") from None
-    rendered = emit(data, fmt, out)
+    try:
+        rendered = emit(data, fmt, out)
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ConfigError(f"report: {input_path} is not an hhverify report "
+                          f"({type(err).__name__}: {err})") from None
     if rendered is not None:
         click.echo(rendered, nl=False)
     return 0

@@ -4,14 +4,13 @@ Records are produced as JSON-shaped dicts with a fixed field order, then
 sorted by a deterministic key, so two runs with the same configuration
 yield byte-identical output (the generated_at timestamp aside).  Shared
 work (the average integral per function/interval pair and each distinct
-quasi-convexity certificate) is computed once up front; those cache
-phases may run on a thread pool without affecting the result.
+quasi-convexity certificate) is computed once and reused.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Optional
@@ -43,6 +42,34 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_REFUTED = "refuted_hypothesis"
 STATUS_NON_CONVERGED = "non_converged"
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_seq(value, is_item, length=None) -> bool:
+    return (isinstance(value, (list, tuple))
+            and (length is None or len(value) == length)
+            and all(is_item(v) for v in value))
+
+
+# What each RunConfig field annotation admits, checked before any range
+# check so that a wrongly typed value is named rather than crashing one.
+_TYPE_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+            "an integer"),
+    "float": (_is_number, "a number"),
+    "tuple[str, ...]": (lambda v: _is_seq(v, lambda x: isinstance(x, str)),
+                        "a list of strings"),
+    "tuple[float, ...]": (lambda v: _is_seq(v, _is_number), "a list of numbers"),
+    "tuple[float, float]": (lambda v: _is_seq(v, _is_number, 2),
+                            "a pair of numbers [a, b]"),
+    "tuple[tuple[float, float], ...]": (
+        lambda v: _is_seq(v, lambda x: _is_seq(x, _is_number, 2)),
+        "a list of number pairs [a, b]"),
+}
 
 
 @dataclass
@@ -78,6 +105,12 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the first offending field."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            optional = f.type.startswith("Optional[")
+            is_valid, expected = _TYPE_CHECKS[f.type[9:-1] if optional else f.type]
+            if not (is_valid(value) or (optional and value is None)):
+                raise ConfigError(f"{f.name}: must be {expected}, got {value!r}")
         for name in ("tasks", "intervals", "theorems", "identities",
                      "applications", "variants", "p_grid", "q_grid", "alpha_grid"):
             if len(getattr(self, name)) == 0:
@@ -112,15 +145,12 @@ class RunConfig:
             if not 0.0 < alpha <= 1.0:
                 raise ConfigError(f"alpha_grid: requires 0 < alpha <= 1, got {alpha}")
         for name in ("quad_tol", "residual_tol", "margin_tol", "qc_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name}: must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}: must be positive and finite")
         if self.quad_budget < 15:
             raise ConfigError(f"quad_budget: below one quadrature panel, got {self.quad_budget}")
         if self.qc_grid < 3:
             raise ConfigError(f"qc_grid: must be at least 3, got {self.qc_grid}")
-        a, b = self.sin_domain
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ConfigError(f"sin_domain: invalid interval [{a}, {b}]")
         for tag in self.search_p_theorems:
             if tag not in EXPONENT_SEARCH_TAGS:
                 raise ConfigError(f"search_p_theorems: {tag!r} takes no Holder exponent")
@@ -133,7 +163,7 @@ class RunConfig:
         lo, hi = self.search_alpha_range
         if not (0.0 < lo < hi <= 1.0):
             raise ConfigError(f"search_alpha_range: requires 0 < lo < hi <= 1, got ({lo}, {hi})")
-        for name in ("search_p_interval", "search_alpha_interval"):
+        for name in ("sin_domain", "search_p_interval", "search_alpha_interval"):
             a, b = getattr(self, name)
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ConfigError(f"{name}: invalid interval [{a}, {b}]")
@@ -218,13 +248,6 @@ class RunReport:
         }
 
 
-def _map(fn, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _certificate_dict(cert: QuasiConvexityCertificate) -> dict:
     counterexample = None
     if cert.counterexample is not None:
@@ -289,7 +312,12 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
             "status": STATUS_NON_CONVERGED, "note": str(err),
         })
         return base
-    if not report.hypothesis.certified:
+    note = ""
+    if report.hypothesis.verdict == "non_finite":
+        status = STATUS_NON_CONVERGED
+        note = (f"hypothesis: non-finite sample at "
+                f"x={report.hypothesis.bad_abscissa!r}")
+    elif not report.hypothesis.certified:
         status = STATUS_REFUTED
     elif report.passed:
         status = STATUS_PASS
@@ -303,7 +331,7 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
         "pass": report.passed,
         "hypothesis": _certificate_dict(report.hypothesis),
         "status": status,
-        "note": "",
+        "note": note,
     })
     return base
 
@@ -359,7 +387,7 @@ def _application_exponents(tag: str, config: RunConfig) -> list[Optional[float]]
     return _exponents_for(source, config)
 
 
-def run(config: RunConfig, threads: int = 1) -> RunReport:
+def run(config: RunConfig) -> RunReport:
     """Execute every configured check and return the assembled report."""
     config.validate()
     corpus = builtin_corpus(alpha_grid=config.alpha_grid,
@@ -377,56 +405,38 @@ def run(config: RunConfig, threads: int = 1) -> RunReport:
     report = RunReport(config=config,
                        generated_at=datetime.now(timezone.utc).isoformat())
 
-    need_integrals = ("identities" in config.tasks or "bounds" in config.tasks)
     integral_cache: dict = {}
-    if need_integrals:
-        keys = [(f.name, iv) for f, iv in pairs]
-        results = _map(
-            lambda p: integrate(p[0].func, p[1], config.quad_tol, config.quad_budget),
-            pairs, threads)
-        integral_cache = dict(zip(keys, results))
+    if "identities" in config.tasks or "bounds" in config.tasks:
+        integral_cache = {
+            (f.name, iv): integrate(f.func, iv, config.quad_tol, config.quad_budget)
+            for f, iv in pairs}
 
     if "identities" in config.tasks:
-        jobs = [(ident, f, iv)
-                for f, iv in pairs for ident in config.identities]
-
-        def identity_job(job):
-            ident, f, iv = job
-            rep = check_identity(ident, f, iv, config.quad_tol, config.quad_budget,
-                                 integral=integral_cache[(f.name, iv)])
-            return _identity_record(rep, config.residual_tol)
-
+        records = [
+            _identity_record(check_identity(ident, f, iv, config.quad_tol,
+                                            config.quad_budget,
+                                            integral=integral_cache[(f.name, iv)]),
+                             config.residual_tol)
+            for f, iv in pairs for ident in config.identities]
         report.identity_checks = sorted(
-            _map(identity_job, jobs, threads),
-            key=lambda r: (r["id"], r["function"], r["interval"]))
+            records, key=lambda r: (r["id"], r["function"], r["interval"]))
 
     if "bounds" in config.tasks:
-        hypo_keys: dict = {}
-        for f, iv in pairs:
-            for tag in config.theorems:
-                spec = THEOREMS[tag]
-                for exponent in _exponents_for(tag, config):
-                    e = hypothesis_exponent(tag, exponent)
-                    hypo_keys.setdefault(
-                        (f.name, iv, spec.derivative_order, e), (tag, f, iv, exponent))
-
-        def hypo_job(item):
-            key, (tag, f, iv, exponent) = item
-            return key, certify_hypothesis(tag, f, iv, exponent,
-                                           config.qc_grid, config.qc_tol)
-
-        hypo_cache = dict(_map(hypo_job, list(hypo_keys.items()), threads))
-
+        hypo_cache: dict = {}
         records = []
         for f, iv in pairs:
             for tag in config.theorems:
                 spec = THEOREMS[tag]
                 for exponent in _exponents_for(tag, config):
-                    e = hypothesis_exponent(tag, exponent)
+                    key = (f.name, iv, spec.derivative_order,
+                           hypothesis_exponent(tag, exponent))
+                    if key not in hypo_cache:
+                        hypo_cache[key] = certify_hypothesis(
+                            tag, f, iv, exponent, config.qc_grid, config.qc_tol)
                     records.append(_bound_record(
                         tag, f, iv, exponent, config,
                         integral=integral_cache[(f.name, iv)],
-                        hypothesis=hypo_cache[(f.name, iv, spec.derivative_order, e)]))
+                        hypothesis=hypo_cache[key]))
         order = {tag: i for i, tag in enumerate(THEOREM_ORDER)}
         report.bound_checks = sorted(
             records,

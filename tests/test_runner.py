@@ -1,7 +1,12 @@
+import numpy as np
 import pytest
 
+from conftest import poly_smooth
 from hhverify.errors import ConfigError
-from hhverify.runner import (DEFAULT_INTERVALS, RunConfig, RunReport, run)
+from hhverify.numerics import Interval
+from hhverify.quasiconvex import check_quasi_convex
+from hhverify.runner import (DEFAULT_INTERVALS, RunConfig, RunReport,
+                             _bound_record, run)
 
 
 def test_me1_on_two_quartics_example():
@@ -45,6 +50,8 @@ def test_validation_names_offending_field():
         RunConfig.from_dict({"theorems": []})
     with pytest.raises(ConfigError, match="quad_tol"):
         RunConfig.from_dict({"quad_tol": -1.0})
+    with pytest.raises(ConfigError, match="qc_tol"):
+        RunConfig.from_dict({"qc_tol": float("inf")})
     with pytest.raises(ConfigError, match="p_grid"):
         RunConfig.from_dict({"p_grid": [0.5]})
     with pytest.raises(ConfigError, match="intervals"):
@@ -69,9 +76,17 @@ def test_exit_code_precedence():
     assert report.exit_code() == 0
 
 
-def test_threads_parameter_accepted():
-    cfg = RunConfig.from_dict({"tasks": ["bounds"], "corpus": ["x^4"],
-                               "intervals": [[0.0, 1.0]], "theorems": ["ME1", "ME4"]})
-    seq = run(cfg, threads=1)
-    par = run(cfg, threads=4)
-    assert seq.bound_checks == par.bound_checks
+def test_non_finite_hypothesis_sample_is_non_converged_with_abscissa():
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.5, np.nan, x ** 2)
+
+    iv = Interval(0.0, 1.0)
+    f = poly_smooth("x^4", [0, 0, 0, 0, 1])
+    record = _bound_record("ME1", f, iv, None, RunConfig(), integral=None,
+                           hypothesis=check_quasi_convex(g, iv))
+    assert record["status"] == "non_converged"
+    assert record["note"] == "hypothesis: non-finite sample at x=0.5"
+    assert record["hypothesis"]["verdict"] == "non_finite"
+    assert list(record) == list(_bound_record(
+        "ME1", f, iv, None, RunConfig(), integral=None, hypothesis=None))
