@@ -9,14 +9,12 @@ from .errors import (ConfigError, DomainError, ParameterError,
                      QuadratureError)
 from .identities import (IdentityReport, check_identity,
                          midpoint_defect_identity, trapezoid_defect_identity)
-from .means import (ApplicationVerdict, LinkResiduals, MeanRequest,
-                    application_check, arithmetic_mean, f_alpha_link_check,
-                    generalized_log_mean)
+from .means import (ApplicationVerdict, MeanRequest, application_check,
+                    arithmetic_mean, f_alpha_link_check, generalized_log_mean)
 from .numerics import (HolderPair, Interval, QuadratureResult, beta,
                        conjugate_exponent, integrate)
 from .quasiconvex import QuasiConvexityCertificate, check_quasi_convex
-from .bounds import (BoundReport, THEOREMS, check_bound, lhs_midpoint_corrected,
-                     lhs_trapezoid, lhs_trapezoid_corrected, rhs_bound)
+from .bounds import BoundReport, THEOREMS, check_bound, defect, rhs_bound
 from .search import (SearchResult, best_exponent, tightness_ratio,
                      worst_case_alpha)
 from .runner import RunConfig, RunReport, run
@@ -24,15 +22,14 @@ from .runner import RunConfig, RunReport, run
 __all__ = [
     "__version__",
     "ApplicationVerdict", "BoundReport", "ConfigError", "DomainError",
-    "HolderPair", "IdentityReport", "Interval", "LinkResiduals",
+    "HolderPair", "IdentityReport", "Interval",
     "MeanRequest", "ParameterError", "QuadratureError", "QuadratureResult",
     "QuasiConvexityCertificate", "RunConfig", "RunReport", "SearchResult",
     "SmoothFunction", "THEOREMS", "application_check",
     "arithmetic_mean", "best_exponent", "beta", "builtin_corpus",
     "check_bound", "check_identity", "check_quasi_convex",
-    "conjugate_exponent", "f_alpha_link_check",
+    "conjugate_exponent", "defect", "f_alpha_link_check",
     "fd_validate", "generalized_log_mean", "integrate",
-    "lhs_midpoint_corrected", "lhs_trapezoid", "lhs_trapezoid_corrected",
     "make_power_family", "midpoint_defect_identity", "rhs_bound", "run",
     "tightness_ratio", "trapezoid_defect_identity", "worst_case_alpha",
 ]

@@ -1,27 +1,23 @@
 """Evaluators for the twelve inequality rules.
 
-Each rule bounds a quadrature-rule deviation by an expression in the
-endpoint magnitudes of one derivative order, under the hypothesis that a
-power of that derivative's absolute value is quasi-convex on the interval.
-The registry below fixes, per tag: the deviation on the left, the
-derivative order consumed, the constant, and the exponent parameter the
-rule takes (none, a Holder exponent p > 1, or a power-mean exponent
-q >= 1).
+Every rule has one shape: the defect of a quadrature rule is bounded by
 
-Tag overview (w = b - a, Mk = max of |k-th derivative| at the endpoints):
+    |defect(kind)| <= (w^k / D) * c(p) * Mn
 
-  T1_2  trapezoid            <= (w/4) * M1
-  T1_3  trapezoid            <= (w / (2*(p+1)^(1/p))) * M1
-  T1_4  trapezoid            <= (w^2/12) * M2
-  T1_5  corrected trapezoid  <= (w^3/192) * M3
-  T1_6  corrected trapezoid  <= (w^3/96) * (1/(p+1))^(1/p) * M3
-  T1_7  corrected trapezoid  <= (w^3/192) * M3
-  ME1   corrected trapezoid  <= (w^4/720) * M4
-  ME2   corrected trapezoid  <= (w^4/24) * beta(2p+1, 2p+1)^(1/p) * M4
-  ME3   corrected trapezoid  <= (w^4/720) * M4
-  ME4   corrected midpoint   <= (w^3/192) * M3
-  ME5   corrected midpoint   <= (w^3/96) * (1/(p+1))^(1/p) * M3
-  ME6   corrected midpoint   <= (w^3/192) * M3
+with w = b - a and Mn the larger endpoint magnitude of the n-th
+derivative, under the hypothesis that a power of |f^(n)| is
+quasi-convex on the interval.  The three defects are
+
+  trapezoid            (f(a)+f(b))/2 - avg(f)
+  trapezoid_corrected  (f(a)+f(b))/2 - avg(f) - (w/12)*(f'(b)-f'(a))
+  midpoint_corrected   f((a+b)/2) - avg(f) + (w/24)*(f'(b)-f'(a))
+
+where avg(f) is the average of f over [a, b].  The THEOREMS table holds,
+per tag: the derivative order n, the defect kind, the exponent parameter
+the rule takes (none, a Holder exponent p > 1, or a power-mean exponent
+q >= 1), the width power k, the divisor D, and the factor c(p), which is
+absent, the Holder root (1/(p+1))^(1/p) or the Beta root
+B(2p+1, 2p+1)^(1/p).  rhs_bound reads the table and nothing else.
 
 The q-parameterized right-hand sides are written
 (max{A^q, B^q})^(1/q) in the source inequalities; for A, B >= 0 that
@@ -52,10 +48,18 @@ EXP_NONE = "none"
 EXP_HOLDER_P = "p"      # requires p > 1; conjugate q = p/(p-1) enters the hypothesis
 EXP_POWER_Q = "q"       # requires q >= 1
 
-# Left-hand deviation kinds.
+# Defect kinds, the rules' left sides.
 LHS_TRAPEZOID = "trapezoid"
 LHS_TRAPEZOID_CORRECTED = "trapezoid_corrected"
 LHS_MIDPOINT_CORRECTED = "midpoint_corrected"
+
+
+def _holder_root(p: float) -> float:
+    return (1.0 / (p + 1.0)) ** (1.0 / p)
+
+
+def _beta_root(p: float) -> float:
+    return beta(2.0 * p + 1.0, 2.0 * p + 1.0) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -64,22 +68,25 @@ class TheoremSpec:
     derivative_order: int
     lhs_kind: str
     exponent_kind: str
+    width_power: int
+    divisor: float
+    factor: Optional[Callable[[float], float]] = None
 
 
 THEOREMS: dict[str, TheoremSpec] = {
     spec.tag: spec for spec in (
-        TheoremSpec("T1_2", 1, LHS_TRAPEZOID, EXP_NONE),
-        TheoremSpec("T1_3", 1, LHS_TRAPEZOID, EXP_HOLDER_P),
-        TheoremSpec("T1_4", 2, LHS_TRAPEZOID, EXP_NONE),
-        TheoremSpec("T1_5", 3, LHS_TRAPEZOID_CORRECTED, EXP_NONE),
-        TheoremSpec("T1_6", 3, LHS_TRAPEZOID_CORRECTED, EXP_HOLDER_P),
-        TheoremSpec("T1_7", 3, LHS_TRAPEZOID_CORRECTED, EXP_POWER_Q),
-        TheoremSpec("ME1", 4, LHS_TRAPEZOID_CORRECTED, EXP_NONE),
-        TheoremSpec("ME2", 4, LHS_TRAPEZOID_CORRECTED, EXP_HOLDER_P),
-        TheoremSpec("ME3", 4, LHS_TRAPEZOID_CORRECTED, EXP_POWER_Q),
-        TheoremSpec("ME4", 3, LHS_MIDPOINT_CORRECTED, EXP_NONE),
-        TheoremSpec("ME5", 3, LHS_MIDPOINT_CORRECTED, EXP_HOLDER_P),
-        TheoremSpec("ME6", 3, LHS_MIDPOINT_CORRECTED, EXP_POWER_Q),
+        TheoremSpec("T1_2", 1, LHS_TRAPEZOID, EXP_NONE, 1, 4.0),
+        TheoremSpec("T1_3", 1, LHS_TRAPEZOID, EXP_HOLDER_P, 1, 2.0, _holder_root),
+        TheoremSpec("T1_4", 2, LHS_TRAPEZOID, EXP_NONE, 2, 12.0),
+        TheoremSpec("T1_5", 3, LHS_TRAPEZOID_CORRECTED, EXP_NONE, 3, 192.0),
+        TheoremSpec("T1_6", 3, LHS_TRAPEZOID_CORRECTED, EXP_HOLDER_P, 3, 96.0, _holder_root),
+        TheoremSpec("T1_7", 3, LHS_TRAPEZOID_CORRECTED, EXP_POWER_Q, 3, 192.0),
+        TheoremSpec("ME1", 4, LHS_TRAPEZOID_CORRECTED, EXP_NONE, 4, 720.0),
+        TheoremSpec("ME2", 4, LHS_TRAPEZOID_CORRECTED, EXP_HOLDER_P, 4, 24.0, _beta_root),
+        TheoremSpec("ME3", 4, LHS_TRAPEZOID_CORRECTED, EXP_POWER_Q, 4, 720.0),
+        TheoremSpec("ME4", 3, LHS_MIDPOINT_CORRECTED, EXP_NONE, 3, 192.0),
+        TheoremSpec("ME5", 3, LHS_MIDPOINT_CORRECTED, EXP_HOLDER_P, 3, 96.0, _holder_root),
+        TheoremSpec("ME6", 3, LHS_MIDPOINT_CORRECTED, EXP_POWER_Q, 3, 192.0),
     )
 }
 
@@ -109,62 +116,37 @@ class BoundReport:
     passed: bool             # margin >= -tol and hypothesis certified
 
 
-def _require_converged(result: QuadratureResult, what: str) -> QuadratureResult:
-    if not result.converged:
-        raise QuadratureError(
-            f"{what}: quadrature budget exhausted "
-            f"(error estimate {result.error_estimate:.3e} after {result.evaluations} evaluations)",
-            result,
-        )
-    return result
+def defect(kind: str, f: SmoothFunction, interval: Interval, avg: float) -> float:
+    """Signed defect of the rule ``kind`` given avg, the average of f over
+    the interval; the three kinds are defined in the module docstring."""
+    a, b, w = interval.a, interval.b, interval.width
+    if kind == LHS_TRAPEZOID:
+        return 0.5 * (float(f(a)) + float(f(b))) - avg
+    d1 = f.deriv(1)
+    if kind == LHS_TRAPEZOID_CORRECTED:
+        return (0.5 * (float(f(a)) + float(f(b))) - avg
+                - (w / 12.0) * (float(d1(b)) - float(d1(a))))
+    if kind == LHS_MIDPOINT_CORRECTED:
+        return (float(f(interval.midpoint)) - avg
+                + (w / 24.0) * (float(d1(b)) - float(d1(a))))
+    raise ParameterError(f"unknown defect kind {kind!r}")
 
 
-def _avg_integral(f: SmoothFunction, interval: Interval, quad_tol: float,
-                  quad_budget: int, integral: QuadratureResult | None) -> float:
+def rule_lhs(tag: str, f: SmoothFunction, interval: Interval,
+             quad_tol: float = DEFAULT_QUAD_TOL,
+             quad_budget: int = DEFAULT_QUAD_BUDGET,
+             integral: QuadratureResult | None = None) -> float:
+    """|defect| of the tag's rule; raises QuadratureError when the
+    average integral did not converge."""
     if integral is None:
         integral = integrate(f.func, interval, quad_tol, quad_budget)
-    _require_converged(integral, f"integral of {f.name} over [{interval.a}, {interval.b}]")
-    return integral.value / interval.width
-
-
-def lhs_trapezoid(f: SmoothFunction, interval: Interval,
-                  quad_tol: float = DEFAULT_QUAD_TOL,
-                  quad_budget: int = DEFAULT_QUAD_BUDGET,
-                  integral: QuadratureResult | None = None) -> float:
-    """|(f(a)+f(b))/2 - avg(f)|."""
-    avg = _avg_integral(f, interval, quad_tol, quad_budget, integral)
-    return abs(0.5 * (float(f(interval.a)) + float(f(interval.b))) - avg)
-
-
-def lhs_trapezoid_corrected(f: SmoothFunction, interval: Interval,
-                            quad_tol: float = DEFAULT_QUAD_TOL,
-                            quad_budget: int = DEFAULT_QUAD_BUDGET,
-                            integral: QuadratureResult | None = None) -> float:
-    """|(f(a)+f(b))/2 - avg(f) - (w/12)*(f'(b)-f'(a))|."""
-    avg = _avg_integral(f, interval, quad_tol, quad_budget, integral)
-    d1 = f.deriv(1)
-    w = interval.width
-    return abs(0.5 * (float(f(interval.a)) + float(f(interval.b))) - avg
-               - (w / 12.0) * (float(d1(interval.b)) - float(d1(interval.a))))
-
-
-def lhs_midpoint_corrected(f: SmoothFunction, interval: Interval,
-                           quad_tol: float = DEFAULT_QUAD_TOL,
-                           quad_budget: int = DEFAULT_QUAD_BUDGET,
-                           integral: QuadratureResult | None = None) -> float:
-    """|f((a+b)/2) - avg(f) + (w/24)*(f'(b)-f'(a))|."""
-    avg = _avg_integral(f, interval, quad_tol, quad_budget, integral)
-    d1 = f.deriv(1)
-    w = interval.width
-    return abs(float(f(interval.midpoint)) - avg
-               + (w / 24.0) * (float(d1(interval.b)) - float(d1(interval.a))))
-
-
-_LHS_FUNCS: dict[str, Callable] = {
-    LHS_TRAPEZOID: lhs_trapezoid,
-    LHS_TRAPEZOID_CORRECTED: lhs_trapezoid_corrected,
-    LHS_MIDPOINT_CORRECTED: lhs_midpoint_corrected,
-}
+    if not integral.converged:
+        raise QuadratureError(
+            f"integral of {f.name} over [{interval.a}, {interval.b}]: quadrature budget "
+            f"exhausted (error estimate {integral.error_estimate:.3e} after "
+            f"{integral.evaluations} evaluations)", integral)
+    return abs(defect(theorem_spec(tag).lhs_kind, f, interval,
+                      integral.value / interval.width))
 
 
 def validate_exponent(tag: str, exponent: Optional[float]) -> Optional[float]:
@@ -198,31 +180,10 @@ def rhs_bound(tag: str, f: SmoothFunction, interval: Interval,
     """
     spec = theorem_spec(tag)
     exponent = validate_exponent(tag, exponent)
-    w = interval.width
-    m = endpoint_derivative_max(f, interval, spec.derivative_order)
-    if tag == "T1_2":
-        return (w / 4.0) * m
-    if tag == "T1_3":
-        p = exponent
-        return w / (2.0 * (p + 1.0) ** (1.0 / p)) * m
-    if tag == "T1_4":
-        return (w ** 2 / 12.0) * m
-    if tag in ("T1_5", "T1_7"):
-        return (w ** 3 / 192.0) * m
-    if tag == "T1_6":
-        p = exponent
-        return (w ** 3 / 96.0) * (1.0 / (p + 1.0)) ** (1.0 / p) * m
-    if tag in ("ME1", "ME3"):
-        return (w ** 4 / 720.0) * m
-    if tag == "ME2":
-        p = exponent
-        return (w ** 4 / 24.0) * beta(2.0 * p + 1.0, 2.0 * p + 1.0) ** (1.0 / p) * m
-    if tag in ("ME4", "ME6"):
-        return (w ** 3 / 192.0) * m
-    if tag == "ME5":
-        p = exponent
-        return (w ** 3 / 96.0) * (1.0 / (p + 1.0)) ** (1.0 / p) * m
-    raise AssertionError(tag)
+    scale = interval.width ** spec.width_power / spec.divisor
+    if spec.factor is not None:
+        scale *= spec.factor(exponent)
+    return scale * endpoint_derivative_max(f, interval, spec.derivative_order)
 
 
 def hypothesis_exponent(tag: str, exponent: Optional[float]) -> float:
@@ -285,9 +246,8 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
     ``integral`` and ``hypothesis`` accept precomputed values so batch
     runs can share work; they must match (f, interval) when given.
     """
-    spec = theorem_spec(tag)
     exponent = validate_exponent(tag, exponent)
-    lhs = _LHS_FUNCS[spec.lhs_kind](f, interval, quad_tol, quad_budget, integral)
+    lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)
     rhs = rhs_bound(tag, f, interval, exponent)
     if hypothesis is None:
         hypothesis = certify_hypothesis(tag, f, interval, exponent, qc_grid, qc_tol)

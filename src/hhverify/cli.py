@@ -17,8 +17,8 @@ import click
 
 from . import __version__
 from .errors import ConfigError, DomainError, ParameterError
-from .report import emit, parse_json
-from .runner import ALL_TASKS, OUTPUT_FORMATS, RunConfig, run
+from .report import FORMATS, emit, parse_json
+from .runner import ALL_TASKS, RunConfig, run
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -86,7 +86,7 @@ def _build_config(tasks: tuple[str, ...], config_path: str | None, fmt: str | No
 def _common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="JSON configuration file (keys documented in the README).")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(OUTPUT_FORMATS), default=None,
+    fn = click.option("--format", "fmt", type=click.Choice(FORMATS), default=None,
                       help="Output format (default json).")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
                       help="Output path; JSON/markdown print to stdout when omitted.")(fn)
@@ -170,7 +170,7 @@ def scan(**kwargs):
 
 @cli.command("report")
 @click.argument("input_path", type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(OUTPUT_FORMATS), default="markdown",
+@click.option("--format", "fmt", type=click.Choice(FORMATS), default="markdown",
               help="Target format (default markdown).")
 @click.option("--out", type=click.Path(), default=None,
               help="Output path; prints to stdout when omitted (except csv).")

@@ -13,7 +13,9 @@ integral of a higher derivative:
                      - I[0,1/2](K(t) f'''(t*b+(1-t)*a)) )
       with kernel K(t) = t(1-2t)(1+2t)
 
-where avg(f) = (1/w) * integral of f over [a, b] and w = b - a.  Each side
+where avg(f) = (1/w) * integral of f over [a, b] and w = b - a.  The left
+sides are bounds.defect of the corrected rules: L1's is minus the
+corrected-trapezoid defect, L2's the corrected-midpoint defect.  Each side
 is computed independently by quadrature and the residual |lhs - rhs| is
 reported; the identities hold exactly, so the residual is pure numerical
 error.
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, integrate)
@@ -44,11 +47,21 @@ class IdentityReport:
     note: str = ""
 
 
-def _average_integral(f: SmoothFunction, interval: Interval, tol: float,
-                      budget: int, integral: QuadratureResult | None) -> QuadratureResult:
-    if integral is None:
-        integral = integrate(f.func, interval, tol, budget)
-    return integral
+def _report(identity_id: str, f: SmoothFunction, interval: Interval,
+            base: QuadratureResult, lhs: float, rhs: float, scale: float,
+            kernels: tuple[QuadratureResult, ...]) -> IdentityReport:
+    """Assemble the report; rhs is scale times a combination of the kernel
+    integrals, so its error estimate is scale times their sum."""
+    converged = base.converged and all(k.converged for k in kernels)
+    return IdentityReport(
+        identity_id=identity_id, function=f.name, interval=interval,
+        lhs=lhs, rhs=rhs,
+        residual=abs(lhs - rhs) if converged else None,
+        quadrature_error=(base.error_estimate / interval.width
+                          + scale * sum(k.error_estimate for k in kernels)),
+        converged=converged,
+        note="" if converged else "quadrature did not converge within budget",
+    )
 
 
 def trapezoid_defect_identity(f: SmoothFunction, interval: Interval,
@@ -57,26 +70,13 @@ def trapezoid_defect_identity(f: SmoothFunction, interval: Interval,
                               integral: QuadratureResult | None = None) -> IdentityReport:
     """Check identity L1 on f over the interval."""
     a, b = interval.a, interval.b
-    w = interval.width
-    base = _average_integral(f, interval, quad_tol, quad_budget, integral)
-    d1 = f.deriv(1)
-    lhs = base.value / w + (w / 12.0) * (float(d1(b)) - float(d1(a))) \
-        - 0.5 * (float(f(a)) + float(f(b)))
-
+    base = integral or integrate(f.func, interval, quad_tol, quad_budget)
+    lhs = -defect(LHS_TRAPEZOID_CORRECTED, f, interval, base.value / interval.width)
     d4 = f.deriv(4)
     kernel = integrate(lambda t: (t * (1.0 - t)) ** 2 * d4(a * t + (1.0 - t) * b),
                        Interval(0.0, 1.0), quad_tol, quad_budget)
-    rhs = (w ** 4 / 24.0) * kernel.value
-
-    quad_err = base.error_estimate / w + (w ** 4 / 24.0) * kernel.error_estimate
-    converged = base.converged and kernel.converged
-    return IdentityReport(
-        identity_id="L1", function=f.name, interval=interval,
-        lhs=lhs, rhs=rhs,
-        residual=abs(lhs - rhs) if converged else None,
-        quadrature_error=quad_err, converged=converged,
-        note="" if converged else "quadrature did not converge within budget",
-    )
+    scale = interval.width ** 4 / 24.0
+    return _report("L1", f, interval, base, lhs, scale * kernel.value, scale, (kernel,))
 
 
 def midpoint_defect_identity(f: SmoothFunction, interval: Interval,
@@ -85,12 +85,8 @@ def midpoint_defect_identity(f: SmoothFunction, interval: Interval,
                              integral: QuadratureResult | None = None) -> IdentityReport:
     """Check identity L2 on f over the interval."""
     a, b = interval.a, interval.b
-    w = interval.width
-    base = _average_integral(f, interval, quad_tol, quad_budget, integral)
-    d1 = f.deriv(1)
-    lhs = float(f(interval.midpoint)) - base.value / w \
-        + (w / 24.0) * (float(d1(b)) - float(d1(a)))
-
+    base = integral or integrate(f.func, interval, quad_tol, quad_budget)
+    lhs = defect(LHS_MIDPOINT_CORRECTED, f, interval, base.value / interval.width)
     d3 = f.deriv(3)
     half = Interval(0.0, 0.5)
     side_a = integrate(
@@ -99,18 +95,9 @@ def midpoint_defect_identity(f: SmoothFunction, interval: Interval,
     side_b = integrate(
         lambda t: t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t) * d3(t * b + (1.0 - t) * a),
         half, quad_tol, quad_budget)
-    rhs = (w ** 3 / 24.0) * (side_a.value - side_b.value)
-
-    quad_err = base.error_estimate / w \
-        + (w ** 3 / 24.0) * (side_a.error_estimate + side_b.error_estimate)
-    converged = base.converged and side_a.converged and side_b.converged
-    return IdentityReport(
-        identity_id="L2", function=f.name, interval=interval,
-        lhs=lhs, rhs=rhs,
-        residual=abs(lhs - rhs) if converged else None,
-        quadrature_error=quad_err, converged=converged,
-        note="" if converged else "quadrature did not converge within budget",
-    )
+    scale = interval.width ** 3 / 24.0
+    return _report("L2", f, interval, base, lhs, scale * (side_a.value - side_b.value),
+                   scale, (side_a, side_b))
 
 
 def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,

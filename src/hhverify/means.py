@@ -14,14 +14,17 @@ Applying each bound rule to the power-family member f with
 f''''(x) = x^alpha and clearing denominators rewrites the rule as a mean
 inequality (tags A3_1..A3_6).  Two variants are evaluated per tag:
 
-  * "derived": coefficients obtained mechanically from the substitution,
-    i.e. the matching bound check multiplied through by 12*P (trapezoid
-    side) or 24*P (midpoint side) with P = (alpha+1)...(alpha+4);
+  * "derived": the source bound rule multiplied through by 12*P
+    (trapezoid side) or 24*P (midpoint side) with
+    P = (alpha+1)...(alpha+4).  The right side is that factor times
+    rhs_bound of the source rule on the family member; the left side is
+    the cleared defect in mean form;
   * "paper":   the coefficients exactly as printed in the source
     inequalities, transcribed verbatim, typos included.
 
 A refuted printed coefficient is surfaced in the verdict note rather than
-silently corrected.
+silently corrected.  A side that overflows a double is never compared:
+the verdict does not pass and carries OVERFLOW_NOTE.
 """
 
 from __future__ import annotations
@@ -30,27 +33,26 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .bounds import DEFAULT_MARGIN_TOL, validate_exponent
+from .bounds import (DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
+                     LHS_TRAPEZOID_CORRECTED, THEOREMS, rhs_bound,
+                     validate_exponent)
 from .corpus import make_power_family
 from .errors import DomainError, ParameterError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, beta,
                        integrate)
 
-APPLICATION_TAGS = ("A3_1", "A3_2", "A3_3", "A3_4", "A3_5", "A3_6")
+# Bound rule that each application clears into a mean inequality.
+APPLICATION_SOURCE = {"A3_1": "ME1", "A3_2": "ME2", "A3_3": "ME3",
+                      "A3_4": "ME4", "A3_5": "ME5", "A3_6": "ME6"}
+APPLICATION_TAGS = tuple(APPLICATION_SOURCE)
 APPLICATION_VARIANTS = ("paper", "derived")
 
-# Bound rule cleared into each application, and the exponent kind it takes.
-APPLICATION_SOURCE = {
-    "A3_1": ("ME1", "none"),
-    "A3_2": ("ME2", "p"),
-    "A3_3": ("ME3", "q"),
-    "A3_4": ("ME4", "none"),
-    "A3_5": ("ME5", "p"),
-    "A3_6": ("ME6", "q"),
-}
+# Clears the 1/12 or 1/24 of the source defect's derivative correction.
+_CLEARING = {LHS_TRAPEZOID_CORRECTED: 12.0, LHS_MIDPOINT_CORRECTED: 24.0}
 
 _SPECIAL_CASE_TOL = 1e-12
 REFUTED_NOTE = "printed coefficient refuted at this instance"
+OVERFLOW_NOTE = "overflow: a side is not a finite double at this instance"
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,11 @@ def generalized_log_mean(req: MeanRequest) -> float:
     cases; p exactly 1 returns (a+b)/2, the algebraically identical but
     numerically stable form of the main branch.
     """
-    a, b, p = req.a, req.b, req.p
+    return _lp(req.a, req.b, req.p)
+
+
+def _lp(a: float, b: float, p: float) -> float:
+    """generalized_log_mean on arguments the caller has validated."""
     if abs(p + 1.0) <= _SPECIAL_CASE_TOL:
         return (b - a) / (math.log(b) - math.log(a))
     if abs(p) <= _SPECIAL_CASE_TOL:
@@ -87,10 +93,6 @@ def generalized_log_mean(req: MeanRequest) -> float:
     if p == 1.0:
         return arithmetic_mean(a, b)
     return (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
-
-
-def _lp(a: float, b: float, p: float) -> float:
-    return generalized_log_mean(MeanRequest(a, b, p))
 
 
 class LinkResiduals(NamedTuple):
@@ -145,6 +147,11 @@ class ApplicationVerdict:
     passed: bool
     note: str = ""
 
+    @property
+    def finite(self) -> bool:
+        """False when a side overflowed; such a verdict never passes."""
+        return math.isfinite(self.lhs) and math.isfinite(self.rhs)
+
 
 def _trapezoid_side_lhs(a: float, b: float, alpha: float, middle_coeff: float) -> float:
     """|12*A(a^(alpha+4), b^(alpha+4)) - 12*L_(alpha+4) - (b-a)^2 * middle_coeff * L_(alpha+2)|."""
@@ -176,57 +183,48 @@ def application_check(theorem: str, variant: str, a: float, b: float, alpha: flo
     MeanRequest(a, b, 0.5)  # positivity and ordering checks
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"family parameter must lie in (0, 1], got {alpha}")
-    source_tag, _ = APPLICATION_SOURCE[theorem]
-    exponent = validate_exponent(source_tag, exponent)
-
-    w = b - a
+    source = THEOREMS[APPLICATION_SOURCE[theorem]]
+    exponent = validate_exponent(source.tag, exponent)
     pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
-    max_alpha = max(a ** alpha, b ** alpha)
 
-    if variant == "derived":
-        lhs, rhs = _derived_sides(theorem, a, b, alpha, exponent, w, pprod, max_alpha)
-    else:
-        lhs, rhs = _paper_sides(theorem, a, b, alpha, exponent, w, pprod, max_alpha)
+    try:
+        if variant == "derived":
+            lhs, rhs = _derived_sides(source, a, b, alpha, exponent, pprod)
+        else:
+            lhs, rhs = _paper_sides(theorem, a, b, alpha, exponent, pprod)
+    except OverflowError:
+        lhs = rhs = math.nan
 
-    passed = lhs <= rhs + margin_tol
+    finite = math.isfinite(lhs) and math.isfinite(rhs)
+    passed = finite and lhs <= rhs + margin_tol
     note = ""
-    if not passed:
+    if not finite:
+        note = OVERFLOW_NOTE
+    elif not passed:
         note = REFUTED_NOTE if variant == "paper" else "derived inequality violated"
     return ApplicationVerdict(theorem=theorem, variant=variant, a=a, b=b, alpha=alpha,
                               exponent=exponent, lhs=lhs, rhs=rhs, passed=passed, note=note)
 
 
-def _derived_sides(theorem, a, b, alpha, exponent, w, pprod, max_alpha):
-    """Coefficients obtained by clearing 12*P (trapezoid side) or 24*P
-    (midpoint side) out of the matching bound rule applied to the family."""
-    if theorem in ("A3_1", "A3_2", "A3_3"):
+def _derived_sides(source, a, b, alpha, exponent, pprod):
+    """The source rule on the family member, cleared of 12*P or 24*P."""
+    if source.lhs_kind == LHS_TRAPEZOID_CORRECTED:
         lhs = _trapezoid_side_lhs(a, b, alpha, (alpha + 3.0) * (alpha + 4.0))
-        if theorem == "A3_1" or theorem == "A3_3":
-            rhs = (w ** 4 / 60.0) * pprod * max_alpha
-        else:
-            p = exponent
-            rhs = (w ** 4 / 2.0) * beta(2.0 * p + 1.0, 2.0 * p + 1.0) ** (1.0 / p) \
-                * pprod * max_alpha
-        return lhs, rhs
-    # Midpoint side: the third derivative of the family is
-    # x^(alpha+1)/(alpha+1), so its endpoint maximum is max(a,b)^(alpha+1)
-    # over (alpha+1); the (alpha+1) factor cancels out of 24*P.
-    lhs = _midpoint_side_lhs_derived(a, b, alpha)
-    tail = (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0) * max(a ** (alpha + 1.0),
-                                                              b ** (alpha + 1.0))
-    if theorem in ("A3_4", "A3_6"):
-        rhs = (w ** 3 / 8.0) * tail
     else:
-        p = exponent
-        rhs = (w ** 3 / 4.0) * (1.0 / (p + 1.0)) ** (1.0 / p) * tail
+        lhs = _midpoint_side_lhs_derived(a, b, alpha)
+    interval = Interval(a, b)
+    rhs = _CLEARING[source.lhs_kind] * pprod * rhs_bound(
+        source.tag, make_power_family(alpha, domain=interval), interval, exponent)
     return lhs, rhs
 
 
-def _paper_sides(theorem, a, b, alpha, exponent, w, pprod, max_alpha):
+def _paper_sides(theorem, a, b, alpha, exponent, pprod):
     """Printed coefficients, transcribed verbatim: the middle term carries
     (alpha+3)(alpha+4)(alpha+4) on every tag, the midpoint-side left side
     keeps the leading 12 and the minus sign, and the power-mean max terms
     collapse to max(a^alpha, b^alpha) since a, b > 0."""
+    w = b - a
+    max_alpha = max(a ** alpha, b ** alpha)
     lhs = _trapezoid_side_lhs(a, b, alpha,
                               (alpha + 3.0) * (alpha + 4.0) * (alpha + 4.0))
     if theorem == "A3_1" or theorem == "A3_3":

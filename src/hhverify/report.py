@@ -31,8 +31,6 @@ CSV_COLUMNS = {
                "iterations", "converged", "status", "note"),
 }
 
-_RECORD_KEYS = ("identity_checks", "bound_checks", "application_checks", "searches")
-
 
 def _format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):

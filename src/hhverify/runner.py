@@ -16,8 +16,9 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .bounds import (THEOREM_ORDER, THEOREMS, check_bound, certify_hypothesis,
-                     hypothesis_exponent, theorem_spec)
+from .bounds import (EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDER, THEOREMS,
+                     check_bound, certify_hypothesis, hypothesis_exponent,
+                     theorem_spec)
 from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
                      admissible_intervals, builtin_corpus, corpus_by_name)
 from .errors import ConfigError, QuadratureError
@@ -26,11 +27,11 @@ from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
                     ApplicationVerdict, application_check)
 from .numerics import Interval, integrate
 from .quasiconvex import QuasiConvexityCertificate
+from .report import FORMATS
 from .search import (EXPONENT_SEARCH_TAGS, SearchResult, best_exponent,
                      worst_case_alpha)
 
 ALL_TASKS = ("identities", "bounds", "applications", "searches")
-OUTPUT_FORMATS = ("json", "csv", "markdown")
 
 DEFAULT_INTERVALS = (
     (0.25, 0.75), (0.3, 1.2), (0.5, 1.0), (0.25, 1.25), (0.4, 0.9),
@@ -167,8 +168,8 @@ class RunConfig:
             a, b = getattr(self, name)
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ConfigError(f"{name}: invalid interval [{a}, {b}]")
-        if self.format not in OUTPUT_FORMATS:
-            raise ConfigError(f"format: must be one of {', '.join(OUTPUT_FORMATS)}, got {self.format!r}")
+        if self.format not in FORMATS:
+            raise ConfigError(f"format: must be one of {', '.join(FORMATS)}, got {self.format!r}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -337,6 +338,12 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
 
 
 def _application_record(verdict: ApplicationVerdict) -> dict:
+    if verdict.passed:
+        status = STATUS_PASS
+    elif verdict.finite:
+        status = STATUS_FAIL
+    else:
+        status = STATUS_NON_CONVERGED
     return {
         "kind": "application",
         "theorem": verdict.theorem,
@@ -348,7 +355,7 @@ def _application_record(verdict: ApplicationVerdict) -> dict:
         "lhs": verdict.lhs,
         "rhs": verdict.rhs,
         "pass": verdict.passed,
-        "status": STATUS_PASS if verdict.passed else STATUS_FAIL,
+        "status": status,
         "note": verdict.note,
     }
 
@@ -374,17 +381,9 @@ def _search_record(search: str, tag: str, function: Optional[str],
 
 
 def _exponents_for(tag: str, config: RunConfig) -> list[Optional[float]]:
-    kind = theorem_spec(tag).exponent_kind
-    if kind == "p":
-        return list(config.p_grid)
-    if kind == "q":
-        return list(config.q_grid)
-    return [None]
-
-
-def _application_exponents(tag: str, config: RunConfig) -> list[Optional[float]]:
-    source, _ = APPLICATION_SOURCE[tag]
-    return _exponents_for(source, config)
+    """The configured exponent grid of the tag's kind, or [None]."""
+    grids = {EXP_HOLDER_P: config.p_grid, EXP_POWER_Q: config.q_grid}
+    return list(grids.get(theorem_spec(tag).exponent_kind, (None,)))
 
 
 def run(config: RunConfig) -> RunReport:
@@ -447,10 +446,11 @@ def run(config: RunConfig) -> RunReport:
         positive = [iv for iv in grid if iv.a > 0.0]
         records = []
         for tag in config.applications:
+            exponents = _exponents_for(APPLICATION_SOURCE[tag], config)
             for variant in config.variants:
                 for iv in positive:
                     for alpha in config.alpha_grid:
-                        for exponent in _application_exponents(tag, config):
+                        for exponent in exponents:
                             records.append(_application_record(application_check(
                                 tag, variant, iv.a, iv.b, alpha, exponent,
                                 margin_tol=config.margin_tol)))
@@ -473,12 +473,7 @@ def run(config: RunConfig) -> RunReport:
                 config.search_p_range, None, result))
         alpha_interval = Interval(*config.search_alpha_interval)
         for tag in config.search_alpha_theorems:
-            kind = theorem_spec(tag).exponent_kind
-            exponent = None
-            if kind == "p":
-                exponent = config.p_grid[0]
-            elif kind == "q":
-                exponent = config.q_grid[0]
+            exponent = _exponents_for(tag, config)[0]
             result = worst_case_alpha(tag, alpha_interval, config.search_alpha_range,
                                       exponent, config.quad_tol, config.quad_budget)
             records.append(_search_record(

@@ -17,14 +17,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import (DEFAULT_MARGIN_TOL, _LHS_FUNCS, bound_ratio, rhs_bound,
-                     theorem_spec, validate_exponent)
+from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, bound_ratio,
+                     rhs_bound, rule_lhs, validate_exponent)
 from .corpus import SmoothFunction, make_power_family
 from .errors import ParameterError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult)
 
-EXPONENT_SEARCH_TAGS = ("T1_3", "T1_6", "ME2", "ME5")
+EXPONENT_SEARCH_TAGS = tuple(tag for tag, spec in THEOREMS.items()
+                             if spec.exponent_kind == EXP_HOLDER_P)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DEGENERATE_OBJECTIVE = 1e-14
 
@@ -45,9 +46,8 @@ def tightness_ratio(tag: str, f: SmoothFunction, interval: Interval,
                     integral: QuadratureResult | None = None) -> float:
     """lhs/rhs for one rule instance; 0 when both sides vanish, infinity
     when only the right side does (a refutation signal, not an error)."""
-    spec = theorem_spec(tag)
     exponent = validate_exponent(tag, exponent)
-    lhs = _LHS_FUNCS[spec.lhs_kind](f, interval, quad_tol, quad_budget, integral)
+    lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)
     rhs = rhs_bound(tag, f, interval, exponent)
     return bound_ratio(lhs, rhs, DEFAULT_MARGIN_TOL)
 

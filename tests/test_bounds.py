@@ -3,35 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from hhverify.bounds import (THEOREM_ORDER, THEOREMS, check_bound,
-                             certify_hypothesis, lhs_midpoint_corrected,
-                             lhs_trapezoid, lhs_trapezoid_corrected, rhs_bound)
+from hhverify.bounds import (LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
+                             LHS_TRAPEZOID_CORRECTED, THEOREM_ORDER, THEOREMS,
+                             check_bound, certify_hypothesis, defect, rhs_bound)
 from hhverify.corpus import (SmoothFunction, admissible_intervals,
                              builtin_corpus, scaled)
 from hhverify.errors import ParameterError
-from hhverify.numerics import Interval
+from hhverify.numerics import Interval, integrate
 from hhverify.runner import DEFAULT_INTERVALS
 
 from conftest import poly_smooth
 
 
+def _defect(kind, f, interval):
+    return defect(kind, f, interval, integrate(f.func, interval).value / interval.width)
+
+
 def test_lhs_trapezoid_values(corpus, unit):
-    assert lhs_trapezoid(poly_smooth("affine", [1.0, 2.0]), unit) <= 1e-15
-    assert lhs_trapezoid(poly_smooth("x^2", [0, 0, 1]), unit) == pytest.approx(1.0 / 6.0, abs=1e-13)
-    assert lhs_trapezoid(corpus["x^4"], unit) == pytest.approx(3.0 / 10.0, abs=1e-13)
+    assert abs(_defect(LHS_TRAPEZOID, poly_smooth("affine", [1.0, 2.0]), unit)) <= 1e-15
+    assert _defect(LHS_TRAPEZOID, poly_smooth("x^2", [0, 0, 1]), unit) == pytest.approx(1.0 / 6.0, abs=1e-13)
+    assert _defect(LHS_TRAPEZOID, corpus["x^4"], unit) == pytest.approx(3.0 / 10.0, abs=1e-13)
 
 
 def test_lhs_trapezoid_corrected_values(corpus, unit):
-    assert lhs_trapezoid_corrected(corpus["x^4"], unit) == pytest.approx(1.0 / 30.0, abs=1e-13)
-    assert lhs_trapezoid_corrected(corpus["x^5"], unit) == pytest.approx(1.0 / 12.0, abs=1e-13)
+    assert _defect(LHS_TRAPEZOID_CORRECTED, corpus["x^4"], unit) == pytest.approx(-1.0 / 30.0, abs=1e-13)
+    assert _defect(LHS_TRAPEZOID_CORRECTED, corpus["x^5"], unit) == pytest.approx(-1.0 / 12.0, abs=1e-13)
     # The derivative correction makes the rule exact through degree 3.
-    assert lhs_trapezoid_corrected(poly_smooth("q", [1, -2, 3]), Interval(0.3, 1.7)) <= 1e-14
+    assert abs(_defect(LHS_TRAPEZOID_CORRECTED, poly_smooth("q", [1, -2, 3]), Interval(0.3, 1.7))) <= 1e-14
 
 
 def test_lhs_midpoint_corrected_values(corpus, unit):
-    assert lhs_midpoint_corrected(corpus["x^4"], unit) == pytest.approx(7.0 / 240.0, abs=1e-13)
-    assert lhs_midpoint_corrected(corpus["x^3"], unit) <= 1e-14
-    assert lhs_midpoint_corrected(poly_smooth("affine", [4.0, -7.0]), Interval(-2.0, 5.0)) <= 1e-13
+    assert _defect(LHS_MIDPOINT_CORRECTED, corpus["x^4"], unit) == pytest.approx(7.0 / 240.0, abs=1e-13)
+    assert abs(_defect(LHS_MIDPOINT_CORRECTED, corpus["x^3"], unit)) <= 1e-14
+    assert abs(_defect(LHS_MIDPOINT_CORRECTED, poly_smooth("affine", [4.0, -7.0]), Interval(-2.0, 5.0))) <= 1e-13
+
+
+def test_unknown_defect_kind_is_rejected(corpus, unit):
+    with pytest.raises(ParameterError):
+        defect("simpson", corpus["x^4"], unit, 0.2)
 
 
 def test_rhs_values_on_quartic(corpus, unit):
@@ -137,23 +146,21 @@ def _transplant(power):
     return make
 
 
-def test_width_scaling_fourth_order():
-    make = _transplant(4)
-    base = check_bound("ME1", make(1.0), Interval(0.0, 1.0))
-    for h in (0.5, 2.0):
-        r = check_bound("ME1", make(h), Interval(0.0, h))
-        assert r.lhs == pytest.approx(h ** 4 * base.lhs, rel=1e-9)
-        assert r.rhs == pytest.approx(h ** 4 * base.rhs, rel=1e-9)
-        assert r.ratio == pytest.approx(base.ratio, rel=1e-9)
+# Expected width power per tag, written out rather than read from the table.
+WIDTH_POWERS = [("T1_2", 1), ("T1_3", 1), ("T1_4", 2), ("T1_5", 3), ("T1_6", 3),
+                ("T1_7", 3), ("ME1", 4), ("ME2", 4), ("ME3", 4), ("ME4", 3),
+                ("ME5", 3), ("ME6", 3)]
 
 
-def test_width_scaling_third_order():
-    make = _transplant(3)
-    base = check_bound("ME4", make(1.0), Interval(0.0, 1.0))
+@pytest.mark.parametrize("tag,power", WIDTH_POWERS)
+def test_width_scaling(tag, power):
+    make = _transplant(power)
+    exponent = {"none": None, "p": 2.0, "q": 2.0}[THEOREMS[tag].exponent_kind]
+    base = check_bound(tag, make(1.0), Interval(0.0, 1.0), exponent)
     for h in (0.5, 2.0):
-        r = check_bound("ME4", make(h), Interval(0.0, h))
-        assert r.lhs == pytest.approx(h ** 3 * base.lhs, rel=1e-9)
-        assert r.rhs == pytest.approx(h ** 3 * base.rhs, rel=1e-9)
+        r = check_bound(tag, make(h), Interval(0.0, h), exponent)
+        assert r.lhs == pytest.approx(h ** power * base.lhs, rel=1e-9)
+        assert r.rhs == pytest.approx(h ** power * base.rhs, rel=1e-9)
         assert r.ratio == pytest.approx(base.ratio, rel=1e-9)
 
 

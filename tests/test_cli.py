@@ -61,6 +61,17 @@ def test_non_convergence_exits_three(tmp_path):
     assert data["summary"]["non_converged"] >= 1
 
 
+def test_overflowing_application_exits_three_without_traceback(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["verify-application", "--interval", "1e-300:1e300", "--out", str(out)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    records = json.loads(out.read_text(encoding="utf-8"))["application_checks"]
+    assert records
+    assert {r["status"] for r in records} == {"non_converged"}
+    assert all(r["note"].startswith("overflow:") for r in records)
+
+
 def test_empty_theorem_list_is_usage_error(tmp_path):
     assert main(["verify-bound", "--theorems", "", "--out", str(tmp_path / "r.json")]) == 1
 

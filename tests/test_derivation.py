@@ -1,0 +1,134 @@
+"""Symbolic oracle for the derived special-means variant and the rule constants.
+
+sympy derives, without the package's help: the mean form of the cleared
+defects of the power-family member f = x^(alpha+4)/P, and the constants of
+ME1..ME4 and ME6 from the kernels of the identities L1 and L2.  The tests
+compare application_check and the theorem table with those derivations.
+"""
+
+import itertools
+
+import pytest
+import sympy as sp
+
+from hhverify.bounds import THEOREMS
+from hhverify.means import application_check
+
+x, t = sp.symbols("x t", real=True)
+A, B, ALPHA = sp.symbols("a b alpha", positive=True)
+HALF = sp.Rational(1, 2)
+
+# Kernels of L1 on [0, 1] and L2 on [0, 1/2], with their prefactors w^k/24.
+L1_KERNEL = (t * (1 - t)) ** 2
+L2_KERNEL = t * (1 - 2 * t) * (1 + 2 * t)
+
+# A3_n: (source rule, clearing factor, exponent).
+APPLICATIONS = {"A3_1": ("ME1", 12, None), "A3_2": ("ME2", 12, 2), "A3_3": ("ME3", 12, 2),
+                "A3_4": ("ME4", 24, None), "A3_6": ("ME6", 24, 2)}
+
+SAMPLES = [(sp.Rational(a), sp.Rational(b), sp.Rational(al))
+           for (a, b), al in itertools.product(
+               [("1", "2"), ("1/2", "3/2"), ("2", "5"), ("3/4", "9/4")],
+               ["1/4", "1/2", "1"])]
+
+
+def _pprod(alpha):
+    return (alpha + 1) * (alpha + 2) * (alpha + 3) * (alpha + 4)
+
+
+def _family(alpha):
+    return x ** (alpha + 4) / _pprod(alpha)
+
+
+def _exact_defect(trapezoid_side, f, a, b):
+    """The corrected trapezoid or midpoint defect of f on [a, b], exactly."""
+    avg = sp.integrate(f, (x, a, b)) / (b - a)
+    fp = sp.diff(f, x)
+    gap = (b - a) * (fp.subs(x, b) - fp.subs(x, a))
+    if trapezoid_side:
+        return (f.subs(x, a) + f.subs(x, b)) / 2 - avg - gap / 12
+    return f.subs(x, (a + b) / 2) - avg + gap / 24
+
+
+def _log_mean(p, a, b):
+    return (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
+
+
+def _mean_form(trapezoid_side, a, b, alpha):
+    """The left sides as application_check writes them, before the |.|."""
+    middle = (b - a) ** 2 * (alpha + 3) * (alpha + 4) * _log_mean(alpha + 2, a, b)
+    if trapezoid_side:
+        return 12 * (a ** (alpha + 4) + b ** (alpha + 4)) / 2 \
+            - 12 * _log_mean(alpha + 4, a, b) - middle
+    return 24 * ((a + b) / 2) ** (alpha + 4) - 24 * _log_mean(alpha + 4, a, b) + middle
+
+
+@pytest.mark.parametrize("trapezoid_side,clear", [(True, 12), (False, 24)])
+def test_cleared_defect_is_the_mean_form_symbolically(trapezoid_side, clear):
+    cleared = clear * _pprod(ALPHA) * _exact_defect(trapezoid_side, _family(ALPHA), A, B)
+    assert sp.simplify(cleared - _mean_form(trapezoid_side, A, B, ALPHA)) == 0
+
+
+@pytest.mark.parametrize("tag", ["A3_1", "A3_2", "A3_3", "A3_4", "A3_5", "A3_6"])
+def test_derived_left_sides_match_the_exact_cleared_defect(tag):
+    trapezoid_side = tag in ("A3_1", "A3_2", "A3_3")
+    clear = 12 if trapezoid_side else 24
+    exponent = None if tag in ("A3_1", "A3_4") else 2.0
+    for a, b, alpha in SAMPLES:
+        exact = abs(clear * _pprod(alpha) * _exact_defect(trapezoid_side, _family(alpha), a, b))
+        v = application_check(tag, "derived", float(a), float(b), float(alpha), exponent)
+        assert v.lhs == pytest.approx(float(sp.N(exact, 30)), rel=1e-12), (a, b, alpha)
+
+
+def _l1_constant(p=1):
+    """(w^4/24) * (integral of the L1 kernel^p)^(1/p), per w^4."""
+    return sp.integrate(L1_KERNEL ** p, (t, 0, 1)) ** sp.Rational(1, p) / 24
+
+
+def _l2_constant():
+    """(w^3/24) * 2 * integral of the L2 kernel over [0, 1/2], per w^3; the
+    kernel has no root inside, so the integral of |K| is that of K."""
+    assert sp.solveset(L2_KERNEL, t, sp.Interval.open(0, HALF)) == sp.EmptySet
+    return 2 * sp.integrate(L2_KERNEL, (t, 0, HALF)) / 24
+
+
+def test_kernel_constants_are_the_tabled_ones():
+    assert _l1_constant() == sp.Rational(1, 720)
+    assert _l2_constant() == sp.Rational(1, 192)
+    for tag in ("ME1", "ME3"):
+        spec = THEOREMS[tag]
+        assert (spec.width_power, spec.factor) == (4, None)
+        assert sp.Rational(1) / sp.nsimplify(spec.divisor) == _l1_constant()
+    for tag in ("ME4", "ME6"):
+        spec = THEOREMS[tag]
+        assert (spec.width_power, spec.factor) == (3, None)
+        assert sp.Rational(1) / sp.nsimplify(spec.divisor) == _l2_constant()
+
+
+@pytest.mark.parametrize("p", [sp.Rational(3, 2), sp.Integer(2), sp.Integer(3)])
+def test_holder_constant_of_me2_is_the_beta_root(p):
+    spec = THEOREMS["ME2"]
+    kernel_power = sp.integrate(L1_KERNEL ** p, (t, 0, 1))
+    assert kernel_power == sp.beta(2 * p + 1, 2 * p + 1).rewrite(sp.gamma)
+    assert spec.width_power == 4 and spec.divisor == 24.0
+    exact = kernel_power ** (1 / p)
+    assert spec.factor(float(p)) == pytest.approx(float(sp.N(exact, 30)), rel=1e-13)
+
+
+@pytest.mark.parametrize("tag", sorted(APPLICATIONS))
+def test_derived_right_sides_match_the_kernel_bound(tag):
+    source, clear, exponent = APPLICATIONS[tag]
+    order = THEOREMS[source].derivative_order
+    for a, b, alpha in SAMPLES:
+        derivative = sp.diff(_family(alpha), x, order)
+        m = sp.Max(abs(derivative.subs(x, a)), abs(derivative.subs(x, b)))
+        if source == "ME2":
+            constant, k = _l1_constant(exponent), 4
+        elif order == 4:
+            constant, k = _l1_constant(), 4
+        else:
+            constant, k = _l2_constant(), 3
+        exact = clear * _pprod(alpha) * constant * (b - a) ** k * m
+        v = application_check(tag, "derived", float(a), float(b), float(alpha),
+                              None if exponent is None else float(exponent))
+        assert v.rhs == pytest.approx(float(sp.N(exact, 30)), rel=1e-13), (a, b, alpha)

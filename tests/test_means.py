@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhverify import means
 from hhverify.bounds import check_bound
 from hhverify.corpus import make_power_family
 from hhverify.errors import DomainError, ParameterError
-from hhverify.means import (MeanRequest, application_check, arithmetic_mean,
-                            f_alpha_link_check, generalized_log_mean)
+from hhverify.means import (OVERFLOW_NOTE, MeanRequest, application_check,
+                            arithmetic_mean, f_alpha_link_check,
+                            generalized_log_mean)
 from hhverify.numerics import Interval
 
 
@@ -177,3 +179,19 @@ def test_application_parameter_errors():
         application_check("A3_1", "derived", 1.0, 2.0, 1.5)
     with pytest.raises(DomainError):
         application_check("A3_1", "derived", -1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("variant", ["paper", "derived"])
+def test_overflowing_side_is_reported_not_raised(variant):
+    v = application_check("A3_4", variant, 1e-300, 1e300, 1.0)
+    assert not v.passed
+    assert not v.finite
+    assert v.note == OVERFLOW_NOTE
+
+
+def test_infinite_side_never_passes(monkeypatch):
+    monkeypatch.setattr(means, "rhs_bound", lambda *args: math.inf)
+    v = application_check("A3_1", "derived", 1.0, 2.0, 1.0)
+    assert v.lhs == 3.0 and v.rhs == math.inf
+    assert not v.passed
+    assert v.note == OVERFLOW_NOTE
