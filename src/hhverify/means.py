@@ -29,6 +29,7 @@ the verdict does not pass and carries OVERFLOW_NOTE.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -36,7 +37,7 @@ from typing import NamedTuple, Optional
 from .bounds import (DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
                      LHS_TRAPEZOID_CORRECTED, THEOREMS, rhs_bound,
                      validate_exponent)
-from .corpus import make_power_family
+from .corpus import SmoothFunction, make_power_family
 from .errors import DomainError, ParameterError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, beta,
                        integrate)
@@ -212,10 +213,20 @@ def _derived_sides(source, a, b, alpha, exponent, pprod):
         lhs = _trapezoid_side_lhs(a, b, alpha, (alpha + 3.0) * (alpha + 4.0))
     else:
         lhs = _midpoint_side_lhs_derived(a, b, alpha)
-    interval = Interval(a, b)
     rhs = _CLEARING[source.lhs_kind] * pprod * rhs_bound(
-        source.tag, make_power_family(alpha, domain=interval), interval, exponent)
+        source.tag, _family_member(alpha), Interval(a, b), exponent)
     return lhs, rhs
+
+
+@functools.lru_cache(maxsize=64)
+def _family_member(alpha: float) -> SmoothFunction:
+    """The power-family member for alpha on its default domain.
+
+    rhs_bound reads only the member's derivatives at the interval's
+    endpoints, never its domain, so one frozen member serves every
+    interval; the cache is bounded because alpha grids are small.
+    """
+    return make_power_family(alpha)
 
 
 def _paper_sides(theorem, a, b, alpha, exponent, pprod):

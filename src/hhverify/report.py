@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
@@ -43,40 +44,44 @@ def _format_float(x: float) -> str:
 
 
 def _write_json(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    child_pad = " " * (indent * (level + 1))
-    if obj is None:
+    # encode_basestring is what json.dumps(s, ensure_ascii=False) calls,
+    # without building a JSONEncoder per string.
+    if isinstance(obj, float):
+        out.append(_format_float(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, int):
         out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_format_float(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(child_pad + json.dumps(str(key), ensure_ascii=False) + ": ")
+        pad = " " * (indent * level)
+        child_pad = pad + " " * indent
+        sep = "{\n"
+        for key, value in obj.items():
+            out.append(sep + child_pad + encode_basestring(str(key)) + ": ")
             _write_json(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+            sep = ",\n"
+        out.append("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(child_pad)
+        pad = " " * (indent * level)
+        child_pad = pad + " " * indent
+        sep = "[\n"
+        for value in obj:
+            out.append(sep + child_pad)
             _write_json(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+            sep = ",\n"
+        out.append("\n" + pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -93,37 +98,47 @@ def parse_json(text: str) -> dict:
 
 
 def _cell(value: Any) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g") if math.isfinite(value) else ""
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return "" if (math.isnan(value) or math.isinf(value)) else format(value, ".17g")
     if isinstance(value, list):
         return ";".join(_cell(v) for v in value)
     return str(value)
 
 
-def _csv_row(record: dict) -> dict[str, str]:
-    kind = record["kind"]
-    flat = dict(record)
-    if "interval" in flat and flat["interval"] is not None:
-        flat["interval_a"], flat["interval_b"] = flat["interval"]
-    if "range" in flat and flat["range"] is not None:
-        flat["range_lo"], flat["range_hi"] = flat["range"]
+def _csv_row(record: dict, kind: str) -> list[str]:
+    """The cells of one record of the given kind, in CSV_COLUMNS order.
+
+    Markdown tables show the same cells, so each renderer flattens a
+    record exactly once.
+    """
+    if record["kind"] != kind:
+        raise ValueError(f"expected a {kind!r} record, got kind {record['kind']!r}")
+    split = {}
+    interval = record.get("interval")
+    if interval is not None:
+        split["interval_a"], split["interval_b"] = interval
+    span = record.get("range")
+    if span is not None:
+        split["range_lo"], split["range_hi"] = span
     if kind == "bound":
-        hyp = flat.get("hypothesis")
-        flat["hypothesis_verdict"] = None if hyp is None else hyp["verdict"]
-        flat["hypothesis_max_violation"] = None if hyp is None else hyp["max_violation"]
-    return {col: _cell(flat.get(col)) for col in CSV_COLUMNS[kind]}
+        hyp = record.get("hypothesis")
+        split["hypothesis_verdict"] = None if hyp is None else hyp["verdict"]
+        split["hypothesis_max_violation"] = None if hyp is None else hyp["max_violation"]
+    get = record.get
+    return [_cell(split[col] if col in split else get(col)) for col in CSV_COLUMNS[kind]]
 
 
 def render_csv(records: list[dict], kind: str) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS[kind], lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        writer.writerow(_csv_row(record))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS[kind])
+    writer.writerows(_csv_row(record, kind) for record in records)
     return buf.getvalue()
 
 
@@ -161,9 +176,8 @@ def render_markdown(report: dict) -> str:
         if not records:
             continue
         lines += ["", f"## {title}", ""]
-        columns = list(CSV_COLUMNS[kind])
-        rows = [[_cell(_csv_row(r).get(c)) for c in columns] for r in records]
-        lines += _md_table(columns, rows)
+        lines += _md_table(list(CSV_COLUMNS[kind]),
+                           [_csv_row(record, kind) for record in records])
     lines.append("")
     return "\n".join(lines)
 

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhverify.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SMALL_SCAN = {
     "corpus": ["x^4", "x^5"],
@@ -197,3 +205,52 @@ def test_report_without_summary_is_one_line_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error: report: ") and "summary" in err
     assert err.count("\n") == 1
+
+
+def test_report_reproduces_the_goldens(tmp_path, capsys):
+    golden = str(GOLDEN_DIR / "golden.json")
+    for fmt, name in (("json", "golden.json"), ("markdown", "golden.md")):
+        capsys.readouterr()
+        assert main(["report", golden, "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert main(["report", golden, "--format", "csv", "--out", str(tmp_path / "golden.csv")]) == 0
+    for kind in ("identity", "bound", "application", "search"):
+        name = f"golden_{kind}.csv"
+        assert (tmp_path / name).read_text(encoding="utf-8") == \
+            (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+MUTANTS = (None, 5, "x", [], {}, [1], [1, 2, 3], math.nan)
+
+
+@st.composite
+def mutated_golden(draw):
+    """golden.json with one field or one record, at any depth, replaced."""
+    data = json.loads((GOLDEN_DIR / "golden.json").read_text(encoding="utf-8"))
+    node = data
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        node[key] = draw(st.sampled_from(MUTANTS))
+        return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_golden(), st.sampled_from(["json", "markdown", "csv"]))
+def test_report_on_malformed_input_never_tracebacks(tmp_path_factory, data, fmt):
+    workdir = tmp_path_factory.mktemp("malformed")
+    path = workdir / "r.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["report", str(path), "--format", fmt]
+    if fmt == "csv":
+        argv += ["--out", str(workdir / "r.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1

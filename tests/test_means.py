@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify import means
-from hhverify.bounds import check_bound
+from hhverify.bounds import check_bound, rhs_bound
 from hhverify.corpus import make_power_family
 from hhverify.errors import DomainError, ParameterError
 from hhverify.means import (OVERFLOW_NOTE, MeanRequest, application_check,
@@ -164,6 +164,23 @@ def test_derived_variant_matches_scaled_bound_check(tag, exponent):
             v = application_check(tag, "derived", a, b, alpha, exponent)
             assert v.lhs == pytest.approx(scale * direct.lhs, rel=1e-9)
             assert v.rhs == pytest.approx(scale * direct.rhs, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_CLEARING)), st.floats(0.01, 50.0), st.floats(0.001, 50.0),
+       st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.001, 1.0),
+       st.floats(1.01, 8.0))
+def test_derived_rhs_is_bit_identical_to_member_on_the_interval(tag, a, width, alpha, p):
+    # The derived side reuses one power-family member per alpha; the rhs
+    # must equal the one built from a member whose domain is [a, b].
+    b = a + width
+    source, clear = _CLEARING[tag]
+    exponent = None if tag in ("A3_1", "A3_4") else p
+    iv = Interval(a, b)
+    pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
+    expected = clear * pprod * rhs_bound(source, make_power_family(alpha, domain=iv),
+                                         iv, exponent)
+    assert application_check(tag, "derived", a, b, alpha, exponent).rhs == expected
 
 
 def test_application_parameter_errors():

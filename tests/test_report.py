@@ -3,9 +3,13 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hhverify.report import (emit, parse_json, render_csv, render_json,
-                             render_markdown)
+import report_oracle
+from hhverify import report as report_module
+from hhverify.report import (CSV_COLUMNS, emit, parse_json, render_csv,
+                             render_json, render_markdown)
 from hhverify.runner import RunConfig, RunReport, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -127,3 +131,87 @@ def test_markdown_contains_summary(golden_report):
 def test_config_round_trip():
     config = RunConfig.from_dict(GOLDEN_CONFIG)
     assert RunConfig.from_dict(config.to_dict()) == config
+
+
+SECTIONS = (("identity_checks", "identity"), ("bound_checks", "bound"),
+            ("application_checks", "application"), ("searches", "search"))
+
+floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308,
+                          4.0, -3.0, 1.0 / 3.0]) | st.floats()
+texts = st.sampled_from(["a,b", 'say "hi"', "x | y", "two\nlines", "back\\slash",
+                         "\u00e9\u00e8 \u03b1\u2264\u03b2", ""]) | st.text(max_size=12)
+scalars = st.none() | st.booleans() | st.integers(-10**6, 10**6) | floats | texts
+pairs = st.none() | st.lists(floats | st.integers(-5, 5), min_size=2, max_size=2)
+hypotheses = st.none() | st.fixed_dictionaries({
+    "verdict": texts, "grid_size": st.integers(2, 200), "tol": floats,
+    "max_violation": floats,
+    "counterexample": st.none() | st.dictionaries(texts, scalars, max_size=3)})
+
+
+def _record(kind):
+    fields = {c: scalars for c in CSV_COLUMNS[kind]}
+    for key in ("interval_a", "interval_b", "range_lo", "range_hi",
+                "hypothesis_verdict", "hypothesis_max_violation"):
+        fields.pop(key, None)
+    if "interval_a" in CSV_COLUMNS[kind]:
+        fields["interval"] = pairs
+    if kind == "bound":
+        fields["hypothesis"] = hypotheses
+    if kind == "search":
+        fields["range"] = pairs
+        fields["parameters"] = st.lists(scalars, max_size=3) | scalars
+    return st.fixed_dictionaries({"kind": st.just(kind), **fields})
+
+
+reports = st.fixed_dictionaries({
+    "tool": texts, "version": texts, "generated_at": texts,
+    "config": st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(texts, inner, max_size=3), max_leaves=8),
+    "summary": st.fixed_dictionaries({k: st.integers(0, 10**4) for k in (
+        "total", "pass", "fail", "refuted_hypothesis", "non_converged")}),
+    **{key: st.lists(_record(kind), max_size=4) for key, kind in SECTIONS}})
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports)
+def test_renderers_match_the_oracle_byte_for_byte(data):
+    assert render_json(data) == report_oracle.render_json(data)
+    assert render_markdown(data) == report_oracle.render_markdown(data)
+    for key, kind in SECTIONS:
+        assert render_csv(data[key], kind) == report_oracle.render_csv(data[key], kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(scalars | st.integers(), lambda inner: st.lists(inner, max_size=4)
+                    | st.tuples(inner, inner)
+                    | st.dictionaries(texts | st.integers(), inner, max_size=4)))
+def test_json_writer_matches_the_oracle_on_nested_values(value):
+    assert render_json(value) == report_oracle.render_json(value)
+    assert render_json(value, indent=4) == report_oracle.render_json(value, indent=4)
+
+
+def test_each_record_is_flattened_once(golden_report, monkeypatch):
+    calls = []
+    flatten = report_module._csv_row
+
+    def counting(record, kind):
+        calls.append(record)
+        return flatten(record, kind)
+
+    monkeypatch.setattr(report_module, "_csv_row", counting)
+    records = [r for key, _ in SECTIONS for r in golden_report[key]]
+    render_markdown(golden_report)
+    assert len(calls) == len(records)
+    assert all(a is b for a, b in zip(calls, records))
+    calls.clear()
+    for key, kind in SECTIONS:
+        render_csv(golden_report[key], kind)
+    assert len(calls) == len(records)
+
+
+def test_record_of_another_kind_is_rejected(golden_report):
+    bound = golden_report["bound_checks"][0]
+    with pytest.raises(ValueError, match="expected a 'identity' record, got kind 'bound'"):
+        render_csv([bound], "identity")
+    with pytest.raises(ValueError, match="expected a 'identity' record, got kind 'bound'"):
+        render_markdown({**golden_report, "identity_checks": [bound]})
