@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,8 @@ from .errors import ParameterError, QuadratureError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, beta, conjugate_exponent, integrate)
 from .quasiconvex import (DEFAULT_QC_GRID, DEFAULT_QC_TOL,
-                          QuasiConvexityCertificate, check_quasi_convex)
+                          QuasiConvexityCertificate, certify_stacked,
+                          check_quasi_convex)
 
 DEFAULT_MARGIN_TOL = 1e-9
 RATIO_DEGENERATE_TOL = 1e-9
@@ -206,15 +207,24 @@ def hypothesis_function(f: SmoothFunction, order: int, power: float) -> Callable
     return lambda x: np.abs(d(x)) ** power
 
 
+def certify_hypotheses(tag: str, f: SmoothFunction, intervals: Sequence[Interval],
+                       exponent: Optional[float] = None,
+                       qc_grid: int = DEFAULT_QC_GRID,
+                       qc_tol: float = DEFAULT_QC_TOL) -> list[QuasiConvexityCertificate]:
+    """``certify_hypothesis`` on every interval: stacked valley checks, then
+    ``check_quasi_convex`` on each interval they leave open."""
+    spec = theorem_spec(tag)
+    g = hypothesis_function(f, spec.derivative_order, hypothesis_exponent(tag, exponent))
+    return [check_quasi_convex(g, iv, qc_grid, qc_tol) if cert is None else cert
+            for iv, cert in zip(intervals, certify_stacked(g, intervals, qc_grid, qc_tol))]
+
+
 def certify_hypothesis(tag: str, f: SmoothFunction, interval: Interval,
                        exponent: Optional[float] = None,
                        qc_grid: int = DEFAULT_QC_GRID,
                        qc_tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
     """Certificate for quasi-convexity of |derivative|^e, the tag's hypothesis."""
-    spec = theorem_spec(tag)
-    e = hypothesis_exponent(tag, exponent)
-    g = hypothesis_function(f, spec.derivative_order, e)
-    return check_quasi_convex(g, interval, qc_grid, qc_tol)
+    return certify_hypotheses(tag, f, [interval], exponent, qc_grid, qc_tol)[0]
 
 
 def bound_ratio(lhs: float, rhs: float, margin_tol: float = DEFAULT_MARGIN_TOL) -> float:

@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from .errors import ConfigError, DomainError, ParameterError
-from .report import FORMATS, emit, parse_json
+from .report import FORMATS, check_pairs, emit, parse_json
 from .runner import ALL_TASKS, RunConfig, run
 
 
@@ -111,15 +111,16 @@ def _execute_with(tasks, kwargs, **config_overrides) -> int:
             data[key] = list(value) if isinstance(value, (list, tuple)) else value
             config = RunConfig.from_dict(data)
     report = run(config)
-    rendered = emit(report.to_dict(), config.format, config.out)
+    data = report.to_dict()
+    rendered = emit(data, config.format, config.out)
     if rendered is not None:
         click.echo(rendered, nl=False)
-    summary = report.summary()
+    summary = data["summary"]
     click.echo(
         f"checks: {summary['total']}  pass: {summary['pass']}  "
         f"fail: {summary['fail']}  refuted: {summary['refuted_hypothesis']}  "
         f"non-converged: {summary['non_converged']}", err=True)
-    return report.exit_code()
+    return report.exit_code(summary)
 
 
 @click.group(name="hhverify")
@@ -185,6 +186,7 @@ def report_command(input_path, fmt, out):
     except json.JSONDecodeError as err:
         raise ConfigError(f"report: invalid JSON in {input_path}: {err}") from None
     try:
+        check_pairs(data)
         rendered = emit(data, fmt, out)
     except (KeyError, TypeError, AttributeError) as err:
         raise ConfigError(f"report: {input_path} is not an hhverify report "

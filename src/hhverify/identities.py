@@ -24,14 +24,26 @@ error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
+# integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, integrate)
+                       QuadratureResult, eval_on_array, integrate, integrate_rows)
 
-IDENTITY_IDS = ("L1", "L2")
+# Per identity: the defect kind and sign of the left side, the derivative
+# order n (scale w^n/24), the kernel weight on [0, upper], and whether the
+# side with a and b swapped is subtracted.
+_IDENTITIES = {
+    "L1": (LHS_TRAPEZOID_CORRECTED, -1.0, 4, lambda t: (t * (1.0 - t)) ** 2, 1.0, False),
+    "L2": (LHS_MIDPOINT_CORRECTED, 1.0, 3,
+           lambda t: t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t), 0.5, True),
+}
+IDENTITY_IDS = tuple(_IDENTITIES)
 
 
 @dataclass(frozen=True)
@@ -64,49 +76,42 @@ def _report(identity_id: str, f: SmoothFunction, interval: Interval,
     )
 
 
-def trapezoid_defect_identity(f: SmoothFunction, interval: Interval,
-                              quad_tol: float = DEFAULT_QUAD_TOL,
-                              quad_budget: int = DEFAULT_QUAD_BUDGET,
-                              integral: QuadratureResult | None = None) -> IdentityReport:
-    """Check identity L1 on f over the interval."""
-    a, b = interval.a, interval.b
-    base = integral or integrate(f.func, interval, quad_tol, quad_budget)
-    lhs = -defect(LHS_TRAPEZOID_CORRECTED, f, interval, base.value / interval.width)
-    d4 = f.deriv(4)
-    kernel = integrate(lambda t: (t * (1.0 - t)) ** 2 * d4(a * t + (1.0 - t) * b),
-                       Interval(0.0, 1.0), quad_tol, quad_budget)
-    scale = interval.width ** 4 / 24.0
-    return _report("L1", f, interval, base, lhs, scale * kernel.value, scale, (kernel,))
-
-
-def midpoint_defect_identity(f: SmoothFunction, interval: Interval,
-                             quad_tol: float = DEFAULT_QUAD_TOL,
-                             quad_budget: int = DEFAULT_QUAD_BUDGET,
-                             integral: QuadratureResult | None = None) -> IdentityReport:
-    """Check identity L2 on f over the interval."""
-    a, b = interval.a, interval.b
-    base = integral or integrate(f.func, interval, quad_tol, quad_budget)
-    lhs = defect(LHS_MIDPOINT_CORRECTED, f, interval, base.value / interval.width)
-    d3 = f.deriv(3)
-    half = Interval(0.0, 0.5)
-    side_a = integrate(
-        lambda t: t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t) * d3(t * a + (1.0 - t) * b),
-        half, quad_tol, quad_budget)
-    side_b = integrate(
-        lambda t: t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t) * d3(t * b + (1.0 - t) * a),
-        half, quad_tol, quad_budget)
-    scale = interval.width ** 3 / 24.0
-    return _report("L2", f, interval, base, lhs, scale * (side_a.value - side_b.value),
-                   scale, (side_a, side_b))
+def check_identities(identity_id: str, f: SmoothFunction, intervals: Sequence[Interval],
+                     quad_tol: float = DEFAULT_QUAD_TOL,
+                     quad_budget: int = DEFAULT_QUAD_BUDGET,
+                     integrals: Sequence[QuadratureResult] | None = None) -> list[IdentityReport]:
+    """Check identity L1 or L2 on f over every interval, batching each
+    kernel's first panel; ``integrals`` are f's, if already computed."""
+    if identity_id not in _IDENTITIES:
+        raise ValueError(f"unknown identity id {identity_id!r}, expected one of {IDENTITY_IDS}")
+    kind, sign, order, weight, upper, swapped = _IDENTITIES[identity_id]
+    a = np.array([iv.a for iv in intervals])
+    b = np.array([iv.b for iv in intervals])
+    if integrals is None:
+        integrals = integrate_rows(f.func, a, b, quad_tol, quad_budget)
+    d = f.deriv(order)
+    # Per row, I[0,upper](weight(t) * d(t*u + (1-t)*v)) for (u, v) = (a, b), (b, a).
+    sides = [integrate_rows(lambda t, u, v: weight(t) * eval_on_array(d, u * t + (1.0 - t) * v),
+                            np.zeros(len(a)), np.full(len(a), upper), quad_tol, quad_budget, uv)
+             for uv in ([(a, b), (b, a)] if swapped else [(a, b)])]
+    reports = []
+    for interval, base, *ks in zip(intervals, integrals, *sides):
+        lhs = sign * defect(kind, f, interval, base.value / interval.width)
+        scale = interval.width ** order / 24.0
+        value = ks[0].value - ks[1].value if swapped else ks[0].value
+        reports.append(_report(identity_id, f, interval, base, lhs, scale * value, scale, ks))
+    return reports
 
 
 def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
                    quad_tol: float = DEFAULT_QUAD_TOL,
                    quad_budget: int = DEFAULT_QUAD_BUDGET,
                    integral: QuadratureResult | None = None) -> IdentityReport:
-    """Dispatch on the identity tag (L1 or L2)."""
-    if identity_id == "L1":
-        return trapezoid_defect_identity(f, interval, quad_tol, quad_budget, integral)
-    if identity_id == "L2":
-        return midpoint_defect_identity(f, interval, quad_tol, quad_budget, integral)
-    raise ValueError(f"unknown identity id {identity_id!r}, expected one of {IDENTITY_IDS}")
+    """Check identity L1 or L2 on f over one interval."""
+    return check_identities(identity_id, f, [interval], quad_tol, quad_budget,
+                            None if integral is None else [integral])[0]
+
+
+# check_identity for L1 and for L2: (f, interval, quad_tol, quad_budget, integral).
+trapezoid_defect_identity = partial(check_identity, "L1")
+midpoint_defect_identity = partial(check_identity, "L2")

@@ -152,39 +152,28 @@ def eval_on_array(f: Callable, x: np.ndarray) -> np.ndarray:
     return flat.reshape(x.shape)
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and embedded error estimate on one panel."""
+def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
+    """Yield (Kronrod value, error estimate) per panel [a_r, b_r] from one call of f;
+    each row gets its own 1-D dots, so it sums exactly as a lone panel does."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _NODES
+    xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
     ys = eval_on_array(f, xs)
-    bad = ~np.isfinite(ys)
-    if bad.any():
-        x_bad = float(xs[int(np.argmax(bad))])
-        raise DomainError(f"integrand returned a non-finite value at x={x_bad!r}")
-    kron = half * float(_KWEIGHTS @ ys)
-    gauss = half * float(_GWEIGHTS @ ys)
-    return kron, abs(kron - gauss)
+    finite = np.isfinite(ys).all(axis=1)
+    for x, y, h, ok in zip(xs, ys, half.tolist(), finite.tolist()):
+        if not ok:
+            x_bad = float(x[np.argmax(~np.isfinite(y))])
+            raise DomainError(f"integrand returned a non-finite value at x={x_bad!r}")
+        kron = h * float(_KWEIGHTS @ y)
+        yield kron, abs(kron - h * float(_GWEIGHTS @ y))
 
 
-def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_QUAD_TOL,
-              max_evaluations: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
-    """Adaptively integrate f over the interval to absolute tolerance tol.
-
-    The worst panel (by embedded Gauss/Kronrod error estimate) is bisected
-    until the summed estimate meets tol or the evaluation budget runs out.
-    Deterministic for fixed inputs.
-    """
-    if not tol > 0.0:
-        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
-    if max_evaluations < _EVALS_PER_PANEL:
-        raise DomainError(f"evaluation budget below one panel ({_EVALS_PER_PANEL}), got {max_evaluations}")
-
-    value, err = _panel(f, interval.a, interval.b)
+def _refine(f: Callable, a: float, b: float, value: float, err: float, tol: float,
+            max_evaluations: int) -> QuadratureResult:
+    """From the first panel (value, err) on [a, b], bisect the worst until tol or budget."""
     evals = _EVALS_PER_PANEL
     # (-err, insertion counter, a, b, value, err); counter fixes heap ties.
     counter = 0
-    active = [(-err, counter, interval.a, interval.b, value, err)]
+    active = [(-err, counter, a, b, value, err)]
     done: list[tuple[float, float, float, float]] = []
     total_err = err
 
@@ -195,8 +184,7 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_QUAD_TOL,
             # Panel at floating-point resolution; cannot refine further.
             done.append((a, b, pval, perr))
             continue
-        lv, le = _panel(f, a, mid)
-        rv, re = _panel(f, mid, b)
+        (lv, le), (rv, re) = _panels(f, np.array([a, mid]), np.array([mid, b]))
         evals += 2 * _EVALS_PER_PANEL
         total_err += le + re - perr
         counter += 1
@@ -212,3 +200,32 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_QUAD_TOL,
     error = math.fsum(e for (_, _, _, e) in panels)
     return QuadratureResult(value=value, error_estimate=error,
                             evaluations=evals, converged=error <= tol)
+
+
+def integrate_rows(f: Callable, a, b, tol: float = DEFAULT_QUAD_TOL,
+                   max_evaluations: int = DEFAULT_QUAD_BUDGET,
+                   params: tuple = ()) -> list[QuadratureResult]:
+    """Integrate x -> f(x, *params_r) over [a_r, b_r] for every row r: the
+    first panels are one call of f (parameters as columns), then each row
+    is refined from its panel as a lone ``integrate`` would, bit for bit."""
+    if not tol > 0.0:
+        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
+    if max_evaluations < _EVALS_PER_PANEL:
+        raise DomainError(f"evaluation budget below one panel ({_EVALS_PER_PANEL}), got {max_evaluations}")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    columns = [np.asarray(p, dtype=float)[:, None] for p in params]
+    out = []
+    for r, (value, err) in enumerate(_panels(lambda x: f(x, *columns), a, b)):
+        if err <= tol:  # settled: what _refine returns at once (its fsum maps -0.0 to 0.0)
+            out.append(QuadratureResult(math.fsum((value,)), err, _EVALS_PER_PANEL, True))
+            continue
+        row_f = f if not params else (lambda x, r=r: f(x, *(p[r] for p in params)))
+        out.append(_refine(row_f, float(a[r]), float(b[r]), value, err, tol, max_evaluations))
+    return out
+
+
+def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_QUAD_TOL,
+              max_evaluations: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
+    """Adaptively integrate f over the interval to absolute tolerance tol
+    (``integrate_rows`` with one row; deterministic for fixed inputs)."""
+    return integrate_rows(f, [interval.a], [interval.b], tol, max_evaluations)[0]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +71,51 @@ def _witness(g: Callable, xs: np.ndarray, gx: np.ndarray, t: float,
                           violation=mixed - max(float(gx[i]), float(gx[j])))
 
 
+def _valleys(g: Callable, a, b, n_grid: int, tol: float):
+    """Coarse and fine abscissae and values, thresholds and violations on [a, b] or,
+    for arrays a and b, one row per [a_r, b_r] holding exactly a lone row's values."""
+    if n_grid < 3:
+        raise DomainError(f"grid size must be at least 3, got {n_grid}")
+    if tol < 0.0:
+        raise DomainError(f"tolerance must be non-negative, got {tol}")
+    axis = np.ndim(a)  # the last axis; 0 spares linspace a moveaxis
+    xs = np.linspace(a, b, n_grid, axis=axis)
+    gx = eval_on_array(g, xs)
+    tols = tol * np.maximum(1.0, np.abs(np.where(np.isfinite(gx), gx, 0.0)).max(axis=-1))
+    m = n_grid - 1
+    ts = np.linspace(a, b, m * m + 1, axis=axis)
+    gt = eval_on_array(g, ts)
+    # Entry s of repeat(v, m) is v[floor(s/m)]; entry s + m - 1 is v[ceil(s/m)].
+    left = np.repeat(np.minimum.accumulate(gx, axis=-1), m, axis=-1)[..., : m * m + 1]
+    right = np.repeat(np.minimum.accumulate(gx[..., ::-1], axis=-1)[..., ::-1], m,
+                      axis=-1)[..., m - 1:]
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row
+        return xs, gx, ts, gt, tols.tolist(), gt - np.maximum(left, right)
+
+
+def certify_stacked(g: Callable, intervals: Sequence[Interval], n_grid: int = DEFAULT_QC_GRID,
+                    tol: float = DEFAULT_QC_TOL) -> list[Optional[QuasiConvexityCertificate]]:
+    """Per interval, its certificate if the stacked valley check certifies it, else
+    None, left to ``check_quasi_convex`` (witness, bad abscissa, grid below 3).  A
+    chunk holds at most one default grid's fine points, so 101 points or more are
+    not stacked; nor is an interval whose fine step underflows (linspace's formula)."""
+    rows = ((DEFAULT_QC_GRID - 1) ** 2 + 1) // ((n_grid - 1) ** 2 + 1)
+    out: list[Optional[QuasiConvexityCertificate]] = [None] * len(intervals)
+    if rows < 2 or n_grid < 3:
+        return out
+    stackable = [i for i, iv in enumerate(intervals) if iv.width / (n_grid - 1) ** 2 > 0.0]
+    for start in range(0, len(stackable), rows):
+        chunk = stackable[start:start + rows]
+        _, gx, _, gt, tols, viol = _valleys(g, np.array([intervals[i].a for i in chunk]),
+                                            np.array([intervals[i].b for i in chunk]), n_grid, tol)
+        finite = np.isfinite(gx).all(axis=-1) & np.isfinite(gt).all(axis=-1)
+        top = viol[np.arange(len(viol)), np.argmax(viol, axis=-1)]
+        for i, ok, t, v in zip(chunk, finite.tolist(), tols, top.tolist()):
+            if ok and not v > t:
+                out[i] = QuasiConvexityCertificate("certified", n_grid, t, max(v, 0.0))
+    return out
+
+
 def check_quasi_convex(g: Callable, interval: Interval, n_grid: int = DEFAULT_QC_GRID,
                        tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
     """Valley check of g on the fine grid against the coarse endpoints.
@@ -85,25 +130,12 @@ def check_quasi_convex(g: Callable, interval: Interval, n_grid: int = DEFAULT_QC
     absolute threshold is tol * max(1, max|g|), recorded in the
     certificate, so that rounding noise cannot refute large functions.
     """
-    if n_grid < 3:
-        raise DomainError(f"grid size must be at least 3, got {n_grid}")
-    if tol < 0.0:
-        raise DomainError(f"tolerance must be non-negative, got {tol}")
-    xs = np.linspace(interval.a, interval.b, n_grid)
-    gx = eval_on_array(g, xs)
-    finite = np.isfinite(gx)
-    tol = tol * max(1.0, float(np.abs(gx[finite]).max(initial=0.0)))
-    m = n_grid - 1
-    ts = np.linspace(interval.a, interval.b, m * m + 1)
-    gt = eval_on_array(g, ts)
-    bad = np.concatenate((xs[~finite], ts[~np.isfinite(gt)]))
+    xs, gx, ts, gt, tol, viol = _valleys(g, interval.a, interval.b, n_grid, tol)
+    bad = np.concatenate((xs[~np.isfinite(gx)], ts[~np.isfinite(gt)]))
     if bad.size:
         return QuasiConvexityCertificate("non_finite", n_grid, tol, math.nan,
                                          bad_abscissa=float(bad.min()))
-    # Entry s of repeat(v, m) is v[floor(s/m)]; entry s + m - 1 is v[ceil(s/m)].
-    left = np.repeat(np.minimum.accumulate(gx), m)[: m * m + 1]
-    right = np.repeat(np.minimum.accumulate(gx[::-1])[::-1], m)[m - 1:]
-    viol = gt - np.maximum(left, right)
+    m = n_grid - 1
     while True:
         s = int(np.argmax(viol))
         if not viol[s] > tol:

@@ -18,6 +18,11 @@ from pathlib import Path
 from typing import Any
 
 FORMATS = ("json", "csv", "markdown")
+# (report key, markdown title, record kind) per record list.
+SECTIONS = (("identity_checks", "Identity checks", "identity"),
+            ("bound_checks", "Bound checks", "bound"),
+            ("application_checks", "Application checks", "application"),
+            ("searches", "Searches", "search"))
 
 CSV_COLUMNS = {
     "identity": ("id", "function", "interval_a", "interval_b", "lhs", "rhs",
@@ -97,6 +102,16 @@ def parse_json(text: str) -> dict:
     return json.loads(text)
 
 
+def check_pairs(report: dict) -> None:
+    """Raise TypeError naming a record's ``interval`` or ``range`` that is no pair."""
+    for key, _, _ in SECTIONS:
+        for record in report.get(key, []):
+            for name in ("interval", "range"):
+                value = record.get(name)
+                if value is not None and not (isinstance(value, list) and len(value) == 2):
+                    raise TypeError(f"{name}: expected a pair [a, b], got {value!r}")
+
+
 def _cell(value: Any) -> str:
     if isinstance(value, float):
         return format(value, ".17g") if math.isfinite(value) else ""
@@ -165,13 +180,7 @@ def render_markdown(report: dict) -> str:
         ["total", "pass", "fail", "refuted hypothesis", "non-converged"],
         [[str(summary["total"]), str(summary["pass"]), str(summary["fail"]),
           str(summary["refuted_hypothesis"]), str(summary["non_converged"])]])
-    sections = (
-        ("identity_checks", "Identity checks", "identity"),
-        ("bound_checks", "Bound checks", "bound"),
-        ("application_checks", "Application checks", "application"),
-        ("searches", "Searches", "search"),
-    )
-    for key, title, kind in sections:
+    for key, title, kind in SECTIONS:
         records = report.get(key, [])
         if not records:
             continue
@@ -198,14 +207,8 @@ def emit(report: dict, format: str, path: str | Path | None) -> str | None:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
-    if format == "json":
-        text = render_json(report)
-        if path is None:
-            return text
-        _write_text(Path(path), text)
-        return None
-    if format == "markdown":
-        text = render_markdown(report)
+    if format != "csv":
+        text = render_json(report) if format == "json" else render_markdown(report)
         if path is None:
             return text
         _write_text(Path(path), text)
@@ -213,8 +216,7 @@ def emit(report: dict, format: str, path: str | Path | None) -> str | None:
     if path is None:
         raise ValueError("csv output requires an output path")
     base = Path(path)
-    for key, kind in (("identity_checks", "identity"), ("bound_checks", "bound"),
-                      ("application_checks", "application"), ("searches", "search")):
+    for key, _, kind in SECTIONS:
         target = base.with_name(f"{base.stem}_{kind}.csv")
         _write_text(target, render_csv(report.get(key, []), kind))
     return None

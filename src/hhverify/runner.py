@@ -11,21 +11,24 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
+# integrate, check_identity, certify_hypothesis: uncalled, kept for perfbench's tracer.
 from .bounds import (EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDER, THEOREMS,
-                     check_bound, certify_hypothesis, hypothesis_exponent,
-                     theorem_spec)
+                     check_bound, certify_hypotheses, certify_hypothesis,
+                     hypothesis_exponent, theorem_spec)
 from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
                      admissible_intervals, builtin_corpus, corpus_by_name)
 from .errors import ConfigError, QuadratureError
-from .identities import IDENTITY_IDS, IdentityReport, check_identity
+from .identities import (IDENTITY_IDS, IdentityReport, check_identities,
+                         check_identity)
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
                     ApplicationVerdict, application_check)
-from .numerics import Interval, integrate
+from .numerics import Interval, integrate, integrate_rows
 from .quasiconvex import QuasiConvexityCertificate
 from .report import FORMATS
 from .search import (EXPONENT_SEARCH_TAGS, SearchResult, best_exponent,
@@ -43,6 +46,7 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_REFUTED = "refuted_hypothesis"
 STATUS_NON_CONVERGED = "non_converged"
+STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_REFUTED, STATUS_NON_CONVERGED)
 
 
 def _is_number(value) -> bool:
@@ -214,21 +218,13 @@ class RunReport:
                 + self.application_checks + self.searches)
 
     def summary(self) -> dict:
-        counts = {STATUS_PASS: 0, STATUS_FAIL: 0, STATUS_REFUTED: 0,
-                  STATUS_NON_CONVERGED: 0}
-        for record in self.records:
-            counts[record["status"]] += 1
-        return {
-            "total": len(self.records),
-            "pass": counts[STATUS_PASS],
-            "fail": counts[STATUS_FAIL],
-            "refuted_hypothesis": counts[STATUS_REFUTED],
-            "non_converged": counts[STATUS_NON_CONVERGED],
-        }
+        counts = Counter(record["status"] for record in self.records)
+        return {"total": sum(counts.values()), **{s: counts[s] for s in STATUSES}}
 
-    def exit_code(self) -> int:
-        """0 all pass; 2 any fail or refuted hypothesis; 3 any non-convergence."""
-        s = self.summary()
+    def exit_code(self, summary: Optional[dict] = None) -> int:
+        """0 all pass; 2 any fail or refuted hypothesis; 3 any non-convergence.
+        ``summary``, if given, is this report's, counted once by the caller."""
+        s = summary or self.summary()
         if s["fail"] or s["refuted_hypothesis"]:
             return 2
         if s["non_converged"]:
@@ -399,48 +395,43 @@ def run(config: RunConfig) -> RunReport:
                     f"corpus: unknown function {name!r}; available: {', '.join(by_name)}")
         corpus = [by_name[name] for name in config.corpus]
     grid = [Interval(a, b) for a, b in config.intervals]
-    pairs = [(f, iv) for f in corpus for iv in admissible_intervals(f, grid)]
 
     report = RunReport(config=config,
                        generated_at=datetime.now(timezone.utc).isoformat())
 
-    integral_cache: dict = {}
-    if "identities" in config.tasks or "bounds" in config.tasks:
-        integral_cache = {
-            (f.name, iv): integrate(f.func, iv, config.quad_tol, config.quad_budget)
-            for f, iv in pairs}
-
-    if "identities" in config.tasks:
-        records = [
-            _identity_record(check_identity(ident, f, iv, config.quad_tol,
-                                            config.quad_budget,
-                                            integral=integral_cache[(f.name, iv)]),
-                             config.residual_tol)
-            for f, iv in pairs for ident in config.identities]
-        report.identity_checks = sorted(
-            records, key=lambda r: (r["id"], r["function"], r["interval"]))
-
-    if "bounds" in config.tasks:
-        hypo_cache: dict = {}
-        records = []
-        for f, iv in pairs:
+    identity_records, bound_records = [], []
+    for f in (corpus if "identities" in config.tasks or "bounds" in config.tasks else []):
+        # Each batch covers every interval of f; records are built as it returns.
+        intervals = admissible_intervals(f, grid)
+        integrals = integrate_rows(f.func, [iv.a for iv in intervals],
+                                   [iv.b for iv in intervals],
+                                   config.quad_tol, config.quad_budget)
+        if "identities" in config.tasks:
+            for ident in config.identities:
+                identity_records.extend(
+                    _identity_record(r, config.residual_tol)
+                    for r in check_identities(ident, f, intervals, config.quad_tol,
+                                              config.quad_budget, integrals))
+        if "bounds" in config.tasks:
+            hypotheses: dict = {}
             for tag in config.theorems:
                 spec = THEOREMS[tag]
                 for exponent in _exponents_for(tag, config):
-                    key = (f.name, iv, spec.derivative_order,
-                           hypothesis_exponent(tag, exponent))
-                    if key not in hypo_cache:
-                        hypo_cache[key] = certify_hypothesis(
-                            tag, f, iv, exponent, config.qc_grid, config.qc_tol)
-                    records.append(_bound_record(
-                        tag, f, iv, exponent, config,
-                        integral=integral_cache[(f.name, iv)],
-                        hypothesis=hypo_cache[key]))
-        order = {tag: i for i, tag in enumerate(THEOREM_ORDER)}
-        report.bound_checks = sorted(
-            records,
-            key=lambda r: (order[r["theorem"]], r["function"], r["interval"],
-                           -1.0 if r["exponent"] is None else r["exponent"]))
+                    key = (spec.derivative_order, hypothesis_exponent(tag, exponent))
+                    if key not in hypotheses:
+                        hypotheses[key] = certify_hypotheses(
+                            tag, f, intervals, exponent, config.qc_grid, config.qc_tol)
+                    bound_records.extend(
+                        _bound_record(tag, f, iv, exponent, config, integral, hypothesis)
+                        for iv, integral, hypothesis in zip(intervals, integrals,
+                                                            hypotheses[key]))
+
+    report.identity_checks = sorted(
+        identity_records, key=lambda r: (r["id"], r["function"], r["interval"]))
+    order = {tag: i for i, tag in enumerate(THEOREM_ORDER)}
+    report.bound_checks = sorted(
+        bound_records, key=lambda r: (order[r["theorem"]], r["function"], r["interval"],
+                                      -1.0 if r["exponent"] is None else r["exponent"]))
 
     if "applications" in config.tasks:
         positive = [iv for iv in grid if iv.a > 0.0]
