@@ -3,16 +3,14 @@ inequalities whose hypotheses are quasi-convex derivative magnitudes."""
 
 __version__ = "0.1.0"
 
-from .corpus import (SmoothFunction, builtin_corpus, fd_validate,
-                     make_power_family)
+from .corpus import SmoothFunction, builtin_corpus, make_power_family
 from .errors import (ConfigError, DomainError, ParameterError,
                      QuadratureError)
-from .identities import (IdentityReport, check_identity,
-                         midpoint_defect_identity, trapezoid_defect_identity)
-from .means import (ApplicationVerdict, MeanRequest, application_check,
-                    arithmetic_mean, f_alpha_link_check, generalized_log_mean)
-from .numerics import (HolderPair, Interval, QuadratureResult, beta,
-                       conjugate_exponent, integrate)
+from .identities import IdentityReport, check_identity
+from .means import (ApplicationVerdict, application_check, arithmetic_mean,
+                    generalized_log_mean)
+from .numerics import (Interval, QuadratureResult, beta, conjugate_exponent,
+                       integrate)
 from .quasiconvex import QuasiConvexityCertificate, check_quasi_convex
 from .bounds import BoundReport, THEOREMS, check_bound, defect, rhs_bound
 from .search import (SearchResult, best_exponent, tightness_ratio,
@@ -22,14 +20,12 @@ from .runner import RunConfig, RunReport, run
 __all__ = [
     "__version__",
     "ApplicationVerdict", "BoundReport", "ConfigError", "DomainError",
-    "HolderPair", "IdentityReport", "Interval",
-    "MeanRequest", "ParameterError", "QuadratureError", "QuadratureResult",
-    "QuasiConvexityCertificate", "RunConfig", "RunReport", "SearchResult",
-    "SmoothFunction", "THEOREMS", "application_check",
+    "IdentityReport", "Interval", "ParameterError", "QuadratureError",
+    "QuadratureResult", "QuasiConvexityCertificate", "RunConfig", "RunReport",
+    "SearchResult", "SmoothFunction", "THEOREMS", "application_check",
     "arithmetic_mean", "best_exponent", "beta", "builtin_corpus",
     "check_bound", "check_identity", "check_quasi_convex",
-    "conjugate_exponent", "defect", "f_alpha_link_check",
-    "fd_validate", "generalized_log_mean", "integrate",
-    "make_power_family", "midpoint_defect_identity", "rhs_bound", "run",
-    "tightness_ratio", "trapezoid_defect_identity", "worst_case_alpha",
+    "conjugate_exponent", "defect", "generalized_log_mean", "integrate",
+    "make_power_family", "rhs_bound", "run", "tightness_ratio",
+    "worst_case_alpha",
 ]

@@ -20,6 +20,9 @@ from .errors import ConfigError, DomainError, ParameterError
 from .report import FORMATS, check_pairs, emit, parse_json
 from .runner import ALL_TASKS, RunConfig, run
 
+# Most points --alpha-grid expands to; each alpha adds a corpus member.
+MAX_ALPHA_POINTS = 1000
+
 
 def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(":")
@@ -42,6 +45,8 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"alpha-grid: expected start:stop:n, got {text!r}") from None
     if n < 1:
         raise ConfigError(f"alpha-grid: n must be at least 1, got {n}")
+    if n > MAX_ALPHA_POINTS:
+        raise ConfigError(f"alpha-grid: n must be at most {MAX_ALPHA_POINTS}, got {n}")
     if n == 1:
         return (start,)
     step = (stop - start) / (n - 1)
@@ -63,23 +68,20 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _build_config(tasks: tuple[str, ...], config_path: str | None, fmt: str | None,
-                  out: str | None, tol: float | None, theorems: str | None,
-                  alpha_grid: str | None, intervals: tuple[str, ...]) -> RunConfig:
-    data = _load_config(config_path)
+def _build_config(tasks: tuple[str, ...], options: dict, overrides: dict) -> RunConfig:
+    """The config file, then the common options, then the command's own."""
+    data = _load_config(options["config_path"])
     data["tasks"] = list(tasks)
-    if fmt is not None:
-        data["format"] = fmt
-    if out is not None:
-        data["out"] = out
-    if tol is not None:
-        data["quad_tol"] = tol
-    if theorems is not None:
-        data["theorems"] = [t.strip() for t in theorems.split(",") if t.strip()]
-    if alpha_grid is not None:
-        data["alpha_grid"] = list(_parse_alpha_grid(alpha_grid))
-    if intervals:
-        data["intervals"] = [list(_parse_interval(t)) for t in intervals]
+    for key, option in (("format", "fmt"), ("out", "out"), ("quad_tol", "tol")):
+        if options[option] is not None:
+            data[key] = options[option]
+    if options["theorems"] is not None:
+        data["theorems"] = [t.strip() for t in options["theorems"].split(",") if t.strip()]
+    if options["alpha_grid"] is not None:
+        data["alpha_grid"] = list(_parse_alpha_grid(options["alpha_grid"]))
+    if options["intervals"]:
+        data["intervals"] = [list(_parse_interval(t)) for t in options["intervals"]]
+    data.update((key, value) for key, value in overrides.items() if value is not None)
     return RunConfig.from_dict(data)
 
 
@@ -102,14 +104,7 @@ def _common_options(fn):
 
 
 def _execute_with(tasks, kwargs, **config_overrides) -> int:
-    config = _build_config(tasks, kwargs["config_path"], kwargs["fmt"], kwargs["out"],
-                           kwargs["tol"], kwargs["theorems"], kwargs["alpha_grid"],
-                           kwargs["intervals"])
-    for key, value in config_overrides.items():
-        if value is not None:
-            data = config.to_dict()
-            data[key] = list(value) if isinstance(value, (list, tuple)) else value
-            config = RunConfig.from_dict(data)
+    config = _build_config(tasks, kwargs, config_overrides)
     report = run(config)
     data = report.to_dict()
     rendered = emit(data, config.format, config.out)
@@ -204,7 +199,9 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         return 1
     except click.UsageError as err:
-        click.echo(f"error: {err.format_message()}", err=True)
+        # Only the first line: without a command, click's message is the whole help.
+        message = err.format_message().partition("\n")[0]
+        click.echo(f"error: {message}", err=True)
         return 1
     except (ConfigError, DomainError, ParameterError, ValueError, OSError) as err:
         click.echo(f"error: {err}", err=True)

@@ -19,7 +19,6 @@ from .numerics import Interval
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0)
 DEFAULT_SIN_DOMAIN = Interval(0.2, 1.3)
-_FD_STEP_SCALE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -119,44 +118,6 @@ def builtin_corpus(alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
 
 def corpus_by_name(corpus: Sequence[SmoothFunction]) -> dict[str, SmoothFunction]:
     return {f.name: f for f in corpus}
-
-
-def fd_validate(f: SmoothFunction, k: int, n_points: int = 20, seed: int = 0) -> float:
-    """Largest relative gap between deriv(k) and a central difference of
-    deriv(k-1) over random interior sample points.
-
-    The gap is scaled by max(1, |deriv(k)|) so that near-zeros of the
-    derivative on wide domains do not inflate a pure quotient.
-    """
-    if not 1 <= k <= 4:
-        raise DomainError(f"derivative order must be in 1..4, got {k}")
-    rng = np.random.default_rng(seed)
-    width = f.domain.width
-    lo = f.domain.a + 0.05 * width
-    hi = f.domain.b - 0.05 * width
-    xs = rng.uniform(lo, hi, size=n_points)
-    lower = f.deriv(k - 1)
-    exact = f.deriv(k)
-    worst = 0.0
-    for x in xs:
-        h = max(_FD_STEP_SCALE, _FD_STEP_SCALE * abs(x))
-        fd = (float(lower(x + h)) - float(lower(x - h))) / (2.0 * h)
-        d = float(exact(x))
-        gap = abs(fd - d) / max(1.0, abs(d))
-        worst = max(worst, gap)
-    return worst
-
-
-def scaled(f: SmoothFunction, c: float) -> SmoothFunction:
-    """The function c*f with its derivative chain scaled accordingly."""
-    return SmoothFunction(
-        name=f"{c:g}*{f.name}",
-        domain=f.domain,
-        func=lambda x, g=f.func: c * g(x),
-        derivs=tuple(
-            (lambda x, g=d: c * g(x)) for d in f.derivs
-        ),
-    )
 
 
 def admissible_intervals(f: SmoothFunction, grid: Sequence[Interval]) -> list[Interval]:

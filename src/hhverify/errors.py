@@ -15,7 +15,3 @@ class ConfigError(ValueError):
 
 class QuadratureError(RuntimeError):
     """An integral required by a check did not converge within budget."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result

@@ -23,14 +23,15 @@ error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
+from .means import OVERFLOW_NOTE
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, eval_on_array, integrate, integrate_rows)
@@ -63,8 +64,12 @@ def _report(identity_id: str, f: SmoothFunction, interval: Interval,
             base: QuadratureResult, lhs: float, rhs: float, scale: float,
             kernels: tuple[QuadratureResult, ...]) -> IdentityReport:
     """Assemble the report; rhs is scale times a combination of the kernel
-    integrals, so its error estimate is scale times their sum."""
+    integrals, so its error estimate is scale times their sum.  A side that
+    is not a finite double counts as not converged, as in the applications."""
     converged = base.converged and all(k.converged for k in kernels)
+    note = "" if converged else "quadrature did not converge within budget"
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        converged, note = False, OVERFLOW_NOTE
     return IdentityReport(
         identity_id=identity_id, function=f.name, interval=interval,
         lhs=lhs, rhs=rhs,
@@ -72,7 +77,7 @@ def _report(identity_id: str, f: SmoothFunction, interval: Interval,
         quadrature_error=(base.error_estimate / interval.width
                           + scale * sum(k.error_estimate for k in kernels)),
         converged=converged,
-        note="" if converged else "quadrature did not converge within budget",
+        note=note,
     )
 
 
@@ -96,8 +101,11 @@ def check_identities(identity_id: str, f: SmoothFunction, intervals: Sequence[In
              for uv in ([(a, b), (b, a)] if swapped else [(a, b)])]
     reports = []
     for interval, base, *ks in zip(intervals, integrals, *sides):
-        lhs = sign * defect(kind, f, interval, base.value / interval.width)
-        scale = interval.width ** order / 24.0
+        try:
+            lhs = sign * defect(kind, f, interval, base.value / interval.width)
+            scale = interval.width ** order / 24.0
+        except OverflowError:
+            lhs = scale = math.nan
         value = ks[0].value - ks[1].value if swapped else ks[0].value
         reports.append(_report(identity_id, f, interval, base, lhs, scale * value, scale, ks))
     return reports
@@ -111,7 +119,3 @@ def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
     return check_identities(identity_id, f, [interval], quad_tol, quad_budget,
                             None if integral is None else [integral])[0]
 
-
-# check_identity for L1 and for L2: (f, interval, quad_tol, quad_budget, integral).
-trapezoid_defect_identity = partial(check_identity, "L1")
-midpoint_defect_identity = partial(check_identity, "L2")

@@ -60,25 +60,11 @@ class QuadratureResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class HolderPair:
-    """Conjugate exponents p, q > 1 with 1/p + 1/q = 1."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not (self.p > 1.0 and self.q > 1.0):
-            raise DomainError(f"conjugate exponents must both exceed 1, got ({self.p}, {self.q})")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
-            raise DomainError(f"1/p + 1/q = 1 violated for ({self.p}, {self.q})")
-
-
-def conjugate_exponent(p: float) -> HolderPair:
-    """Return the Holder pair (p, p/(p-1)) for p > 1."""
+def conjugate_exponent(p: float) -> float:
+    """The Holder conjugate q = p/(p-1) of p > 1, so that 1/p + 1/q = 1."""
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError(f"conjugate exponent requires p > 1, got {p}")
-    return HolderPair(p, p / (p - 1.0))
+    return p / (p - 1.0)
 
 
 def beta(x: float, y: float) -> float:
@@ -133,23 +119,11 @@ _EVALS_PER_PANEL = 15
 
 
 def eval_on_array(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f elementwise, tolerating scalar-only callables.
-
-    A scalar return from an array argument is broadcast (the callable
-    ignores its input), anything else falls back to a Python loop.
-    """
+    """Evaluate f elementwise on x; a scalar return (f ignores its input,
+    as a constant derivative may) is broadcast to x's shape."""
     with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(f(x), dtype=float)
-        except (TypeError, ValueError):
-            flat = np.array([float(f(v)) for v in x.ravel()])
-            return flat.reshape(x.shape)
-    if out.shape == x.shape:
-        return out
-    if out.shape == ():
-        return np.full(x.shape, float(out))
-    flat = np.array([float(f(v)) for v in x.ravel()])
-    return flat.reshape(x.shape)
+        out = np.asarray(f(x), dtype=float)
+    return out if out.shape == x.shape else np.full(x.shape, float(out))
 
 
 def _panels(f: Callable, a: np.ndarray, b: np.ndarray):

@@ -27,9 +27,9 @@ from .errors import ConfigError, QuadratureError
 from .identities import (IDENTITY_IDS, IdentityReport, check_identities,
                          check_identity)
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
-                    ApplicationVerdict, application_check)
+                    OVERFLOW_NOTE, ApplicationVerdict, application_check)
 from .numerics import Interval, integrate, integrate_rows
-from .quasiconvex import QuasiConvexityCertificate
+from .quasiconvex import MAX_QC_GRID, QuasiConvexityCertificate
 from .report import FORMATS
 from .search import (EXPONENT_SEARCH_TAGS, SearchResult, best_exponent,
                      worst_case_alpha)
@@ -120,32 +120,24 @@ class RunConfig:
                      "applications", "variants", "p_grid", "q_grid", "alpha_grid"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name}: must not be empty")
-        for task in self.tasks:
-            if task not in ALL_TASKS:
-                raise ConfigError(f"tasks: unknown task {task!r}")
         if self.corpus is not None and len(self.corpus) == 0:
             raise ConfigError("corpus: must not be empty when given")
-        for tag in self.theorems:
-            if tag not in THEOREMS:
-                raise ConfigError(f"theorems: unknown tag {tag!r}")
-        for ident in self.identities:
-            if ident not in IDENTITY_IDS:
-                raise ConfigError(f"identities: unknown id {ident!r}")
-        for tag in self.applications:
-            if tag not in APPLICATION_TAGS:
-                raise ConfigError(f"applications: unknown tag {tag!r}")
-        for variant in self.variants:
-            if variant not in APPLICATION_VARIANTS:
-                raise ConfigError(f"variants: unknown variant {variant!r}")
+        for name, known, what in (("tasks", ALL_TASKS, "task"), ("theorems", THEOREMS, "tag"),
+                                  ("identities", IDENTITY_IDS, "id"),
+                                  ("applications", APPLICATION_TAGS, "tag"),
+                                  ("variants", APPLICATION_VARIANTS, "variant")):
+            for item in getattr(self, name):
+                if item not in known:
+                    raise ConfigError(f"{name}: unknown {what} {item!r}")
         for a, b in self.intervals:
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            if not (math.isfinite(b - a) and a < b):  # b - a is finite only if a and b are
                 raise ConfigError(f"intervals: invalid interval [{a}, {b}]")
         for p in self.p_grid:
-            if not p > 1.0:
-                raise ConfigError(f"p_grid: requires p > 1, got {p}")
+            if not 1.0 < p < math.inf:
+                raise ConfigError(f"p_grid: requires finite p > 1, got {p}")
         for q in self.q_grid:
-            if not q >= 1.0:
-                raise ConfigError(f"q_grid: requires q >= 1, got {q}")
+            if not 1.0 <= q < math.inf:
+                raise ConfigError(f"q_grid: requires finite q >= 1, got {q}")
         for alpha in self.alpha_grid:
             if not 0.0 < alpha <= 1.0:
                 raise ConfigError(f"alpha_grid: requires 0 < alpha <= 1, got {alpha}")
@@ -156,6 +148,8 @@ class RunConfig:
             raise ConfigError(f"quad_budget: below one quadrature panel, got {self.quad_budget}")
         if self.qc_grid < 3:
             raise ConfigError(f"qc_grid: must be at least 3, got {self.qc_grid}")
+        if self.qc_grid > MAX_QC_GRID:
+            raise ConfigError(f"qc_grid: must be at most {MAX_QC_GRID}, got {self.qc_grid}")
         for tag in self.search_p_theorems:
             if tag not in EXPONENT_SEARCH_TAGS:
                 raise ConfigError(f"search_p_theorems: {tag!r} takes no Holder exponent")
@@ -170,8 +164,12 @@ class RunConfig:
             raise ConfigError(f"search_alpha_range: requires 0 < lo < hi <= 1, got ({lo}, {hi})")
         for name in ("sin_domain", "search_p_interval", "search_alpha_interval"):
             a, b = getattr(self, name)
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            if not (math.isfinite(b - a) and a < b):  # b - a is finite only if a and b are
                 raise ConfigError(f"{name}: invalid interval [{a}, {b}]")
+        a, b = self.search_alpha_interval
+        if not a > 0.0:
+            raise ConfigError(f"search_alpha_interval: the power family needs a > 0, "
+                              f"got [{a}, {b}]")
         if self.format not in FORMATS:
             raise ConfigError(f"format: must be one of {', '.join(FORMATS)}, got {self.format!r}")
 
@@ -245,16 +243,15 @@ class RunReport:
         }
 
 
+def _failure_note(err: Exception) -> str:
+    """The note of a record whose check raised: overflow, or the error itself."""
+    return OVERFLOW_NOTE if isinstance(err, OverflowError) else str(err)
+
+
 def _certificate_dict(cert: QuasiConvexityCertificate) -> dict:
-    counterexample = None
-    if cert.counterexample is not None:
-        w = cert.counterexample
-        counterexample = {
-            "x": w.x, "y": w.y, "lam": w.lam,
-            "mixed_value": w.mixed_value,
-            "value_x": w.value_x, "value_y": w.value_y,
-            "violation": w.violation,
-        }
+    # The witness's fields, in CounterExample's order, are the report's keys
+    # (vars keeps __init__'s order; dataclasses.asdict would deep-copy each float).
+    counterexample = None if cert.counterexample is None else dict(vars(cert.counterexample))
     return {
         "verdict": cert.verdict,
         "grid_size": cert.grid_size,
@@ -302,11 +299,11 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
             quad_tol=config.quad_tol, quad_budget=config.quad_budget,
             margin_tol=config.margin_tol, qc_grid=config.qc_grid,
             qc_tol=config.qc_tol, integral=integral, hypothesis=hypothesis)
-    except QuadratureError as err:
+    except (QuadratureError, OverflowError) as err:
         base.update({
             "lhs": None, "rhs": None, "margin": None, "ratio": None,
             "pass": False, "hypothesis": None,
-            "status": STATUS_NON_CONVERGED, "note": str(err),
+            "status": STATUS_NON_CONVERGED, "note": _failure_note(err),
         })
         return base
     note = ""
@@ -358,7 +355,15 @@ def _application_record(verdict: ApplicationVerdict) -> dict:
 
 def _search_record(search: str, tag: str, function: Optional[str],
                    interval: Interval, search_range: tuple[float, float],
-                   exponent: Optional[float], result: SearchResult) -> dict:
+                   exponent: Optional[float], run_search) -> dict:
+    """The record of ``run_search()``; a search that raises or whose objective
+    is not a finite double is non-converged, with no objective."""
+    try:
+        result = run_search()
+        if not math.isfinite(result.objective):
+            result = SearchResult(None, (), None, False, OVERFLOW_NOTE)
+    except (QuadratureError, OverflowError) as err:
+        result = SearchResult(None, (), None, False, _failure_note(err))
     return {
         "kind": "search",
         "search": search,
@@ -458,18 +463,18 @@ def run(config: RunConfig) -> RunReport:
             raise ConfigError(
                 f"search_p_function: unknown function {config.search_p_function!r}")
         for tag in config.search_p_theorems:
-            result = best_exponent(tag, p_function, p_interval, config.search_p_range)
             records.append(_search_record(
-                "best_exponent", tag, p_function.name, p_interval,
-                config.search_p_range, None, result))
+                "best_exponent", tag, p_function.name, p_interval, config.search_p_range,
+                None, lambda: best_exponent(tag, p_function, p_interval,
+                                            config.search_p_range)))
         alpha_interval = Interval(*config.search_alpha_interval)
         for tag in config.search_alpha_theorems:
             exponent = _exponents_for(tag, config)[0]
-            result = worst_case_alpha(tag, alpha_interval, config.search_alpha_range,
-                                      exponent, config.quad_tol, config.quad_budget)
             records.append(_search_record(
-                "worst_case_alpha", tag, None, alpha_interval,
-                config.search_alpha_range, exponent, result))
+                "worst_case_alpha", tag, None, alpha_interval, config.search_alpha_range,
+                exponent, lambda: worst_case_alpha(tag, alpha_interval,
+                                                   config.search_alpha_range, exponent,
+                                                   config.quad_tol, config.quad_budget)))
         report.searches = sorted(
             records, key=lambda r: (r["search"], r["theorem"], r["function"] or ""))
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from hhverify.corpus import SmoothFunction, builtin_corpus, corpus_by_name
+from hhverify.errors import DomainError
 from hhverify.numerics import Interval
+
+_FD_STEP_SCALE = 1e-4
 
 
 def poly_smooth(name, coeffs, domain=None):
@@ -29,6 +32,44 @@ def reflected(f, interval):
             for k, d in enumerate(f.derivs, start=1)
         ),
     )
+
+
+def scaled(f, c):
+    """The function c*f with its derivative chain scaled accordingly."""
+    return SmoothFunction(
+        name=f"{c:g}*{f.name}",
+        domain=f.domain,
+        func=lambda x, g=f.func: c * g(x),
+        derivs=tuple(
+            (lambda x, g=d: c * g(x)) for d in f.derivs
+        ),
+    )
+
+
+def fd_validate(f, k, n_points=20, seed=0):
+    """Largest relative gap between deriv(k) and a central difference of
+    deriv(k-1) over random interior sample points.
+
+    The gap is scaled by max(1, |deriv(k)|) so that near-zeros of the
+    derivative on wide domains do not inflate a pure quotient.
+    """
+    if not 1 <= k <= 4:
+        raise DomainError(f"derivative order must be in 1..4, got {k}")
+    rng = np.random.default_rng(seed)
+    width = f.domain.width
+    lo = f.domain.a + 0.05 * width
+    hi = f.domain.b - 0.05 * width
+    xs = rng.uniform(lo, hi, size=n_points)
+    lower = f.deriv(k - 1)
+    exact = f.deriv(k)
+    worst = 0.0
+    for x in xs:
+        h = max(_FD_STEP_SCALE, _FD_STEP_SCALE * abs(x))
+        fd = (float(lower(x + h)) - float(lower(x - h))) / (2.0 * h)
+        d = float(exact(x))
+        gap = abs(fd - d) / max(1.0, abs(d))
+        worst = max(worst, gap)
+    return worst
 
 
 @pytest.fixture(scope="session")

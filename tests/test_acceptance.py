@@ -15,7 +15,7 @@ import pytest
 from hhverify.bounds import THEOREM_ORDER, check_bound, rhs_bound
 from hhverify.cli import main
 from hhverify.corpus import builtin_corpus, corpus_by_name, make_power_family
-from hhverify.identities import midpoint_defect_identity, trapezoid_defect_identity
+from hhverify.identities import check_identity
 from hhverify.means import application_check
 from hhverify.numerics import Interval, beta, integrate
 from hhverify.quasiconvex import check_quasi_convex
@@ -45,7 +45,7 @@ def bounds_report():
 
 def test_criterion_1_trapezoid_identity(corpus, identity_report):
     unit = Interval(0.0, 1.0)
-    r = trapezoid_defect_identity(corpus["x^4"], unit)
+    r = check_identity("L1", corpus["x^4"], unit)
     ok = (abs(r.lhs - 1.0 / 30.0) <= 1e-10
           and abs(r.rhs - 1.0 / 30.0) <= 1e-10
           and r.residual <= 1e-10)
@@ -60,7 +60,7 @@ def test_criterion_1_trapezoid_identity(corpus, identity_report):
 def test_criterion_2_midpoint_identity(corpus, identity_report):
     unit = Interval(0.0, 1.0)
     f = corpus["x^4"]
-    r = midpoint_defect_identity(f, unit)
+    r = check_identity("L2", f, unit)
     side_a = integrate(lambda t: t * (1 - 2 * t) * (1 + 2 * t) * f.deriv(3)(1.0 - t),
                        Interval(0.0, 0.5), tol=1e-12)
     side_b = integrate(lambda t: t * (1 - 2 * t) * (1 + 2 * t) * f.deriv(3)(t),

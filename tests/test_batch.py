@@ -4,7 +4,7 @@ The runner evaluates the first quadrature panel of all intervals of one
 function in one call, and stacks the small certificate grids of all
 intervals of one hypothesis.  Each row of such a batch must be bit for bit
 what ``integrate``, ``check_identity`` and ``check_quasi_convex`` give on
-that row alone.
+that row alone, certificates field for field, witnesses included.
 """
 
 import math
@@ -20,7 +20,7 @@ from hhverify.corpus import builtin_corpus
 from hhverify.errors import DomainError
 from hhverify.identities import IDENTITY_IDS, check_identities, check_identity
 from hhverify.numerics import Interval, integrate, integrate_rows
-from hhverify.quasiconvex import certify_stacked, check_quasi_convex
+from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
 
 CORPUS = builtin_corpus(sin_domain=Interval(0.0, 6.3))
 
@@ -138,14 +138,19 @@ def test_stacked_certificates_equal_lone_certificates(case, tag, n_grid):
     g = hypothesis_function(f, THEOREMS[tag].derivative_order,
                             hypothesis_exponent(tag, exponent))
     lone = [check_quasi_convex(g, iv, n_grid) for iv in intervals]
-    stacked = certify_stacked(g, intervals, n_grid)
-    assert [s for s in stacked if s is not None] == \
-        [c for c, s in zip(lone, stacked) if s is not None]
-    if n_grid < 101:  # a chunk holds more than one row
-        assert all(c.verdict != "certified" or iv.width / (n_grid - 1) ** 2 == 0.0
-                   for c, s, iv in zip(lone, stacked, intervals) if s is None)
+    assert check_quasi_convex_rows(g, intervals, n_grid) == lone
     assert certify_hypotheses(tag, f, intervals, exponent, n_grid) == lone
     assert [certify_hypothesis(tag, f, iv, exponent, n_grid) for iv in intervals] == lone
+
+
+def _counted(g):
+    """g, and the list of the sizes of the arrays it was called on."""
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return g(x)
+    return counted, calls
 
 
 def test_stacks_cover_refuted_non_finite_and_partial_chunks():
@@ -161,34 +166,55 @@ def test_stacks_cover_refuted_non_finite_and_partial_chunks():
     for g in (lambda x: np.abs(np.sin(x)),
               lambda x: np.where(x < 1.0, np.nan, 1.0 / np.abs(x - math.pi))):
         lone = [check_quasi_convex(g, iv, 11) for iv in intervals]
-        stacked = certify_stacked(g, intervals, 11)
-        assert [c if s is None else s for c, s in zip(lone, stacked)] == lone
+        assert check_quasi_convex_rows(g, intervals, 11) == lone
         verdicts += [c.verdict for c in lone]
     assert set(verdicts) == {"certified", "refuted", "non_finite"}
     assert lone[5].verdict == "non_finite" and lone[5].bad_abscissa == math.pi
 
 
-def test_a_chunk_of_one_row_leaves_every_interval_open():
-    intervals = [Interval(0.0, 1.0), Interval(1.0, 2.0)]
-    assert certify_stacked(np.abs, intervals, 101) == [None, None]
-    assert certify_stacked(np.abs, intervals, 11) == \
-        [check_quasi_convex(np.abs, iv, 11) for iv in intervals]
+def test_a_refuted_and_a_non_finite_row_share_one_sampling():
+    # |sin| peaks at pi/2 inside the first interval; 1/|x - 2| is infinite
+    # at 2, a fine point of the second.  Both rows sit in one 11-point stack,
+    # so g sees the coarse and the fine grid once each, plus the witness.
+    g = lambda x: np.where(x < 1.8, np.abs(np.sin(x)), 1.0 / np.abs(x - 2.0))  # noqa: E731
+    intervals = [Interval(1.0, 1.7), Interval(1.9, 2.9)]
+    lone = [check_quasi_convex(g, iv, 11) for iv in intervals]
+    assert [c.verdict for c in lone] == ["refuted", "non_finite"]
+    assert lone[1].bad_abscissa == 2.0
+    counted, calls = _counted(g)
+    assert check_quasi_convex_rows(counted, intervals, 11) == lone
+    assert calls == [2 * 11, 2 * 101, 1]
+
+
+@pytest.mark.parametrize("n_grid", [101, 11])
+def test_stacks_of_one_equal_lone_certificates(n_grid):
+    # 101 points fill a stack alone; 11 points stack both rows.
+    intervals = [Interval(0.0, 1.0), Interval(1.0, 2.0), Interval(-1.0, 2.0)]
+    lone = [check_quasi_convex(np.abs, iv, n_grid) for iv in intervals]
+    assert [c.verdict for c in lone] == ["certified", "certified", "certified"]
+    assert check_quasi_convex_rows(np.abs, intervals, n_grid) == lone
+    counted, calls = _counted(np.abs)
+    check_quasi_convex_rows(counted, intervals, n_grid)
+    rows = 1 if n_grid == 101 else 3
+    assert calls == [rows * n_grid, rows * ((n_grid - 1) ** 2 + 1)] * (3 // rows)
 
 
 @pytest.mark.parametrize("n_grid", [2, 1, 0])
-def test_a_grid_below_three_is_left_to_the_lone_check(n_grid):
+def test_a_grid_below_three_is_rejected(n_grid):
     f = CORPUS[0]
-    assert certify_stacked(np.abs, [Interval(0.0, 1.0)], n_grid) == [None]
+    with pytest.raises(DomainError, match="grid size"):
+        check_quasi_convex_rows(np.abs, [Interval(0.0, 1.0)], n_grid)
     with pytest.raises(DomainError, match="grid size"):
         certify_hypotheses("T1_2", f, [Interval(0.0, 1.0)], None, n_grid)
 
 
-def test_an_interval_whose_fine_step_underflows_is_left_open():
+def test_an_interval_whose_fine_step_underflows_is_a_stack_of_one():
     # linspace switches formula for every row once one row's step is 0.
     intervals = [Interval(0.0, 1.0), Interval(0.0, 5e-324), Interval(1.0, 2.0)]
-    stacked = certify_stacked(np.abs, intervals, 11)
-    assert stacked[1] is None
-    assert [stacked[0], stacked[2]] == [check_quasi_convex(np.abs, iv, 11)
-                                        for iv in (intervals[0], intervals[2])]
+    lone = [check_quasi_convex(np.abs, iv, 11) for iv in intervals]
+    assert check_quasi_convex_rows(np.abs, intervals, 11) == lone
+    counted, calls = _counted(np.abs)
+    check_quasi_convex_rows(counted, intervals, 11)
+    assert calls == [11, 101, 2 * 11, 2 * 101]
     assert certify_hypotheses("T1_2", CORPUS[0], intervals, None, 11) == \
         [certify_hypothesis("T1_2", CORPUS[0], iv, None, 11) for iv in intervals]

@@ -6,13 +6,12 @@ import pytest
 from hhverify.bounds import (LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
                              LHS_TRAPEZOID_CORRECTED, THEOREM_ORDER, THEOREMS,
                              check_bound, certify_hypothesis, defect, rhs_bound)
-from hhverify.corpus import (SmoothFunction, admissible_intervals,
-                             builtin_corpus, scaled)
+from hhverify.corpus import SmoothFunction, admissible_intervals, builtin_corpus
 from hhverify.errors import ParameterError
 from hhverify.numerics import Interval, integrate
 from hhverify.runner import DEFAULT_INTERVALS
 
-from conftest import poly_smooth
+from conftest import poly_smooth, scaled
 
 
 def _defect(kind, f, interval):

@@ -1,5 +1,6 @@
 """CLI runs: malformed pairs in saved reports, one status count per run,
-and an exit code 3 with a mathematical cause."""
+an exit code 3 with a mathematical cause, and checks that fail by raising
+(quadrature, overflow) recorded as non-converged."""
 
 import json
 from pathlib import Path
@@ -68,3 +69,30 @@ def test_an_exhausted_budget_on_a_wide_interval_exits_three(tmp_path, capsys, co
     records = json.loads(out.read_text(encoding="utf-8"))
     statuses = {r["status"] for r in records["identity_checks"] + records["bound_checks"]}
     assert statuses == {"non_converged"}
+
+
+@pytest.mark.parametrize("command, config, section, note", [
+    # worst_case_alpha: the average integral misses a tolerance below rounding
+    ("tightness", {"quad_tol": 1e-300, "quad_budget": 15}, "searches",
+     "quadrature budget exhausted"),
+    # best_exponent for ME2: the Beta root overflows in log-gamma
+    ("tightness", {"search_p_range": [1.01, 1e308]}, "searches", "overflow:"),
+    # best_exponent on x^4: the endpoint derivative 4x^3 overflows
+    ("tightness", {"search_p_interval": [0, 1e300]}, "searches", "overflow:"),
+    # the identities' scale w^n overflows (the budget only keeps the run short:
+    # sin's integral over [0, 1e300] does not converge either)
+    ("verify-identity", {"corpus": ["sin"], "sin_domain": [0, 1e300],
+                         "intervals": [[0, 1e300]], "quad_budget": 1000},
+     "identity_checks", "overflow:"),
+])
+def test_a_failing_check_is_a_non_converged_record_not_a_traceback(
+        tmp_path, capsys, command, config, section, note):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    records = json.loads(out.read_text(encoding="utf-8"))[section]
+    failed = [r for r in records if r["status"] == "non_converged"]
+    assert failed and all(note in r["note"] for r in failed)
+    assert all(r["status"] == "pass" for r in records if r not in failed)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from hhverify.corpus import (SmoothFunction, builtin_corpus, fd_validate,
-                             make_power_family, scaled)
+from hhverify.corpus import SmoothFunction, builtin_corpus, make_power_family
 from hhverify.errors import DomainError
 from hhverify.numerics import Interval
 
-from conftest import poly_smooth
+from conftest import fd_validate, poly_smooth, scaled
 
 
 def test_power_family_alpha_one_values():

@@ -8,8 +8,7 @@ from hhverify import means
 from hhverify.bounds import check_bound, rhs_bound
 from hhverify.corpus import make_power_family
 from hhverify.errors import DomainError, ParameterError
-from hhverify.means import (OVERFLOW_NOTE, MeanRequest, application_check,
-                            arithmetic_mean, f_alpha_link_check,
+from hhverify.means import (OVERFLOW_NOTE, application_check, arithmetic_mean,
                             generalized_log_mean)
 from hhverify.numerics import Interval
 
@@ -20,33 +19,30 @@ def test_arithmetic_mean_values():
     assert arithmetic_mean(0.7, 0.7) == 0.7
 
 
-def test_mean_request_validation():
+@pytest.mark.parametrize("a, b", [(-1.0, 2.0), (0.0, 2.0), (2.0, 2.0), (3.0, 2.0)])
+def test_means_require_zero_below_a_below_b(a, b):
     with pytest.raises(DomainError):
-        MeanRequest(-1.0, 2.0, 1.0)
+        generalized_log_mean(a, b, 1.0)
     with pytest.raises(DomainError):
-        MeanRequest(0.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        MeanRequest(2.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        MeanRequest(3.0, 2.0, 1.0)
+        application_check("A3_1", "derived", a, b, 1.0)
 
 
 def test_log_mean_main_branch_values():
     # (2^3 - 1)/(3*1) = 7/3
-    assert generalized_log_mean(MeanRequest(1.0, 2.0, 2.0)) == pytest.approx(7.0 / 3.0, rel=1e-15)
+    assert generalized_log_mean(1.0, 2.0, 2.0) == pytest.approx(7.0 / 3.0, rel=1e-15)
     # (2^6 - 1)/(6*1) = 63/6
-    assert generalized_log_mean(MeanRequest(1.0, 2.0, 5.0)) == pytest.approx(10.5, rel=1e-15)
+    assert generalized_log_mean(1.0, 2.0, 5.0) == pytest.approx(10.5, rel=1e-15)
 
 
 def test_log_mean_log_branch():
-    value = generalized_log_mean(MeanRequest(1.0, math.e, -1.0))
+    value = generalized_log_mean(1.0, math.e, -1.0)
     assert value == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
 def test_log_mean_identric_branch():
     # Moderate arguments allow the literal form (1/e)*(b^b/a^a)^(1/(b-a)).
     for a, b in [(1.0, math.e), (0.5, 2.5), (2.0, 3.0)]:
-        ours = generalized_log_mean(MeanRequest(a, b, 0.0))
+        ours = generalized_log_mean(a, b, 0.0)
         literal = (1.0 / math.e) * (b ** b / a ** a) ** (1.0 / (b - a))
         assert ours == pytest.approx(literal, rel=1e-12)
 
@@ -57,23 +53,19 @@ def test_log_mean_at_one_equals_arithmetic_mean(x, y):
     a, b = sorted((x, y))
     if a == b:
         return
-    assert generalized_log_mean(MeanRequest(a, b, 1.0)) == arithmetic_mean(a, b)
+    assert generalized_log_mean(a, b, 1.0) == arithmetic_mean(a, b)
 
 
 def test_near_special_exponents_route_to_special_cases():
-    req = MeanRequest(1.0, 2.0, -1.0 + 5e-13)
-    exact = MeanRequest(1.0, 2.0, -1.0)
-    assert generalized_log_mean(req) == generalized_log_mean(exact)
-    req = MeanRequest(1.0, 2.0, 3e-13)
-    exact = MeanRequest(1.0, 2.0, 0.0)
-    assert generalized_log_mean(req) == generalized_log_mean(exact)
+    assert generalized_log_mean(1.0, 2.0, -1.0 + 5e-13) == generalized_log_mean(1.0, 2.0, -1.0)
+    assert generalized_log_mean(1.0, 2.0, 3e-13) == generalized_log_mean(1.0, 2.0, 0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_equal_argument_limit_main_branch(p, a):
     eps = 1e-6
-    value = generalized_log_mean(MeanRequest(a, a + eps, p))
+    value = generalized_log_mean(a, a + eps, p)
     assert value == pytest.approx(a ** p, rel=1e-4)
 
 
@@ -82,27 +74,8 @@ def test_equal_argument_limit_special_branches(p):
     # Both special branches are genuine means, so they tend to a as b -> a;
     # at a = 1 that limit agrees with a**p for every p.
     a, eps = 1.0, 1e-6
-    value = generalized_log_mean(MeanRequest(a, a + eps, p))
+    value = generalized_log_mean(a, a + eps, p)
     assert value == pytest.approx(a ** p, rel=1e-4)
-
-
-def test_link_identities_alpha_one():
-    r = f_alpha_link_check(1.0, Interval(1.0, 2.0))
-    assert max(r) <= 1e-10
-    # The integral identity pairs the quadrature with L_5(1,2) = 63/6.
-    assert generalized_log_mean(MeanRequest(1.0, 2.0, 5.0)) == pytest.approx(10.5)
-
-
-def test_link_identities_alpha_half():
-    r = f_alpha_link_check(0.5, Interval(1.0, 4.0))
-    assert max(r) <= 1e-10
-
-
-def test_link_identities_need_positive_interval():
-    with pytest.raises(DomainError):
-        f_alpha_link_check(1.0, Interval(0.0, 1.0))
-    with pytest.raises(DomainError):
-        f_alpha_link_check(1.0, Interval(-1.0, 2.0))
 
 
 def test_degenerate_interval_rejected_by_type():

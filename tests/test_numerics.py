@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.errors import DomainError
-from hhverify.numerics import (HolderPair, Interval, beta, conjugate_exponent,
-                               integrate)
+from hhverify.numerics import Interval, beta, conjugate_exponent, integrate
 
 
 def test_interval_rejects_degenerate_and_nonfinite():
@@ -158,9 +157,9 @@ def test_beta_rejects_nonpositive_arguments():
 
 
 def test_conjugate_exponent_values():
-    assert conjugate_exponent(2.0).q == 2.0
-    assert conjugate_exponent(3.0).q == pytest.approx(1.5, abs=0.0)
-    assert conjugate_exponent(1.25).q == 5.0
+    assert conjugate_exponent(2.0) == 2.0
+    assert conjugate_exponent(3.0) == pytest.approx(1.5, abs=0.0)
+    assert conjugate_exponent(1.25) == 5.0
 
 
 def test_conjugate_exponent_rejects_p_at_most_one():
@@ -172,20 +171,20 @@ def test_conjugate_exponent_rejects_p_at_most_one():
 @settings(max_examples=100, deadline=None)
 @given(st.floats(1.0 + 1e-9, 1e6))
 def test_conjugate_identity_holds(p):
-    pair = conjugate_exponent(p)
-    assert abs(1.0 / pair.p + 1.0 / pair.q - 1.0) <= 1e-12
+    q = conjugate_exponent(p)
+    assert q > 1.0
+    assert abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
 
 
 def test_conjugate_q_decreases_to_one():
     ps = [1.1, 1.5, 2.0, 5.0, 10.0, 100.0, 1e4, 1e6]
-    qs = [conjugate_exponent(p).q for p in ps]
+    qs = [conjugate_exponent(p) for p in ps]
     assert all(q1 > q2 for q1, q2 in zip(qs, qs[1:]))
     assert all(q > 1.0 for q in qs)
     assert qs[-1] == pytest.approx(1.0, abs=1e-5)
 
 
-def test_holder_pair_invariant_enforced():
-    with pytest.raises(DomainError):
-        HolderPair(2.0, 3.0)
-    with pytest.raises(DomainError):
-        HolderPair(0.5, -1.0)
+def test_conjugate_exponent_rejects_non_finite_p():
+    for p in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            conjugate_exponent(p)

@@ -192,6 +192,15 @@ def test_infinite_sample_is_non_finite():
     assert cert.bad_abscissa == 0.0
 
 
+def test_a_non_finite_certificate_thresholds_its_finite_coarse_values():
+    # 1/x is infinite at 0 and 10 at the next coarse point, 0.1.
+    xs = np.linspace(0.0, 1.0, 11)
+    cert = check_quasi_convex(lambda x: 1.0 / np.asarray(x, dtype=float),
+                              Interval(0.0, 1.0), n_grid=11)
+    assert cert.verdict == "non_finite"
+    assert cert.tol == 1e-12 * max(1.0, float(np.max(1.0 / xs[1:])))
+
+
 # --- differential test against the brute-force triple scan -----------------
 
 _COEFFS = st.lists(st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hhverify.bounds import check_bound, rhs_bound
-from hhverify.corpus import make_power_family
+from hhverify.bounds import (RATIO_DEGENERATE_TOL, THEOREM_ORDER, THEOREMS, check_bound,
+                             rhs_bound)
+from hhverify.corpus import builtin_corpus, make_power_family
 from hhverify.errors import ParameterError
 from hhverify.numerics import Interval
 from hhverify.search import best_exponent, tightness_ratio, worst_case_alpha
 
-from conftest import poly_smooth
+from conftest import poly_smooth, reflected, scaled
 
 
 def test_ratio_sharp_instance(corpus, unit):
@@ -119,3 +122,53 @@ def test_worst_alpha_validation():
         worst_case_alpha("ME1", Interval(1.0, 2.0), (0.0, 1.0))
     with pytest.raises(ParameterError):
         worst_case_alpha("ME1", Interval(1.0, 2.0), (0.2, 1.5))
+
+
+@st.composite
+def rule_instances(draw):
+    """A rule, a built-in function, an interval of width >= 0.05 in its
+    domain, and an exponent of the rule's kind."""
+    f = draw(st.sampled_from(builtin_corpus()))
+    tag = draw(st.sampled_from(THEOREM_ORDER))
+    a = draw(st.floats(f.domain.a, f.domain.b - 0.05))
+    b = min(f.domain.b, a + draw(st.floats(0.05, 4.0)))
+    exponent = {"none": None, "p": draw(st.floats(1.1, 10.0)),
+                "q": draw(st.floats(1.0, 10.0))}[THEOREMS[tag].exponent_kind]
+    return tag, f, Interval(a, b), exponent
+
+
+def _ratio_tol(f, iv, rhs):
+    """Rounding in lhs/rhs: the defect cancels terms as large as |f| at the
+    ends and w*|f'|, so it is off by some tens of eps times those."""
+    d1 = f.deriv(1)
+    size = max(abs(float(f(iv.a))), abs(float(f(iv.b))),
+               iv.width * max(abs(float(d1(iv.a))), abs(float(d1(iv.b)))))
+    return 1e-9 + 100 * 2.0 ** -52 * size / rhs
+
+
+def _assert_same_ratio(ratio, expected, f, iv, rhs):
+    if rhs <= RATIO_DEGENERATE_TOL:  # 0 or inf, from the degenerate branch
+        assert ratio == expected
+    else:
+        assert math.isclose(ratio, expected, rel_tol=0.0, abs_tol=_ratio_tol(f, iv, rhs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_instances())
+def test_ratio_is_invariant_under_reflection(instance):
+    tag, f, iv, exponent = instance
+    _assert_same_ratio(tightness_ratio(tag, reflected(f, iv), iv, exponent),
+                       tightness_ratio(tag, f, iv, exponent),
+                       f, iv, rhs_bound(tag, f, iv, exponent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_instances(), st.floats(1e-3, 1e3))
+def test_ratio_is_invariant_under_positive_scaling(instance, c):
+    tag, f, iv, exponent = instance
+    rhs = rhs_bound(tag, f, iv, exponent)
+    # The degeneracy cut-off is absolute: a right side that scaling moves
+    # across it switches the ratio between lhs/rhs and its 0 or inf limit.
+    assume((rhs > RATIO_DEGENERATE_TOL) == (c * rhs > RATIO_DEGENERATE_TOL))
+    _assert_same_ratio(tightness_ratio(tag, scaled(f, c), iv, exponent),
+                       tightness_ratio(tag, f, iv, exponent), f, iv, rhs)
