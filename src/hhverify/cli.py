@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from .errors import ConfigError, DomainError, ParameterError
-from .report import FORMATS, check_pairs, emit, parse_json
+from .report import FORMATS, check_pairs, emit
 from .runner import ALL_TASKS, RunConfig, run
 
 # Most points --alpha-grid expands to; each alpha adds a corpus member.
@@ -53,35 +53,39 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(n))
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; errors name ``what``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ConfigError(f"{what}: cannot read {path}: {err}") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what}: invalid JSON in {path}: {err}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise ConfigError(f"config: cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config: invalid JSON in {path}: {err}") from None
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError(f"config: top level must be an object, got {type(data).__name__}")
     return data
 
 
-def _build_config(tasks: tuple[str, ...], options: dict, overrides: dict) -> RunConfig:
-    """The config file, then the common options, then the command's own."""
+def _build_config(tasks: tuple[str, ...], options: dict) -> RunConfig:
+    """The config file, then the command-line options."""
     data = _load_config(options["config_path"])
     data["tasks"] = list(tasks)
     for key, option in (("format", "fmt"), ("out", "out"), ("quad_tol", "tol")):
         if options[option] is not None:
             data[key] = options[option]
-    if options["theorems"] is not None:
-        data["theorems"] = [t.strip() for t in options["theorems"].split(",") if t.strip()]
+    for key in ("theorems", "identities"):  # --identities is verify-identity's own
+        if options.get(key) is not None:
+            data[key] = [t.strip() for t in options[key].split(",") if t.strip()]
     if options["alpha_grid"] is not None:
         data["alpha_grid"] = list(_parse_alpha_grid(options["alpha_grid"]))
     if options["intervals"]:
         data["intervals"] = [list(_parse_interval(t)) for t in options["intervals"]]
-    data.update((key, value) for key, value in overrides.items() if value is not None)
     return RunConfig.from_dict(data)
 
 
@@ -103,8 +107,8 @@ def _common_options(fn):
     return fn
 
 
-def _execute_with(tasks, kwargs, **config_overrides) -> int:
-    config = _build_config(tasks, kwargs, config_overrides)
+def _execute_with(tasks, kwargs) -> int:
+    config = _build_config(tasks, kwargs)
     report = run(config)
     data = report.to_dict()
     rendered = emit(data, config.format, config.out)
@@ -128,12 +132,9 @@ def cli():
 @cli.command("verify-identity")
 @_common_options
 @click.option("--identities", default=None, help="Comma-separated identity ids (L1,L2).")
-def verify_identity(identities, **kwargs):
+def verify_identity(**kwargs):
     """Check the two exact integral identities over the corpus."""
-    selected = None
-    if identities is not None:
-        selected = [i.strip() for i in identities.split(",") if i.strip()]
-    return _execute_with(("identities",), kwargs, identities=selected)
+    return _execute_with(("identities",), kwargs)
 
 
 @cli.command("verify-bound")
@@ -172,14 +173,7 @@ def scan(**kwargs):
               help="Output path; prints to stdout when omitted (except csv).")
 def report_command(input_path, fmt, out):
     """Re-render a saved JSON report in another format."""
-    try:
-        text = Path(input_path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"report: cannot read {input_path}: {err}") from None
-    try:
-        data = parse_json(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"report: invalid JSON in {input_path}: {err}") from None
+    data = _read_json(input_path, "report")
     try:
         check_pairs(data)
         rendered = emit(data, fmt, out)

@@ -103,9 +103,12 @@ def check_identities(identity_id: str, f: SmoothFunction, intervals: Sequence[In
     for interval, base, *ks in zip(intervals, integrals, *sides):
         try:
             lhs = sign * defect(kind, f, interval, base.value / interval.width)
+        except OverflowError:
+            lhs = math.nan
+        try:
             scale = interval.width ** order / 24.0
         except OverflowError:
-            lhs = scale = math.nan
+            scale = math.nan
         value = ks[0].value - ks[1].value if swapped else ks[0].value
         reports.append(_report(identity_id, f, interval, base, lhs, scale * value, scale, ks))
     return reports

@@ -8,6 +8,7 @@ arithmetic.  Everything here is pure and reentrant.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -146,8 +147,8 @@ def _refine(f: Callable, a: float, b: float, value: float, err: float, tol: floa
     """From the first panel (value, err) on [a, b], bisect the worst until tol or budget."""
     evals = _EVALS_PER_PANEL
     # (-err, insertion counter, a, b, value, err); counter fixes heap ties.
-    counter = 0
-    active = [(-err, counter, a, b, value, err)]
+    counter = itertools.count()
+    active = [(-err, next(counter), a, b, value, err)]
     done: list[tuple[float, float, float, float]] = []
     total_err = err
 
@@ -161,10 +162,8 @@ def _refine(f: Callable, a: float, b: float, value: float, err: float, tol: floa
         (lv, le), (rv, re) = _panels(f, np.array([a, mid]), np.array([mid, b]))
         evals += 2 * _EVALS_PER_PANEL
         total_err += le + re - perr
-        counter += 1
-        heapq.heappush(active, (-le, counter, a, mid, lv, le))
-        counter += 1
-        heapq.heappush(active, (-re, counter, mid, b, rv, re))
+        heapq.heappush(active, (-le, next(counter), a, mid, lv, le))
+        heapq.heappush(active, (-re, next(counter), mid, b, rv, re))
 
     panels = sorted(
         [(a, b, v, e) for (_, _, a, b, v, e) in active] + done,

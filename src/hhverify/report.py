@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -96,10 +95,6 @@ def render_json(report: dict, indent: int = 2) -> str:
     _write_json(report, parts, indent, 0)
     parts.append("\n")
     return "".join(parts)
-
-
-def parse_json(text: str) -> dict:
-    return json.loads(text)
 
 
 def check_pairs(report: dict) -> None:

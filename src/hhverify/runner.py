@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -47,10 +48,14 @@ STATUS_FAIL = "fail"
 STATUS_REFUTED = "refuted_hypothesis"
 STATUS_NON_CONVERGED = "non_converged"
 STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_REFUTED, STATUS_NON_CONVERGED)
+RATIO_INFINITE_NOTE = "ratio infinite: the right side vanishes against a positive left side"
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # A JSON integer beyond double range is no number the checks can compare
+    # or subtract: math.isfinite and numpy raise OverflowError on it.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
 
 
 def _is_seq(value, is_item, length=None) -> bool:
@@ -129,9 +134,6 @@ class RunConfig:
             for item in getattr(self, name):
                 if item not in known:
                     raise ConfigError(f"{name}: unknown {what} {item!r}")
-        for a, b in self.intervals:
-            if not (math.isfinite(b - a) and a < b):  # b - a is finite only if a and b are
-                raise ConfigError(f"intervals: invalid interval [{a}, {b}]")
         for p in self.p_grid:
             if not 1.0 < p < math.inf:
                 raise ConfigError(f"p_grid: requires finite p > 1, got {p}")
@@ -162,8 +164,10 @@ class RunConfig:
         lo, hi = self.search_alpha_range
         if not (0.0 < lo < hi <= 1.0):
             raise ConfigError(f"search_alpha_range: requires 0 < lo < hi <= 1, got ({lo}, {hi})")
-        for name in ("sin_domain", "search_p_interval", "search_alpha_interval"):
-            a, b = getattr(self, name)
+        pairs = [("intervals", iv) for iv in self.intervals] + [
+            (name, getattr(self, name))
+            for name in ("sin_domain", "search_p_interval", "search_alpha_interval")]
+        for name, (a, b) in pairs:
             if not (math.isfinite(b - a) and a < b):  # b - a is finite only if a and b are
                 raise ConfigError(f"{name}: invalid interval [{a}, {b}]")
         a, b = self.search_alpha_interval
@@ -357,10 +361,15 @@ def _search_record(search: str, tag: str, function: Optional[str],
                    interval: Interval, search_range: tuple[float, float],
                    exponent: Optional[float], run_search) -> dict:
     """The record of ``run_search()``; a search that raises or whose objective
-    is not a finite double is non-converged, with no objective."""
+    overflowed is non-converged, with no objective.  worst_case_alpha's
+    objective is a tightness ratio, whose infinity is not an overflow but
+    bound_ratio's refutation signal: that record keeps its result and says so."""
     try:
         result = run_search()
-        if not math.isfinite(result.objective):
+        if search == "worst_case_alpha" and result.objective == math.inf:
+            result = replace(result, note="; ".join(filter(None, (result.note,
+                                                                  RATIO_INFINITE_NOTE))))
+        elif not math.isfinite(result.objective):
             result = SearchResult(None, (), None, False, OVERFLOW_NOTE)
     except (QuadratureError, OverflowError) as err:
         result = SearchResult(None, (), None, False, _failure_note(err))

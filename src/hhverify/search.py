@@ -73,7 +73,8 @@ def _golden_section(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def _count_local_minima(values: np.ndarray) -> int:
-    signs = np.sign(np.diff(values))
+    with np.errstate(invalid="ignore"):  # inf - inf between two infinite ratios
+        signs = np.sign(np.diff(values))
     signs = signs[signs != 0.0]
     if signs.size == 0:
         return 1

@@ -1,14 +1,16 @@
 """CLI runs: malformed pairs in saved reports, one status count per run,
-an exit code 3 with a mathematical cause, and checks that fail by raising
-(quadrature, overflow) recorded as non-converged."""
+an exit code 3 with a mathematical cause, checks that fail by raising
+(quadrature, overflow) recorded as non-converged, an infinite tightness
+ratio recorded as such, and integers beyond double range rejected by name."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from hhverify.cli import main
-from hhverify.runner import RunReport
+from hhverify.runner import RATIO_INFINITE_NOTE, RunReport
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 
@@ -96,3 +98,47 @@ def test_a_failing_check_is_a_non_converged_record_not_a_traceback(
     failed = [r for r in records if r["status"] == "non_converged"]
     assert failed and all(note in r["note"] for r in failed)
     assert all(r["status"] == "pass" for r in records if r not in failed)
+
+
+def test_an_identity_whose_scale_overflows_keeps_its_left_side(tmp_path):
+    # w**2 overflows for w = 1e300, the defect of sin does not.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"corpus": ["sin"], "sin_domain": [0, 1e300],
+                                "intervals": [[0, 1e300]], "identities": ["L1"],
+                                "quad_budget": 1000}), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main(["verify-identity", "--config", str(path), "--out", str(out)]) == 3
+    (record,) = json.loads(out.read_text(encoding="utf-8"))["identity_checks"]
+    assert record["note"].startswith("overflow:")
+    assert record["lhs"] is not None and record["rhs"] is None
+
+
+def test_an_infinite_tightness_ratio_is_not_an_overflow(tmp_path, capsys):
+    # On [100, 100.001] the right side of ME1 falls below the degeneracy
+    # cut-off while the left side's rounding noise stays above the margin.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tasks": ["searches"], "search_p_theorems": [],
+                                "search_alpha_theorems": ["ME1"],
+                                "search_alpha_interval": [100, 100.001]}), encoding="utf-8")
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["tightness", "--config", str(path), "--out", str(out)]) == 0
+    assert caught == [] and "Traceback" not in capsys.readouterr().err
+    (record,) = json.loads(out.read_text(encoding="utf-8"))["searches"]
+    assert record["note"] == RATIO_INFINITE_NOTE
+    assert record["objective"] is None  # JSON has no infinity
+    assert record["converged"] and len(record["parameters"]) == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("intervals", [[0, 10 ** 400]]), ("sin_domain", [0, 10 ** 400]),
+    ("search_p_interval", [-10 ** 400, 1]), ("search_alpha_interval", [1, 10 ** 400]),
+    ("p_grid", [10 ** 400]), ("quad_tol", 10 ** 400)],
+    ids=lambda v: v if isinstance(v, str) else "huge")
+def test_an_integer_beyond_double_range_is_rejected_by_name(tmp_path, capsys, name, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({name: value}), encoding="utf-8")
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: must be ") and len(err.splitlines()) == 1

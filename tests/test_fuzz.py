@@ -38,7 +38,7 @@ FUNCTIONS = ("x^3", "x^4", "x^5", "exp", "sin", "power_family(1)", "nope")
 
 NUMBERS = st.sampled_from([0, 1, 2, 3, 15, 0.5, 1.0000001, 2.0, 1e-300, 5e-324, 1e300,
                            1e308, -1.0, -1e308, math.inf, -math.inf, math.nan,
-                           MAX_QC_GRID, MAX_QC_GRID + 1, 10 ** 18])
+                           MAX_QC_GRID, MAX_QC_GRID + 1, 10 ** 18, 10 ** 400])
 WRONG = st.sampled_from([None, True, "x", [], {}, [1.0], [[0.0, 1.0]], [0.0, "1"]])
 PAIRS = st.lists(NUMBERS, min_size=2, max_size=2) | st.sampled_from(
     [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0], [2.0, 1.0], [0.0, 1e300], [-1e308, 1e308],

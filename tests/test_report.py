@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import report_oracle
 from hhverify import report as report_module
-from hhverify.report import (CSV_COLUMNS, emit, parse_json, render_csv,
+from hhverify.report import (CSV_COLUMNS, emit, render_csv,
                              render_json, render_markdown)
 from hhverify.runner import RunConfig, RunReport, run
 
@@ -40,7 +40,7 @@ def golden_report():
 
 def test_json_round_trips(golden_report):
     text = render_json(golden_report)
-    assert parse_json(text) == golden_report
+    assert json.loads(text) == golden_report
 
 
 def test_json_floats_use_17_significant_digits():
@@ -62,7 +62,7 @@ def test_json_nonfinite_serializes_as_null():
 def test_empty_report_is_valid_json():
     report = RunReport(config=RunConfig(), generated_at="X")
     data = report.to_dict()
-    parsed = parse_json(render_json(data))
+    parsed = json.loads(render_json(data))
     assert parsed["identity_checks"] == []
     assert parsed["summary"]["total"] == 0
 
