@@ -182,10 +182,18 @@ def rhs_bound(tag: str, f: SmoothFunction, interval: Interval,
     """
     spec = theorem_spec(tag)
     exponent = validate_exponent(tag, exponent)
-    scale = interval.width ** spec.width_power / spec.divisor
+    return (rule_scale(spec, interval.width, exponent, spec.divisor)
+            * endpoint_derivative_max(f, interval, spec.derivative_order))
+
+
+def rule_scale(spec: TheoremSpec, width: float, exponent: Optional[float],
+               divisor: float) -> float:
+    """(w^k / divisor) * c(p) of the rule: its right side per unit of Mn.
+    rhs_bound divides by the table's D, the printed applications by theirs."""
+    scale = width ** spec.width_power / divisor
     if spec.factor is not None:
         scale *= spec.factor(exponent)
-    return scale * endpoint_derivative_max(f, interval, spec.derivative_order)
+    return scale
 
 
 def hypothesis_exponent(tag: str, exponent: Optional[float]) -> float:

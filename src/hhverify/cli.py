@@ -17,6 +17,7 @@ import click
 
 from . import __version__
 from .errors import ConfigError, DomainError, ParameterError
+from .numerics import DEFAULT_QUAD_TOL
 from .report import FORMATS, check_pairs, emit
 from .runner import ALL_TASKS, RunConfig, run
 
@@ -75,10 +76,12 @@ def _load_config(path: str | None) -> dict:
 def _build_config(tasks: tuple[str, ...], options: dict) -> RunConfig:
     """The config file, then the command-line options."""
     data = _load_config(options["config_path"])
+    for key in ("tasks", "format", "out"):  # the subcommand, --format and --out set these
+        if key in data:
+            raise ConfigError(f"{key}: set on the command line, not in the config file")
     data["tasks"] = list(tasks)
-    for key, option in (("format", "fmt"), ("out", "out"), ("quad_tol", "tol")):
-        if options[option] is not None:
-            data[key] = options[option]
+    if options["tol"] is not None:
+        data["quad_tol"] = options["tol"]
     for key in ("theorems", "identities"):  # --identities is verify-identity's own
         if options.get(key) is not None:
             data[key] = [t.strip() for t in options[key].split(",") if t.strip()]
@@ -92,12 +95,12 @@ def _build_config(tasks: tuple[str, ...], options: dict) -> RunConfig:
 def _common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="JSON configuration file (keys documented in the README).")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(FORMATS), default=None,
+    fn = click.option("--format", "fmt", type=click.Choice(FORMATS), default="json",
                       help="Output format (default json).")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
                       help="Output path; JSON/markdown print to stdout when omitted.")(fn)
     fn = click.option("--tol", type=float, default=None,
-                      help="Absolute quadrature tolerance (default 1e-10).")(fn)
+                      help=f"Absolute quadrature tolerance (default {DEFAULT_QUAD_TOL:g}).")(fn)
     fn = click.option("--theorems", default=None,
                       help="Comma-separated theorem tags, e.g. ME1,ME4.")(fn)
     fn = click.option("--alpha-grid", default=None,
@@ -111,7 +114,7 @@ def _execute_with(tasks, kwargs) -> int:
     config = _build_config(tasks, kwargs)
     report = run(config)
     data = report.to_dict()
-    rendered = emit(data, config.format, config.out)
+    rendered = emit(data, kwargs["fmt"], kwargs["out"])
     if rendered is not None:
         click.echo(rendered, nl=False)
     summary = data["summary"]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the note of an overflow."""
+
+OVERFLOW_NOTE = "overflow: a side is not a finite double at this instance"
 
 
 class DomainError(ValueError):

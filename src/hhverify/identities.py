@@ -31,7 +31,7 @@ import numpy as np
 
 from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
-from .means import OVERFLOW_NOTE
+from .errors import OVERFLOW_NOTE
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, eval_on_array, integrate, integrate_rows)
@@ -116,9 +116,7 @@ def check_identities(identity_id: str, f: SmoothFunction, intervals: Sequence[In
 
 def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
                    quad_tol: float = DEFAULT_QUAD_TOL,
-                   quad_budget: int = DEFAULT_QUAD_BUDGET,
-                   integral: QuadratureResult | None = None) -> IdentityReport:
+                   quad_budget: int = DEFAULT_QUAD_BUDGET) -> IdentityReport:
     """Check identity L1 or L2 on f over one interval."""
-    return check_identities(identity_id, f, [interval], quad_tol, quad_budget,
-                            None if integral is None else [integral])[0]
+    return check_identities(identity_id, f, [interval], quad_tol, quad_budget)[0]
 

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import (DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
-                     LHS_TRAPEZOID_CORRECTED, THEOREMS, rhs_bound,
+                     LHS_TRAPEZOID_CORRECTED, THEOREMS, rhs_bound, rule_scale,
                      validate_exponent)
 from .corpus import SmoothFunction, make_power_family
-from .errors import DomainError, ParameterError
+from .errors import OVERFLOW_NOTE, DomainError, ParameterError
 # integrate is not called here; perfbench's tracer patches it under this name.
-from .numerics import Interval, beta, integrate
+from .numerics import Interval, integrate
 
 # Bound rule that each application clears into a mean inequality.
 APPLICATION_SOURCE = {"A3_1": "ME1", "A3_2": "ME2", "A3_3": "ME3",
@@ -50,10 +50,13 @@ APPLICATION_VARIANTS = ("paper", "derived")
 
 # Clears the 1/12 or 1/24 of the source defect's derivative correction.
 _CLEARING = {LHS_TRAPEZOID_CORRECTED: 12.0, LHS_MIDPOINT_CORRECTED: 24.0}
+# The divisor printed in each application's right side, in place of the
+# source rule's D; the width power and the factor c(p) are the rule's.
+_PRINTED_DIVISOR = {"A3_1": 60.0, "A3_2": 2.0, "A3_3": 60.0,
+                    "A3_4": 16.0, "A3_5": 8.0, "A3_6": 16.0}
 
 _SPECIAL_CASE_TOL = 1e-12
 REFUTED_NOTE = "printed coefficient refuted at this instance"
-OVERFLOW_NOTE = "overflow: a side is not a finite double at this instance"
 
 
 def arithmetic_mean(a: float, b: float) -> float:
@@ -141,7 +144,7 @@ def application_check(theorem: str, variant: str, a: float, b: float, alpha: flo
         if variant == "derived":
             lhs, rhs = _derived_sides(source, a, b, alpha, exponent, pprod)
         else:
-            lhs, rhs = _paper_sides(theorem, a, b, alpha, exponent, pprod)
+            lhs, rhs = _paper_sides(source, theorem, a, b, alpha, exponent, pprod)
     except OverflowError:
         lhs = rhs = math.nan
 
@@ -178,24 +181,13 @@ def _family_member(alpha: float) -> SmoothFunction:
     return make_power_family(alpha)
 
 
-def _paper_sides(theorem, a, b, alpha, exponent, pprod):
+def _paper_sides(source, theorem, a, b, alpha, exponent, pprod):
     """Printed coefficients, transcribed verbatim: the middle term carries
     (alpha+3)(alpha+4)(alpha+4) on every tag, the midpoint-side left side
-    keeps the leading 12 and the minus sign, and the power-mean max terms
-    collapse to max(a^alpha, b^alpha) since a, b > 0."""
-    w = b - a
-    max_alpha = max(a ** alpha, b ** alpha)
+    keeps the leading 12 and the minus sign, the right side divides by the
+    printed divisor, and the power-mean max terms collapse to
+    max(a^alpha, b^alpha) since a, b > 0."""
     lhs = _trapezoid_side_lhs(a, b, alpha,
                               (alpha + 3.0) * (alpha + 4.0) * (alpha + 4.0))
-    if theorem == "A3_1" or theorem == "A3_3":
-        rhs = (w ** 4 / 60.0) * pprod * max_alpha
-    elif theorem == "A3_2":
-        p = exponent
-        rhs = (w ** 4 / 2.0) * beta(2.0 * p + 1.0, 2.0 * p + 1.0) ** (1.0 / p) \
-            * pprod * max_alpha
-    elif theorem == "A3_4" or theorem == "A3_6":
-        rhs = (w ** 3 / 16.0) * pprod * max_alpha
-    else:
-        p = exponent
-        rhs = (w ** 3 / 8.0) * (1.0 / (p + 1.0)) ** (1.0 / p) * pprod * max_alpha
-    return lhs, rhs
+    scale = rule_scale(source, b - a, exponent, _PRINTED_DIVISOR[theorem])
+    return lhs, scale * pprod * max(a ** alpha, b ** alpha)

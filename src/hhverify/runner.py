@@ -19,19 +19,20 @@ from typing import Optional
 
 from . import __version__
 # integrate, check_identity, certify_hypothesis: uncalled, kept for perfbench's tracer.
-from .bounds import (EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDER, THEOREMS,
-                     check_bound, certify_hypotheses, certify_hypothesis,
+from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDER,
+                     THEOREMS, check_bound, certify_hypotheses, certify_hypothesis,
                      hypothesis_exponent, theorem_spec)
 from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
                      admissible_intervals, builtin_corpus, corpus_by_name)
-from .errors import ConfigError, QuadratureError
+from .errors import OVERFLOW_NOTE, ConfigError, DomainError, QuadratureError
 from .identities import (IDENTITY_IDS, IdentityReport, check_identities,
                          check_identity)
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
-                    OVERFLOW_NOTE, ApplicationVerdict, application_check)
-from .numerics import Interval, integrate, integrate_rows
-from .quasiconvex import MAX_QC_GRID, QuasiConvexityCertificate
-from .report import FORMATS
+                    ApplicationVerdict, application_check)
+from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, integrate,
+                       integrate_rows)
+from .quasiconvex import (DEFAULT_QC_GRID, DEFAULT_QC_TOL, MAX_QC_GRID,
+                          QuasiConvexityCertificate)
 from .search import (EXPONENT_SEARCH_TAGS, SearchResult, best_exponent,
                      worst_case_alpha)
 
@@ -84,7 +85,8 @@ _TYPE_CHECKS = {
 
 @dataclass
 class RunConfig:
-    """Everything a batch run depends on; defaults reproduce the full sweep."""
+    """What a batch run computes from (not where its report goes); defaults
+    reproduce the full sweep."""
 
     tasks: tuple[str, ...] = ALL_TASKS
     corpus: Optional[tuple[str, ...]] = None  # None selects every built-in
@@ -96,12 +98,12 @@ class RunConfig:
     p_grid: tuple[float, ...] = (2.0,)
     q_grid: tuple[float, ...] = (2.0,)
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    quad_tol: float = 1e-10
-    quad_budget: int = 1_000_000
+    quad_tol: float = DEFAULT_QUAD_TOL
+    quad_budget: int = DEFAULT_QUAD_BUDGET
     residual_tol: float = 1e-8
-    margin_tol: float = 1e-9
-    qc_grid: int = 101
-    qc_tol: float = 1e-12
+    margin_tol: float = DEFAULT_MARGIN_TOL
+    qc_grid: int = DEFAULT_QC_GRID
+    qc_tol: float = DEFAULT_QC_TOL
     sin_domain: tuple[float, float] = (DEFAULT_SIN_DOMAIN.a, DEFAULT_SIN_DOMAIN.b)
     search_p_theorems: tuple[str, ...] = EXPONENT_SEARCH_TAGS
     search_p_function: str = "x^4"
@@ -110,8 +112,6 @@ class RunConfig:
     search_alpha_theorems: tuple[str, ...] = ("ME1", "ME4")
     search_alpha_interval: tuple[float, float] = (1.0, 2.0)
     search_alpha_range: tuple[float, float] = (0.01, 1.0)
-    format: str = "json"
-    out: Optional[str] = None
 
     def validate(self) -> None:
         """Raise ConfigError naming the first offending field."""
@@ -159,8 +159,8 @@ class RunConfig:
             if tag not in THEOREMS:
                 raise ConfigError(f"search_alpha_theorems: unknown tag {tag!r}")
         lo, hi = self.search_p_range
-        if not (1.0 < lo < hi):
-            raise ConfigError(f"search_p_range: requires 1 < lo < hi, got ({lo}, {hi})")
+        if not (1.0 < lo < hi < math.inf):
+            raise ConfigError(f"search_p_range: requires finite 1 < lo < hi, got ({lo}, {hi})")
         lo, hi = self.search_alpha_range
         if not (0.0 < lo < hi <= 1.0):
             raise ConfigError(f"search_alpha_range: requires 0 < lo < hi <= 1, got ({lo}, {hi})")
@@ -174,8 +174,6 @@ class RunConfig:
         if not a > 0.0:
             raise ConfigError(f"search_alpha_interval: the power family needs a > 0, "
                               f"got [{a}, {b}]")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format: must be one of {', '.join(FORMATS)}, got {self.format!r}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -371,7 +369,7 @@ def _search_record(search: str, tag: str, function: Optional[str],
                                                                   RATIO_INFINITE_NOTE))))
         elif not math.isfinite(result.objective):
             result = SearchResult(None, (), None, False, OVERFLOW_NOTE)
-    except (QuadratureError, OverflowError) as err:
+    except (QuadratureError, OverflowError, DomainError) as err:
         result = SearchResult(None, (), None, False, _failure_note(err))
     return {
         "kind": "search",

@@ -21,8 +21,7 @@ from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, bound_ratio,
                      rhs_bound, rule_lhs, validate_exponent)
 from .corpus import SmoothFunction, make_power_family
 from .errors import ParameterError
-from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult)
+from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval
 
 EXPONENT_SEARCH_TAGS = tuple(tag for tag, spec in THEOREMS.items()
                              if spec.exponent_kind == EXP_HOLDER_P)
@@ -42,12 +41,11 @@ class SearchResult:
 def tightness_ratio(tag: str, f: SmoothFunction, interval: Interval,
                     exponent: Optional[float] = None,
                     quad_tol: float = DEFAULT_QUAD_TOL,
-                    quad_budget: int = DEFAULT_QUAD_BUDGET,
-                    integral: QuadratureResult | None = None) -> float:
+                    quad_budget: int = DEFAULT_QUAD_BUDGET) -> float:
     """lhs/rhs for one rule instance; 0 when both sides vanish, infinity
     when only the right side does (a refutation signal, not an error)."""
     exponent = validate_exponent(tag, exponent)
-    lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)
+    lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget)
     rhs = rhs_bound(tag, f, interval, exponent)
     return bound_ratio(lhs, rhs, DEFAULT_MARGIN_TOL)
 

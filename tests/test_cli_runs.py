@@ -1,9 +1,13 @@
 """CLI runs: malformed pairs in saved reports, one status count per run,
 an exit code 3 with a mathematical cause, checks that fail by raising
-(quadrature, overflow) recorded as non-converged, an infinite tightness
-ratio recorded as such, and integers beyond double range rejected by name."""
+(quadrature, overflow, an integrand beyond the doubles) recorded as
+non-converged, an infinite tightness ratio recorded as such, integers
+beyond double range rejected by name, settings the command line alone
+makes rejected in a config file, and report bytes that do not depend on
+where the report goes."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -86,6 +90,9 @@ def test_an_exhausted_budget_on_a_wide_interval_exits_three(tmp_path, capsys, co
     ("verify-identity", {"corpus": ["sin"], "sin_domain": [0, 1e300],
                          "intervals": [[0, 1e300]], "quad_budget": 1000},
      "identity_checks", "overflow:"),
+    # worst_case_alpha: the power family's integrand reaches inf near x = 4.3e297
+    ("tightness", {"search_alpha_interval": [1, 1e300], "quad_budget": 1000}, "searches",
+     "integrand returned a non-finite value at x="),
 ])
 def test_a_failing_check_is_a_non_converged_record_not_a_traceback(
         tmp_path, capsys, command, config, section, note):
@@ -117,7 +124,7 @@ def test_an_infinite_tightness_ratio_is_not_an_overflow(tmp_path, capsys):
     # On [100, 100.001] the right side of ME1 falls below the degeneracy
     # cut-off while the left side's rounding noise stays above the margin.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"tasks": ["searches"], "search_p_theorems": [],
+    path.write_text(json.dumps({"search_p_theorems": [],
                                 "search_alpha_theorems": ["ME1"],
                                 "search_alpha_interval": [100, 100.001]}), encoding="utf-8")
     out = tmp_path / "r.json"
@@ -142,3 +149,42 @@ def test_an_integer_beyond_double_range_is_rejected_by_name(tmp_path, capsys, na
     assert main(["scan", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}: must be ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [("tasks", ["bounds"]), ("format", "csv"),
+                                        ("out", "r.json")])
+def test_a_command_line_setting_in_the_config_file_is_rejected_by_name(
+        tmp_path, capsys, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"corpus": ["x^4"], key: value}), encoding="utf-8")
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key}: set on the command line, not in the config file\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_report_has_the_same_bytes_wherever_it_goes(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": ["x^4"], "intervals": [[1.0, 2.0]],
+                                  "theorems": ["ME1"], "applications": ["A3_1"],
+                                  "alpha_grid": [1.0], "qc_grid": 11}), encoding="utf-8")
+    (tmp_path / "b").mkdir()
+    texts = []
+    for out in (None, tmp_path / "a.json", tmp_path / "b" / "c.json"):
+        argv = ["scan", "--config", str(config)] + ([] if out is None else ["--out", str(out)])
+        assert main(argv) == 2  # the printed A3_1 coefficient is refuted
+        text = capsys.readouterr().out if out is None else out.read_text(encoding="utf-8")
+        texts.append(re.sub(r'\n  "generated_at": "[^"]*",', "", text, count=1))
+    assert texts[0] == texts[1] == texts[2]
+    assert '"generated_at"' not in texts[0]
+    config_keys = json.loads(texts[0])["config"]
+    assert "format" not in config_keys and "out" not in config_keys
+
+
+def test_an_infinite_exponent_range_is_rejected_by_name(tmp_path, capsys):
+    # An infinite end left the log-spaced seed grid of best_exponent NaN.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"search_p_range": [1001, float("inf")]}), encoding="utf-8")
+    assert main(["tightness", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: search_p_range: requires finite 1 < lo < hi, got (1001, inf)\n"

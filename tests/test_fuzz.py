@@ -46,8 +46,7 @@ PAIRS = st.lists(NUMBERS, min_size=2, max_size=2) | st.sampled_from(
 NAMES = {"tasks": ALL_TASKS, "corpus": FUNCTIONS, "theorems": THEOREM_ORDER,
          "identities": IDENTITY_IDS, "applications": APPLICATION_TAGS,
          "variants": APPLICATION_VARIANTS, "search_p_theorems": THEOREM_ORDER,
-         "search_alpha_theorems": THEOREM_ORDER, "search_p_function": FUNCTIONS,
-         "format": FORMATS}
+         "search_alpha_theorems": THEOREM_ORDER, "search_p_function": FUNCTIONS}
 
 
 def _valid_or_boundary(name, kind):
@@ -68,9 +67,9 @@ def _valid_or_boundary(name, kind):
     return st.lists(PAIRS, max_size=2)
 
 
-# Field name -> annotation, Optional[...] unwrapped; "out" comes from --out.
+# Field name -> annotation, Optional[...] unwrapped.
 FIELDS = {f.name: f.type[9:-1] if f.type.startswith("Optional[") else f.type
-          for f in fields(RunConfig) if f.name != "out"}
+          for f in fields(RunConfig)}
 
 
 @st.composite
@@ -130,6 +129,8 @@ def test_any_config_ends_in_an_exit_code_and_never_a_traceback(tmp_path_factory,
     grid = data.get("qc_grid")
     if isinstance(grid, int) and not isinstance(grid, bool) and grid > MAX_QC_GRID:
         assert code == 1
+    if "tasks" in data:  # the subcommand alone picks the tasks
+        assert err.startswith("error: tasks: "), err
 
 
 OPTIONS = st.one_of(
