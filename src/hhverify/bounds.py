@@ -5,8 +5,11 @@ Every rule has one shape: the defect of a quadrature rule is bounded by
     |defect(kind)| <= (w^k / D) * c(p) * Mn
 
 with w = b - a and Mn the larger endpoint magnitude of the n-th
-derivative, under the hypothesis that a power of |f^(n)| is
-quasi-convex on the interval.  The three defects are
+derivative, under the hypothesis that |f^(n)|^e is quasi-convex on the
+interval, e being 1, p/(p-1) or q by the rule.  s -> s^e is increasing
+on [0, inf), so that holds exactly when |f^(n)| is quasi-convex: the
+certificate is taken on |f^(n)| and serves every exponent.  The three
+defects are
 
   trapezoid            (f(a)+f(b))/2 - avg(f)
   trapezoid_corrected  (f(a)+f(b))/2 - avg(f) - (w/12)*(f'(b)-f'(a))
@@ -36,7 +39,7 @@ import numpy as np
 from .corpus import SmoothFunction
 from .errors import ParameterError, QuadratureError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, beta, conjugate_exponent, integrate)
+                       QuadratureResult, beta, integrate)
 # check_quasi_convex is not called here; perfbench's tracer patches it under this name.
 from .quasiconvex import (DEFAULT_QC_GRID, DEFAULT_QC_TOL,
                           QuasiConvexityCertificate, check_quasi_convex,
@@ -47,7 +50,7 @@ RATIO_DEGENERATE_TOL = 1e-9
 
 # Exponent parameter kinds.
 EXP_NONE = "none"
-EXP_HOLDER_P = "p"      # requires p > 1; conjugate q = p/(p-1) enters the hypothesis
+EXP_HOLDER_P = "p"      # requires p > 1
 EXP_POWER_Q = "q"       # requires q >= 1
 
 # Defect kinds, the rules' left sides.
@@ -196,42 +199,25 @@ def rule_scale(spec: TheoremSpec, width: float, exponent: Optional[float],
     return scale
 
 
-def hypothesis_exponent(tag: str, exponent: Optional[float]) -> float:
-    """Power e such that the rule's hypothesis is quasi-convexity of
-    |derivative|^e on the interval.
-    """
-    spec = theorem_spec(tag)
-    exponent = validate_exponent(tag, exponent)
-    if spec.exponent_kind == EXP_NONE:
-        return 1.0
-    if spec.exponent_kind == EXP_HOLDER_P:
-        return conjugate_exponent(exponent)
-    return exponent
-
-
-def hypothesis_function(f: SmoothFunction, order: int, power: float) -> Callable:
+def hypothesis_function(f: SmoothFunction, order: int) -> Callable:
     d = f.deriv(order)
-    if power == 1.0:
-        return lambda x: np.abs(d(x))
-    return lambda x: np.abs(d(x)) ** power
+    return lambda x: np.abs(d(x))
 
 
 def certify_hypotheses(tag: str, f: SmoothFunction, intervals: Sequence[Interval],
-                       exponent: Optional[float] = None,
                        qc_grid: int = DEFAULT_QC_GRID,
                        qc_tol: float = DEFAULT_QC_TOL) -> list[QuasiConvexityCertificate]:
     """``certify_hypothesis`` on every interval, in stacked valley checks."""
-    spec = theorem_spec(tag)
-    g = hypothesis_function(f, spec.derivative_order, hypothesis_exponent(tag, exponent))
+    g = hypothesis_function(f, theorem_spec(tag).derivative_order)
     return check_quasi_convex_rows(g, intervals, qc_grid, qc_tol)
 
 
 def certify_hypothesis(tag: str, f: SmoothFunction, interval: Interval,
-                       exponent: Optional[float] = None,
                        qc_grid: int = DEFAULT_QC_GRID,
                        qc_tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
-    """Certificate for quasi-convexity of |derivative|^e, the tag's hypothesis."""
-    return certify_hypotheses(tag, f, [interval], exponent, qc_grid, qc_tol)[0]
+    """Certificate for quasi-convexity of |f^(n)|, n the tag's derivative
+    order; it decides the tag's hypothesis for every exponent."""
+    return certify_hypotheses(tag, f, [interval], qc_grid, qc_tol)[0]
 
 
 def bound_ratio(lhs: float, rhs: float, margin_tol: float = DEFAULT_MARGIN_TOL) -> float:
@@ -267,7 +253,7 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
     lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)
     rhs = rhs_bound(tag, f, interval, exponent)
     if hypothesis is None:
-        hypothesis = certify_hypothesis(tag, f, interval, exponent, qc_grid, qc_tol)
+        hypothesis = certify_hypothesis(tag, f, interval, qc_grid, qc_tol)
     margin = rhs - lhs
     return BoundReport(
         theorem=tag, function=f.name, interval=interval, exponent=exponent,

@@ -18,7 +18,7 @@ import click
 from . import __version__
 from .errors import ConfigError, DomainError, ParameterError
 from .numerics import DEFAULT_QUAD_TOL
-from .report import FORMATS, check_pairs, emit
+from .report import FORMATS, check_destination, check_pairs, emit
 from .runner import ALL_TASKS, RunConfig, run
 
 # Most points --alpha-grid expands to; each alpha adds a corpus member.
@@ -111,6 +111,7 @@ def _common_options(fn):
 
 
 def _execute_with(tasks, kwargs) -> int:
+    check_destination(kwargs["fmt"], kwargs["out"])
     config = _build_config(tasks, kwargs)
     report = run(config)
     data = report.to_dict()

@@ -193,6 +193,15 @@ def _write_text(path: Path, text: str) -> None:
         raise OSError(f"cannot write report to {path}: {err}") from err
 
 
+def check_destination(format: str, path: str | Path | None) -> None:
+    """Raise ValueError if a report cannot be emitted in format to path;
+    the CLI calls it before a run, so a bad destination costs no work."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
+    if format == "csv" and path is None:
+        raise ValueError("csv output requires an output path")
+
+
 def emit(report: dict, format: str, path: str | Path | None) -> str | None:
     """Write the report in the requested format.
 
@@ -200,16 +209,13 @@ def emit(report: dict, format: str, path: str | Path | None) -> str | None:
     prints it); CSV always needs a path because it writes one file per
     record kind, named <stem>_<kind>.csv next to the given path.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
+    check_destination(format, path)
     if format != "csv":
         text = render_json(report) if format == "json" else render_markdown(report)
         if path is None:
             return text
         _write_text(Path(path), text)
         return None
-    if path is None:
-        raise ValueError("csv output requires an output path")
     base = Path(path)
     for key, _, kind in SECTIONS:
         target = base.with_name(f"{base.stem}_{kind}.csv")

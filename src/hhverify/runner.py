@@ -21,7 +21,7 @@ from . import __version__
 # integrate, check_identity, certify_hypothesis: uncalled, kept for perfbench's tracer.
 from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDER,
                      THEOREMS, check_bound, certify_hypotheses, certify_hypothesis,
-                     hypothesis_exponent, theorem_spec)
+                     theorem_spec)
 from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
                      admissible_intervals, builtin_corpus, corpus_by_name)
 from .errors import OVERFLOW_NOTE, ConfigError, DomainError, QuadratureError
@@ -406,6 +406,9 @@ def run(config: RunConfig) -> RunReport:
                 raise ConfigError(
                     f"corpus: unknown function {name!r}; available: {', '.join(by_name)}")
         corpus = [by_name[name] for name in config.corpus]
+    if "searches" in config.tasks and config.search_p_function not in by_name:
+        raise ConfigError(
+            f"search_p_function: unknown function {config.search_p_function!r}")
     grid = [Interval(a, b) for a, b in config.intervals]
 
     report = RunReport(config=config,
@@ -425,18 +428,17 @@ def run(config: RunConfig) -> RunReport:
                     for r in check_identities(ident, f, intervals, config.quad_tol,
                                               config.quad_budget, integrals))
         if "bounds" in config.tasks:
-            hypotheses: dict = {}
+            hypotheses: dict = {}  # by derivative order, whatever the exponent
             for tag in config.theorems:
-                spec = THEOREMS[tag]
+                order = THEOREMS[tag].derivative_order
+                if order not in hypotheses:
+                    hypotheses[order] = certify_hypotheses(
+                        tag, f, intervals, config.qc_grid, config.qc_tol)
                 for exponent in _exponents_for(tag, config):
-                    key = (spec.derivative_order, hypothesis_exponent(tag, exponent))
-                    if key not in hypotheses:
-                        hypotheses[key] = certify_hypotheses(
-                            tag, f, intervals, exponent, config.qc_grid, config.qc_tol)
                     bound_records.extend(
                         _bound_record(tag, f, iv, exponent, config, integral, hypothesis)
                         for iv, integral, hypothesis in zip(intervals, integrals,
-                                                            hypotheses[key]))
+                                                            hypotheses[order]))
 
     report.identity_checks = sorted(
         identity_records, key=lambda r: (r["id"], r["function"], r["interval"]))
@@ -465,10 +467,7 @@ def run(config: RunConfig) -> RunReport:
     if "searches" in config.tasks:
         records = []
         p_interval = Interval(*config.search_p_interval)
-        p_function = by_name.get(config.search_p_function)
-        if p_function is None:
-            raise ConfigError(
-                f"search_p_function: unknown function {config.search_p_function!r}")
+        p_function = by_name[config.search_p_function]
         for tag in config.search_p_theorems:
             records.append(_search_record(
                 "best_exponent", tag, p_function.name, p_interval, config.search_p_range,

@@ -12,7 +12,7 @@ the seed profile is not unimodal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,9 +97,9 @@ def _minimize(fn: Callable[[float], float], seed_grid: np.ndarray,
 
     if _count_local_minima(values) > 1:
         dense = np.linspace(lo, hi, fallback_points)
-        k = int(np.argmin(np.array([fn(p) for p in dense])))
-        best = float(dense[k])
-        return SearchResult(objective=fn(best), parameters=(best,),
+        dense_values = [fn(p) for p in dense]
+        k = int(np.argmin(dense_values))
+        return SearchResult(objective=dense_values[k], parameters=(float(dense[k]),),
                             iterations=len(seed_grid) + fallback_points,
                             converged=True,
                             note="dense-grid fallback (seed profile not unimodal)")
@@ -112,8 +112,8 @@ def _minimize(fn: Callable[[float], float], seed_grid: np.ndarray,
     # boundary; the boundary itself is a valid and possibly better point.
     candidates = [best, lo, hi]
     candidate_values = [fn(c) for c in candidates]
-    best = candidates[int(np.argmin(candidate_values))]
-    return SearchResult(objective=fn(best), parameters=(best,),
+    k = int(np.argmin(candidate_values))
+    return SearchResult(objective=candidate_values[k], parameters=(candidates[k],),
                         iterations=len(seed_grid) + iters + 2, converged=True)
 
 
@@ -160,7 +160,4 @@ def worst_case_alpha(tag: str, interval: Interval,
 
     seed = np.linspace(lo, hi, seed_points)
     result = _minimize(lambda a: -ratio(a), seed, param_tol, fallback_points)
-    best = result.parameters[0]
-    return SearchResult(objective=ratio(best), parameters=(best,),
-                        iterations=result.iterations, converged=result.converged,
-                        note=result.note)
+    return replace(result, objective=-result.objective)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.bounds import (THEOREMS, certify_hypotheses, certify_hypothesis,
-                             hypothesis_exponent, hypothesis_function)
+                             hypothesis_function)
 from hhverify.corpus import builtin_corpus
 from hhverify.errors import DomainError
 from hhverify.identities import IDENTITY_IDS, check_identities, check_identity
@@ -134,13 +134,11 @@ def test_identity_batch_reuses_given_integrals():
        st.sampled_from([3, 5, 11, 21, 51, 101]))
 def test_stacked_certificates_equal_lone_certificates(case, tag, n_grid):
     f, intervals = case
-    exponent = {"none": None, "p": 2.5, "q": 1.5}[THEOREMS[tag].exponent_kind]
-    g = hypothesis_function(f, THEOREMS[tag].derivative_order,
-                            hypothesis_exponent(tag, exponent))
+    g = hypothesis_function(f, THEOREMS[tag].derivative_order)
     lone = [check_quasi_convex(g, iv, n_grid) for iv in intervals]
     assert check_quasi_convex_rows(g, intervals, n_grid) == lone
-    assert certify_hypotheses(tag, f, intervals, exponent, n_grid) == lone
-    assert [certify_hypothesis(tag, f, iv, exponent, n_grid) for iv in intervals] == lone
+    assert certify_hypotheses(tag, f, intervals, n_grid) == lone
+    assert [certify_hypothesis(tag, f, iv, n_grid) for iv in intervals] == lone
 
 
 def _counted(g):
@@ -205,7 +203,7 @@ def test_a_grid_below_three_is_rejected(n_grid):
     with pytest.raises(DomainError, match="grid size"):
         check_quasi_convex_rows(np.abs, [Interval(0.0, 1.0)], n_grid)
     with pytest.raises(DomainError, match="grid size"):
-        certify_hypotheses("T1_2", f, [Interval(0.0, 1.0)], None, n_grid)
+        certify_hypotheses("T1_2", f, [Interval(0.0, 1.0)], n_grid)
 
 
 def test_an_interval_whose_fine_step_underflows_is_a_stack_of_one():
@@ -216,5 +214,5 @@ def test_an_interval_whose_fine_step_underflows_is_a_stack_of_one():
     counted, calls = _counted(np.abs)
     check_quasi_convex_rows(counted, intervals, 11)
     assert calls == [11, 101, 2 * 11, 2 * 101]
-    assert certify_hypotheses("T1_2", CORPUS[0], intervals, None, 11) == \
-        [certify_hypothesis("T1_2", CORPUS[0], iv, None, 11) for iv in intervals]
+    assert certify_hypotheses("T1_2", CORPUS[0], intervals, 11) == \
+        [certify_hypothesis("T1_2", CORPUS[0], iv, 11) for iv in intervals]

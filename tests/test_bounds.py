@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hhverify.bounds import (LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
+from hhverify.bounds import (EXP_NONE, LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
                              LHS_TRAPEZOID_CORRECTED, THEOREM_ORDER, THEOREMS,
-                             check_bound, certify_hypothesis, defect, rhs_bound)
+                             check_bound, certify_hypotheses, certify_hypothesis,
+                             defect, rhs_bound)
 from hhverify.corpus import SmoothFunction, admissible_intervals, builtin_corpus
 from hhverify.errors import ParameterError
 from hhverify.numerics import Interval, integrate
+from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
 from hhverify.runner import DEFAULT_INTERVALS
 
 from conftest import poly_smooth, scaled
@@ -183,7 +185,32 @@ def test_refuted_hypothesis_is_reported_not_raised(corpus):
 
 
 def test_certify_hypothesis_matches_direct_scan(corpus, unit):
-    cert = certify_hypothesis("ME1", corpus["x^5"], unit)
-    assert cert.certified
-    cert = certify_hypothesis("ME2", corpus["x^5"], unit, exponent=2.0)
-    assert cert.certified
+    d4 = corpus["x^5"].deriv(4)
+    direct = check_quasi_convex(lambda x: np.abs(d4(x)), unit)
+    assert direct.certified
+    assert certify_hypothesis("ME1", corpus["x^5"], unit) == direct
+    assert certify_hypothesis("ME2", corpus["x^5"], unit) == direct
+
+
+# Wide sin intervals holding a peak of |sin| (pi/2) or of |cos| (pi), so
+# that every derivative order is refuted somewhere.
+WIDE_SIN_INTERVALS = ((1.0, 4.0), (0.5, 3.5), (2.0, 5.0), (0.2, 6.0))
+
+
+@pytest.mark.parametrize("tag", [tag for tag, spec in THEOREMS.items()
+                                 if spec.exponent_kind != EXP_NONE])
+def test_the_certificate_of_the_derivative_decides_every_power(tag):
+    # s -> s^e is increasing, so |f^(n)|^e and |f^(n)| are quasi-convex
+    # together: the exponent-free certificate must agree with the powered one.
+    grid = [Interval(a, b) for a, b in DEFAULT_INTERVALS + WIDE_SIN_INTERVALS]
+    order = THEOREMS[tag].derivative_order
+    verdicts = set()
+    for f in builtin_corpus(sin_domain=Interval(0.0, 6.3)):
+        intervals = admissible_intervals(f, grid)
+        certs = [c.verdict for c in certify_hypotheses(tag, f, intervals)]
+        verdicts.update(certs)
+        d = f.deriv(order)
+        for e in (1.5, 2.0, 3.0):
+            powered = check_quasi_convex_rows(lambda x: np.abs(d(x)) ** e, intervals)
+            assert certs == [c.verdict for c in powered], (f.name, e)
+    assert verdicts == {"certified", "refuted"}

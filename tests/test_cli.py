@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhverify import cli
 from hhverify.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -166,6 +167,18 @@ def test_csv_output_via_cli(tmp_path):
     assert main(["scan", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
     assert (tmp_path / "r_bound.csv").exists()
     assert (tmp_path / "r_identity.csv").exists()
+
+
+def test_csv_without_out_is_refused_before_the_run(monkeypatch, capsys):
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", never)
+    assert main(["scan", "--format", "csv"]) == 1
+    assert capsys.readouterr().err == "error: csv output requires an output path\n"
+    golden = str(GOLDEN_DIR / "golden.json")
+    assert main(["report", golden, "--format", "csv"]) == 1
+    assert capsys.readouterr().err == "error: csv output requires an output path\n"
 
 
 def test_version_flag():

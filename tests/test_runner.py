@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import poly_smooth
+from hhverify import runner
+from hhverify.bounds import THEOREMS, certify_hypotheses
 from hhverify.errors import ConfigError
 from hhverify.numerics import Interval
 from hhverify.quasiconvex import check_quasi_convex
@@ -43,6 +45,31 @@ def test_unknown_corpus_name_names_field():
     cfg = RunConfig.from_dict({"corpus": ["x^9"]})
     with pytest.raises(ConfigError, match="corpus"):
         run(cfg)
+
+
+def test_an_unknown_search_function_is_refused_before_any_check(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran before the config was refused")
+
+    monkeypatch.setattr(runner, "integrate_rows", no_work)
+    with pytest.raises(ConfigError) as err:
+        run(RunConfig.from_dict({"search_p_function": "nope"}))
+    assert str(err.value) == "search_p_function: unknown function 'nope'"
+
+
+def test_a_default_run_certifies_each_derivative_order_once(monkeypatch):
+    computed = []
+
+    def counting(tag, f, intervals, *args):
+        certs = certify_hypotheses(tag, f, intervals, *args)
+        computed.append((f.name, THEOREMS[tag].derivative_order, len(certs)))
+        return certs
+
+    monkeypatch.setattr(runner, "certify_hypotheses", counting)
+    run(RunConfig(tasks=("bounds",)))
+    assert len({(name, order) for name, order, _ in computed}) == len(computed)
+    # 4 derivative orders x 80 (function, interval) pairs, whatever the exponents.
+    assert sum(n for *_, n in computed) == 320
 
 
 def test_validation_names_offending_field():

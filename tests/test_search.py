@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hhverify import search
 from hhverify.bounds import (RATIO_DEGENERATE_TOL, THEOREM_ORDER, THEOREMS, check_bound,
                              rhs_bound)
 from hhverify.corpus import builtin_corpus, make_power_family
@@ -113,6 +114,24 @@ def test_worst_alpha_objective_reevaluates():
     f = make_power_family(r.parameters[0], domain=Interval(1.0, 2.0))
     again = tightness_ratio("ME1", f, Interval(1.0, 2.0))
     assert abs(r.objective - again) <= 1e-9
+
+
+@pytest.mark.parametrize("tag", ["ME1", "ME4"])
+def test_worst_alpha_evaluates_no_point_after_the_search(monkeypatch, tag):
+    # One ratio per iteration (seed points and golden-section steps) and one
+    # per candidate (the golden-section point and both range ends); the
+    # objective is the best candidate's ratio, not computed once more.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tightness_ratio(*args, **kwargs)
+
+    monkeypatch.setattr(search, "tightness_ratio", counting)
+    r = worst_case_alpha(tag, Interval(1.0, 2.0), (0.01, 1.0))
+    assert len(calls) == r.iterations + 3
+    f = make_power_family(r.parameters[0], domain=Interval(1.0, 2.0))
+    assert r.objective == tightness_ratio(tag, f, Interval(1.0, 2.0))
 
 
 def test_worst_alpha_validation():
