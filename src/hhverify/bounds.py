@@ -22,6 +22,12 @@ q >= 1), the width power k, the divisor D, and the factor c(p), which is
 absent, the Holder root (1/(p+1))^(1/p) or the Beta root
 B(2p+1, 2p+1)^(1/p).  rhs_bound reads the table and nothing else.
 
+The Beta root is computed in log space, exp((2 lgamma(2p+1) -
+lgamma(4p+2)) / p), since B(2p+1, 2p+1) is 0 as a double from p = 268.
+Each factor is the L^p[0,1] norm of its rule's kernel, nondecreasing in
+p, so a p-rule is tightest at its smallest p and never tighter than the
+plain rule of its defect and order, whose constant is the p -> 1 limit.
+
 The q-parameterized right-hand sides are written
 (max{A^q, B^q})^(1/q) in the source inequalities; for A, B >= 0 that
 equals max{A, B}, which is how they are computed here (max first, then
@@ -39,7 +45,7 @@ import numpy as np
 from .corpus import SmoothFunction
 from .errors import ParameterError, QuadratureError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, beta, integrate)
+                       QuadratureResult, integrate)
 # check_quasi_convex is not called here; perfbench's tracer patches it under this name.
 from .quasiconvex import (DEFAULT_QC_GRID, DEFAULT_QC_TOL,
                           QuasiConvexityCertificate, check_quasi_convex,
@@ -64,7 +70,7 @@ def _holder_root(p: float) -> float:
 
 
 def _beta_root(p: float) -> float:
-    return beta(2.0 * p + 1.0, 2.0 * p + 1.0) ** (1.0 / p)
+    return math.exp((2.0 * math.lgamma(2.0 * p + 1.0) - math.lgamma(4.0 * p + 2.0)) / p)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
 """Shared numerical kernels.
 
-Adaptive quadrature with an embedded Gauss/Kronrod rule pair, the Euler
-Beta function evaluated through log-gamma, and Holder conjugate-exponent
-arithmetic.  Everything here is pure and reentrant.
+Adaptive quadrature with an embedded Gauss/Kronrod rule pair, and Holder
+conjugate-exponent arithmetic.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -66,17 +65,6 @@ def conjugate_exponent(p: float) -> float:
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError(f"conjugate exponent requires p > 1, got {p}")
     return p / (p - 1.0)
-
-
-def beta(x: float, y: float) -> float:
-    """Euler Beta function B(x, y) for x, y > 0.
-
-    Computed as exp(lgamma(x) + lgamma(y) - lgamma(x + y)) so that large
-    arguments cannot overflow the intermediate gamma values.
-    """
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"beta requires strictly positive arguments, got ({x}, {y})")
-    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].

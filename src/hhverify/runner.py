@@ -301,6 +301,8 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
             quad_tol=config.quad_tol, quad_budget=config.quad_budget,
             margin_tol=config.margin_tol, qc_grid=config.qc_grid,
             qc_tol=config.qc_tol, integral=integral, hypothesis=hypothesis)
+        if not (math.isfinite(report.lhs) and math.isfinite(report.rhs)):
+            raise OverflowError(OVERFLOW_NOTE)
     except (QuadratureError, OverflowError) as err:
         base.update({
             "lhs": None, "rhs": None, "margin": None, "ratio": None,

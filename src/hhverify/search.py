@@ -4,9 +4,11 @@ tightness_ratio measures how much of a bound is actually used
 (left side over right side, 1 meaning the inequality is attained).
 best_exponent minimizes a Holder-parameterized right-hand side over p,
 and worst_case_alpha maximizes the tightness ratio over the power
-family's parameter.  Both searches run golden-section inside a bracket
-found on a coarse seed grid and fall back to a dense-grid argmin when
-the seed profile is not unimodal.
+family's parameter.  The right side's factor c(p) is nondecreasing in p
+(see bounds), so best_exponent's minimum is the range's left end, found
+by one evaluation.  worst_case_alpha runs golden-section inside a
+bracket found on a coarse seed grid and falls back to a dense-grid
+argmin when the seed profile is not unimodal.
 """
 
 from __future__ import annotations
@@ -109,22 +111,22 @@ def _minimize(fn: Callable[[float], float], seed_grid: np.ndarray,
     bhi = float(seed_grid[min(len(seed_grid) - 1, k + 1)])
     best, iters = _golden_section(fn, blo, bhi, param_tol)
     # An edge minimum leaves golden section within param_tol of the range
-    # boundary; the boundary itself is a valid and possibly better point.
+    # boundary; the boundary itself is a valid and possibly better point,
+    # whose value the seed scan already holds.
     candidates = [best, lo, hi]
-    candidate_values = [fn(c) for c in candidates]
+    candidate_values = [fn(best), float(values[0]), float(values[-1])]
     k = int(np.argmin(candidate_values))
     return SearchResult(objective=candidate_values[k], parameters=(candidates[k],),
                         iterations=len(seed_grid) + iters + 2, converged=True)
 
 
 def best_exponent(tag: str, f: SmoothFunction, interval: Interval,
-                  p_range: tuple[float, float],
-                  param_tol: float = 1e-6, seed_points: int = 33,
-                  fallback_points: int = 200) -> SearchResult:
+                  p_range: tuple[float, float]) -> SearchResult:
     """Minimize the Holder-parameterized right-hand side of the tag over p.
 
-    The seed grid is log-spaced (the objective varies on a log scale near
-    p = 1).  Right-hand sides are closed form, so no quadrature runs.
+    The right side is (w^k / D) c(p) Mn with c(p) nondecreasing in p, so
+    p_range[0] is an exact argmin (also when Mn = 0): one closed-form
+    evaluation, no quadrature.
     """
     if tag not in EXPONENT_SEARCH_TAGS:
         raise ParameterError(
@@ -132,9 +134,8 @@ def best_exponent(tag: str, f: SmoothFunction, interval: Interval,
     lo, hi = float(p_range[0]), float(p_range[1])
     if not (1.0 < lo < hi):
         raise ParameterError(f"p range must satisfy 1 < lo < hi, got ({lo}, {hi})")
-    seed = np.exp(np.linspace(math.log(lo), math.log(hi), seed_points))
-    return _minimize(lambda p: rhs_bound(tag, f, interval, p),
-                     seed, param_tol, fallback_points)
+    return SearchResult(objective=rhs_bound(tag, f, interval, lo), parameters=(lo,),
+                        iterations=1, converged=True)
 
 
 def worst_case_alpha(tag: str, interval: Interval,

@@ -7,6 +7,9 @@ from hhverify.numerics import Interval
 
 _FD_STEP_SCALE = 1e-4
 
+# Each Holder rule and the plain rule of the same defect and order.
+PLAIN_RULE = {"T1_3": "T1_2", "T1_6": "T1_5", "ME2": "ME1", "ME5": "ME4"}
+
 
 def poly_smooth(name, coeffs, domain=None):
     """SmoothFunction for a polynomial given low-to-high coefficients.

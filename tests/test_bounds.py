@@ -1,19 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhverify.bounds import (EXP_NONE, LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
                              LHS_TRAPEZOID_CORRECTED, THEOREM_ORDER, THEOREMS,
                              check_bound, certify_hypotheses, certify_hypothesis,
                              defect, rhs_bound)
-from hhverify.corpus import SmoothFunction, admissible_intervals, builtin_corpus
+from hhverify.corpus import (SmoothFunction, admissible_intervals, builtin_corpus,
+                             corpus_by_name)
 from hhverify.errors import ParameterError
 from hhverify.numerics import Interval, integrate
 from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
 from hhverify.runner import DEFAULT_INTERVALS
 
-from conftest import poly_smooth, scaled
+from conftest import PLAIN_RULE, poly_smooth, scaled
 
 
 def _defect(kind, f, interval):
@@ -53,11 +57,40 @@ def test_rhs_values_on_quartic(corpus, unit):
     assert rhs_bound("T1_6", f, unit, 2.0) == pytest.approx(0.25 / math.sqrt(3.0), rel=1e-15)
     assert rhs_bound("T1_7", f, unit, 2.0) == pytest.approx(1.0 / 8.0, abs=1e-15)
     assert rhs_bound("ME1", f, unit) == pytest.approx(1.0 / 30.0, abs=1e-15)
-    # beta(5,5) = 1/630, so the Holder constant at p=2 is sqrt(1/630).
+    # B(5,5) = 1/630, so the Holder constant at p=2 is sqrt(1/630).
     assert rhs_bound("ME2", f, unit, 2.0) == pytest.approx(math.sqrt(1.0 / 630.0), rel=1e-14)
     assert rhs_bound("ME4", f, unit) == pytest.approx(1.0 / 8.0, abs=1e-15)
     assert rhs_bound("ME5", f, unit, 2.0) == pytest.approx(0.25 / math.sqrt(3.0), rel=1e-14)
     assert rhs_bound("ME5", f, unit, 2.0) == pytest.approx(0.144337567, abs=1e-9)
+
+
+def test_me2_factor_matches_mpmath_from_near_one_to_a_million():
+    # B(2p+1, 2p+1) itself is 0 as a double from p = 268; its p-th root,
+    # computed in log space, keeps full precision.
+    factor = THEOREMS["ME2"].factor
+    ps = [1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3, *np.geomspace(1.01, 1e6, 200).tolist()]
+    with mpmath.workdps(50):
+        for p in ps:
+            mp_p = mpmath.mpf(p)
+            exact = mpmath.beta(2 * mp_p + 1, 2 * mp_p + 1) ** (1 / mp_p)
+            assert abs(factor(p) - exact) <= 1e-13 * exact, p
+
+
+_BY_NAME = corpus_by_name(builtin_corpus())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PLAIN_RULE)), st.sampled_from(["x^4", "x^5", "exp", "sin"]),
+       st.floats(-3.0, 3.0), st.floats(0.01, 3.0),
+       st.floats(1.0 + 1e-9, 1e6), st.floats(1.0 + 1e-9, 1e6))
+def test_p_rules_grow_with_p_and_dominate_their_plain_rule(tag, name, a, w, p1, p2):
+    # c(p) is the L^p[0,1] norm of the rule's kernel, nondecreasing in p,
+    # and the plain rule's constant is its p -> 1 limit.
+    f, iv = _BY_NAME[name], Interval(a, a + w)
+    lo, hi = sorted((p1, p2))
+    at_lo, at_hi = rhs_bound(tag, f, iv, lo), rhs_bound(tag, f, iv, hi)
+    assert at_lo <= at_hi * (1.0 + 1e-14)
+    assert rhs_bound(PLAIN_RULE[tag], f, iv) <= at_lo * (1.0 + 1e-14)
 
 
 def test_exponent_parameter_rules(corpus, unit):

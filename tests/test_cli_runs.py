@@ -81,8 +81,9 @@ def test_an_exhausted_budget_on_a_wide_interval_exits_three(tmp_path, capsys, co
     # worst_case_alpha: the average integral misses a tolerance below rounding
     ("tightness", {"quad_tol": 1e-300, "quad_budget": 15}, "searches",
      "quadrature budget exhausted"),
-    # best_exponent for ME2: the Beta root overflows in log-gamma
-    ("tightness", {"search_p_range": [1.01, 1e308]}, "searches", "overflow:"),
+    # ME2 at p = 1e308: 2p+1 overflows, and the Beta root with it
+    ("verify-bound", {"corpus": ["x^4"], "theorems": ["ME2"], "p_grid": [1e308]},
+     "bound_checks", "overflow:"),
     # best_exponent on x^4: the endpoint derivative 4x^3 overflows
     ("tightness", {"search_p_interval": [0, 1e300]}, "searches", "overflow:"),
     # the identities' scale w^n overflows (the budget only keeps the run short:

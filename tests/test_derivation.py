@@ -1,9 +1,10 @@
 """Symbolic oracle for the derived special-means variant and the rule constants.
 
 sympy derives, without the package's help: the mean form of the cleared
-defects of the power-family member f = x^(alpha+4)/P, and the constants of
-ME1..ME4 and ME6 from the kernels of the identities L1 and L2.  The tests
-compare application_check and the theorem table with those derivations.
+defects of the power-family member f = x^(alpha+4)/P, the constants of
+ME1..ME4 and ME6 from the kernels of the identities L1 and L2, and the
+p -> 1 limits of the four Holder rules.  The tests compare
+application_check and the theorem table with those derivations.
 """
 
 import itertools
@@ -13,6 +14,8 @@ import sympy as sp
 
 from hhverify.bounds import THEOREMS
 from hhverify.means import application_check
+
+from conftest import PLAIN_RULE
 
 x, t = sp.symbols("x t", real=True)
 A, B, ALPHA = sp.symbols("a b alpha", positive=True)
@@ -113,6 +116,32 @@ def test_holder_constant_of_me2_is_the_beta_root(p):
     assert spec.width_power == 4 and spec.divisor == 24.0
     exact = kernel_power ** (1 / p)
     assert spec.factor(float(p)) == pytest.approx(float(sp.N(exact, 30)), rel=1e-13)
+
+
+P = sp.symbols("p", positive=True)
+
+
+def _kernel_norm(tag):
+    """c(p) of a Holder rule: the L^p[0,1] norm of (t(1-t))^2 for ME2, of
+    |1-2t| (twice its integral over [0, 1/2]) for the others."""
+    if tag == "ME2":
+        power = sp.beta(2 * P + 1, 2 * P + 1).rewrite(sp.gamma)
+    else:
+        power = 2 * sp.integrate((1 - 2 * t) ** P, (t, 0, HALF))
+    return power ** (1 / P)
+
+
+@pytest.mark.parametrize("tag", sorted(PLAIN_RULE))
+def test_each_holder_rule_tends_to_its_plain_rule_as_p_decreases_to_one(tag):
+    spec, plain = THEOREMS[tag], THEOREMS[PLAIN_RULE[tag]]
+    assert (spec.derivative_order, spec.lhs_kind, spec.width_power) == (
+        plain.derivative_order, plain.lhs_kind, plain.width_power)
+    norm = _kernel_norm(tag)
+    limit = sp.limit(norm / sp.nsimplify(spec.divisor), P, 1, dir="+")
+    assert limit == 1 / sp.nsimplify(plain.divisor)
+    for p in (sp.Rational(3, 2), sp.Integer(2), sp.Integer(7)):
+        exact = float(sp.N(norm.subs(P, p), 30))
+        assert spec.factor(float(p)) == pytest.approx(exact, rel=1e-13)
 
 
 @pytest.mark.parametrize("tag", sorted(APPLICATIONS))

@@ -4,12 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.errors import DomainError
-from hhverify.numerics import Interval, beta, conjugate_exponent, integrate
+from hhverify.numerics import Interval, conjugate_exponent, integrate
 
 
 def test_interval_rejects_degenerate_and_nonfinite():
@@ -120,40 +119,6 @@ def test_error_estimate_bounds_true_error():
         r = integrate(f, iv)
         assert r.converged
         assert abs(r.value - truth) <= max(r.error_estimate, 5e-15)
-
-
-def test_beta_trivial_and_derived_values():
-    assert beta(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    # beta(3,3) equals the quartic kernel integral.
-    kernel = integrate(lambda t: (t * (1.0 - t)) ** 2, Interval(0.0, 1.0))
-    assert abs(beta(3.0, 3.0) - kernel.value) <= 1e-14
-    # beta(5,5) = 4!^2 / 9! = 576 / 362880.
-    assert abs(beta(5.0, 5.0) - 576.0 / 362880.0) <= 1e-16
-    assert abs(beta(5.0, 5.0) - 1.0 / 630.0) <= 1e-16
-
-
-def test_beta_agrees_with_scipy():
-    for x, y in [(0.5, 0.5), (2.0, 7.0), (11.0, 11.0), (3.5, 0.25)]:
-        assert beta(x, y) == pytest.approx(float(scipy.special.beta(x, y)), rel=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(0.01, 50.0), st.floats(0.01, 50.0))
-def test_beta_is_symmetric(x, y):
-    assert beta(x, y) == beta(y, x)
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 5.0])
-def test_beta_matches_kernel_power_integral(p):
-    r = integrate(lambda t: (t * (1.0 - t)) ** (2.0 * p), Interval(0.0, 1.0))
-    assert r.converged
-    assert abs(beta(2.0 * p + 1.0, 2.0 * p + 1.0) - r.value) <= 1e-10
-
-
-def test_beta_rejects_nonpositive_arguments():
-    for x, y in [(0.0, 1.0), (1.0, -2.0), (-1.0, -1.0)]:
-        with pytest.raises(DomainError):
-            beta(x, y)
 
 
 def test_conjugate_exponent_values():

@@ -72,6 +72,17 @@ def test_a_default_run_certifies_each_derivative_order_once(monkeypatch):
     assert sum(n for *_, n in computed) == 320
 
 
+def test_me2_passes_at_a_holder_exponent_beyond_the_beta_underflow():
+    # B(601, 601) is 0 as a double; the factor B(601, 601)^(1/300) is 0.0618.
+    cfg = RunConfig.from_dict({"tasks": ["bounds"], "corpus": ["x^4"],
+                               "intervals": [[0.0, 1.0]], "theorems": ["ME2"],
+                               "p_grid": [2, 300]})
+    records = run(cfg).bound_checks
+    assert [r["exponent"] for r in records] == [2.0, 300.0]
+    assert [r["status"] for r in records] == ["pass", "pass"]
+    assert records[1]["rhs"] == pytest.approx(0.0618, abs=1e-4)
+
+
 def test_validation_names_offending_field():
     with pytest.raises(ConfigError, match="theorems"):
         RunConfig.from_dict({"theorems": []})

@@ -11,7 +11,8 @@ from hhverify.bounds import (RATIO_DEGENERATE_TOL, THEOREM_ORDER, THEOREMS, chec
 from hhverify.corpus import builtin_corpus, make_power_family
 from hhverify.errors import ParameterError
 from hhverify.numerics import Interval
-from hhverify.search import best_exponent, tightness_ratio, worst_case_alpha
+from hhverify.search import (EXPONENT_SEARCH_TAGS, best_exponent, tightness_ratio,
+                             worst_case_alpha)
 
 from conftest import poly_smooth, reflected, scaled
 
@@ -71,12 +72,45 @@ def test_best_exponent_objective_reevaluates(corpus, unit):
     assert abs(r.objective - again) <= 1e-9
 
 
-def test_best_exponent_degenerate_returns_midpoint():
+def test_best_exponent_degenerate_is_zero_at_the_left_end():
+    # Mn = 0 makes every p an argmin; the left end is reported, with no note.
     quadratic = poly_smooth("x^2", [0, 0, 1])
     r = best_exponent("ME5", quadratic, Interval(0.0, 1.0), (1.01, 50.0))
-    assert r.objective == 0.0
-    assert r.parameters[0] == pytest.approx(0.5 * (1.01 + 50.0), abs=1e-12)
-    assert "degenerate" in r.note
+    assert (r.objective, r.parameters, r.note) == (0.0, (1.01,), "")
+
+
+@pytest.mark.parametrize("tag", EXPONENT_SEARCH_TAGS)
+@pytest.mark.parametrize("name, interval", [("x^4", Interval(0.0, 1.0)),
+                                            ("exp", Interval(-1.0, 2.5)),
+                                            ("sin", Interval(0.3, 2.0))])
+def test_best_exponent_is_the_minimum_over_a_dense_grid(corpus, tag, name, interval):
+    f = corpus[name]
+    r = best_exponent(tag, f, interval, (1.01, 1000.0))
+    values = [rhs_bound(tag, f, interval, float(p)) for p in np.geomspace(1.01, 1000.0, 2000)]
+    assert r.parameters == (1.01,)
+    assert r.objective == pytest.approx(min(values), rel=1e-14)
+
+
+def test_best_exponent_me2_over_a_wide_range_keeps_a_positive_objective(corpus, unit):
+    # B(2p+1, 2p+1) is 0 as a double from p = 268; a search that evaluated it
+    # there found objective 0 at p = 267.57.
+    r = best_exponent("ME2", corpus["x^4"], unit, (1.01, 1000.0))
+    assert r.parameters == (1.01,)
+    assert r.objective > 0.0
+    assert r.objective == rhs_bound("ME2", corpus["x^4"], unit, 1.01)
+
+
+@pytest.mark.parametrize("tag", EXPONENT_SEARCH_TAGS)
+def test_best_exponent_evaluates_the_right_side_once(monkeypatch, corpus, unit, tag):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rhs_bound(*args, **kwargs)
+
+    monkeypatch.setattr(search, "rhs_bound", counting)
+    r = best_exponent(tag, corpus["x^4"], unit, (1.01, 50.0))
+    assert len(calls) == r.iterations == 1
 
 
 def test_best_exponent_validation(corpus, unit):
@@ -119,8 +153,8 @@ def test_worst_alpha_objective_reevaluates():
 @pytest.mark.parametrize("tag", ["ME1", "ME4"])
 def test_worst_alpha_evaluates_no_point_after_the_search(monkeypatch, tag):
     # One ratio per iteration (seed points and golden-section steps) and one
-    # per candidate (the golden-section point and both range ends); the
-    # objective is the best candidate's ratio, not computed once more.
+    # for the golden-section point; the range ends reuse their seed values,
+    # and the objective is the best candidate's ratio, not computed once more.
     calls = []
 
     def counting(*args, **kwargs):
@@ -129,7 +163,7 @@ def test_worst_alpha_evaluates_no_point_after_the_search(monkeypatch, tag):
 
     monkeypatch.setattr(search, "tightness_ratio", counting)
     r = worst_case_alpha(tag, Interval(1.0, 2.0), (0.01, 1.0))
-    assert len(calls) == r.iterations + 3
+    assert len(calls) == r.iterations + 1
     f = make_power_family(r.parameters[0], domain=Interval(1.0, 2.0))
     assert r.objective == tightness_ratio(tag, f, Interval(1.0, 2.0))
 
