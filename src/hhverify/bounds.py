@@ -8,8 +8,9 @@ with w = b - a and Mn the larger endpoint magnitude of the n-th
 derivative, under the hypothesis that |f^(n)|^e is quasi-convex on the
 interval, e being 1, p/(p-1) or q by the rule.  s -> s^e is increasing
 on [0, inf), so that holds exactly when |f^(n)| is quasi-convex: the
-certificate is taken on |f^(n)| and serves every exponent.  The three
-defects are
+certificate is taken on |f^(n)| and serves every exponent, exactly: it is
+the valley test on the interval's ends and the turning points f supplies.
+The three defects are
 
   trapezoid            (f(a)+f(b))/2 - avg(f)
   trapezoid_corrected  (f(a)+f(b))/2 - avg(f) - (w/12)*(f'(b)-f'(a))
@@ -47,9 +48,8 @@ from .errors import ParameterError, QuadratureError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, integrate)
 # check_quasi_convex is not called here; perfbench's tracer patches it under this name.
-from .quasiconvex import (DEFAULT_QC_GRID, DEFAULT_QC_TOL,
-                          QuasiConvexityCertificate, check_quasi_convex,
-                          check_quasi_convex_rows)
+from .quasiconvex import (DEFAULT_QC_TOL, QuasiConvexityCertificate,
+                          check_quasi_convex, check_quasi_convex_rows)
 
 DEFAULT_MARGIN_TOL = 1e-9
 RATIO_DEGENERATE_TOL = 1e-9
@@ -211,19 +211,18 @@ def hypothesis_function(f: SmoothFunction, order: int) -> Callable:
 
 
 def certify_hypotheses(tag: str, f: SmoothFunction, intervals: Sequence[Interval],
-                       qc_grid: int = DEFAULT_QC_GRID,
                        qc_tol: float = DEFAULT_QC_TOL) -> list[QuasiConvexityCertificate]:
-    """``certify_hypothesis`` on every interval, in stacked valley checks."""
-    g = hypothesis_function(f, theorem_spec(tag).derivative_order)
-    return check_quasi_convex_rows(g, intervals, qc_grid, qc_tol)
+    """``certify_hypothesis`` on every interval, in one valley check of all rows."""
+    order = theorem_spec(tag).derivative_order
+    points = [f.turning_points(order, iv.a, iv.b) for iv in intervals]
+    return check_quasi_convex_rows(hypothesis_function(f, order), intervals, points, qc_tol)
 
 
 def certify_hypothesis(tag: str, f: SmoothFunction, interval: Interval,
-                       qc_grid: int = DEFAULT_QC_GRID,
                        qc_tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
     """Certificate for quasi-convexity of |f^(n)|, n the tag's derivative
     order; it decides the tag's hypothesis for every exponent."""
-    return certify_hypotheses(tag, f, [interval], qc_grid, qc_tol)[0]
+    return certify_hypotheses(tag, f, [interval], qc_tol)[0]
 
 
 def bound_ratio(lhs: float, rhs: float, margin_tol: float = DEFAULT_MARGIN_TOL) -> float:
@@ -244,7 +243,6 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
                 quad_tol: float = DEFAULT_QUAD_TOL,
                 quad_budget: int = DEFAULT_QUAD_BUDGET,
                 margin_tol: float = DEFAULT_MARGIN_TOL,
-                qc_grid: int = DEFAULT_QC_GRID,
                 qc_tol: float = DEFAULT_QC_TOL,
                 integral: QuadratureResult | None = None,
                 hypothesis: QuasiConvexityCertificate | None = None) -> BoundReport:
@@ -259,7 +257,7 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
     lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)
     rhs = rhs_bound(tag, f, interval, exponent)
     if hypothesis is None:
-        hypothesis = certify_hypothesis(tag, f, interval, qc_grid, qc_tol)
+        hypothesis = certify_hypothesis(tag, f, interval, qc_tol)
     margin = rhs - lhs
     return BoundReport(
         theorem=tag, function=f.name, interval=interval, exponent=exponent,

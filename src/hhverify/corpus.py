@@ -4,11 +4,13 @@ A SmoothFunction bundles an evaluator with analytically supplied
 derivatives of orders 1 through 4; derivatives are never obtained by
 automatic differentiation, so endpoint derivative magnitudes entering the
 bounds carry no extra error source.  Evaluators accept scalars and numpy
-arrays alike.
+arrays alike.  Each function also knows where the magnitude of each
+derivative turns, which makes its quasi-convexity certificates exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,16 +21,23 @@ from .numerics import Interval
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0)
 DEFAULT_SIN_DOMAIN = Interval(0.2, 1.3)
+_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """An evaluator plus exact derivatives of orders 1..4 on a domain."""
+    """An evaluator plus exact derivatives of orders 1..4 on a domain.
+
+    ``turning_points(k, a, b)`` gives the zeros of f^(k) and f^(k+1) inside
+    (a, b), ascending, between which |f^(k)| is monotone: the first four
+    of sin's, since four multiples of pi/2 hold a zero-peak-zero hump, the
+    largest violation of quasi-convexity there can be."""
 
     name: str
     domain: Interval
     func: Callable
     derivs: tuple[Callable, Callable, Callable, Callable]
+    turning_points: Callable[[int, float, float], tuple[float, ...]]
 
     def __call__(self, x):
         return self.func(x)
@@ -40,6 +49,25 @@ class SmoothFunction:
         if not 1 <= k <= 4:
             raise DomainError(f"derivative order must be in 0..4, got {k}")
         return self.derivs[k - 1]
+
+
+def no_turning_points(k: int, a: float, b: float) -> tuple[float, ...]:
+    """exp and the power family: every |f^(k)| is monotone on the domain."""
+    return ()
+
+
+def _monomial_turning_points(n: int) -> Callable[[int, float, float], tuple[float, ...]]:
+    """x^n: f^(k) is c*x^(n-k), whose magnitude turns only at 0, and only for k < n."""
+    return lambda k, a, b: (0.0,) if k < n and a < 0.0 < b else ()
+
+
+def _sin_turning_points(k: int, a: float, b: float) -> tuple[float, ...]:
+    """sin: each f^(k) is +-sin or +-cos; together they vanish on the multiples
+    of pi/2.  Their offsets from a come from a's angle, which sin and cos
+    reduce exactly, so where doubles are too coarse to hold the points they
+    repeat or land on an end."""
+    first = _HALF_PI - math.atan2(math.sin(a), math.cos(a)) % _HALF_PI
+    return tuple(a + d for d in (first + j * _HALF_PI for j in range(4)) if d < b - a)
 
 
 def make_power_family(alpha: float, domain: Interval | None = None) -> SmoothFunction:
@@ -68,6 +96,7 @@ def make_power_family(alpha: float, domain: Interval | None = None) -> SmoothFun
             lambda x, a=alpha, c=c3: np.power(x, a + 1.0) / c,
             lambda x, a=alpha: np.power(x, a),
         ),
+        turning_points=no_turning_points,
     )
 
 
@@ -88,27 +117,32 @@ def builtin_corpus(alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
             func=lambda x: x ** 3,
             derivs=(lambda x: 3.0 * x ** 2, lambda x: 6.0 * x,
                     lambda x: 6.0 + 0.0 * x, _zero),
+            turning_points=_monomial_turning_points(3),
         ),
         SmoothFunction(
             name="x^4", domain=wide,
             func=lambda x: x ** 4,
             derivs=(lambda x: 4.0 * x ** 3, lambda x: 12.0 * x ** 2,
                     lambda x: 24.0 * x, lambda x: 24.0 + 0.0 * x),
+            turning_points=_monomial_turning_points(4),
         ),
         SmoothFunction(
             name="x^5", domain=wide,
             func=lambda x: x ** 5,
             derivs=(lambda x: 5.0 * x ** 4, lambda x: 20.0 * x ** 3,
                     lambda x: 60.0 * x ** 2, lambda x: 120.0 * x),
+            turning_points=_monomial_turning_points(5),
         ),
         SmoothFunction(
             name="exp", domain=Interval(-6.0, 6.0),
             func=np.exp, derivs=(np.exp, np.exp, np.exp, np.exp),
+            turning_points=no_turning_points,
         ),
         SmoothFunction(
             name="sin", domain=sin_domain,
             func=np.sin,
             derivs=(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin),
+            turning_points=_sin_turning_points,
         ),
     ]
     for alpha in alpha_grid:

@@ -31,8 +31,7 @@ from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
                     ApplicationVerdict, application_check)
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, integrate,
                        integrate_rows)
-from .quasiconvex import (DEFAULT_QC_GRID, DEFAULT_QC_TOL, MAX_QC_GRID,
-                          QuasiConvexityCertificate)
+from .quasiconvex import DEFAULT_QC_TOL, QuasiConvexityCertificate
 from .search import (EXPONENT_SEARCH_TAGS, SearchResult, best_exponent,
                      worst_case_alpha)
 
@@ -50,6 +49,8 @@ STATUS_REFUTED = "refuted_hypothesis"
 STATUS_NON_CONVERGED = "non_converged"
 STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_REFUTED, STATUS_NON_CONVERGED)
 RATIO_INFINITE_NOTE = "ratio infinite: the right side vanishes against a positive left side"
+UNRESOLVED_NOTE = "hypothesis: no verdict, turning points not distinct doubles inside the interval"
+MAX_QC_GRID = 1001
 
 
 def _is_number(value) -> bool:
@@ -102,7 +103,7 @@ class RunConfig:
     quad_budget: int = DEFAULT_QUAD_BUDGET
     residual_tol: float = 1e-8
     margin_tol: float = DEFAULT_MARGIN_TOL
-    qc_grid: int = DEFAULT_QC_GRID
+    qc_grid: int = 101  # reaches no certificate; accepted so that config files naming it run
     qc_tol: float = DEFAULT_QC_TOL
     sin_domain: tuple[float, float] = (DEFAULT_SIN_DOMAIN.a, DEFAULT_SIN_DOMAIN.b)
     search_p_theorems: tuple[str, ...] = EXPONENT_SEARCH_TAGS
@@ -299,8 +300,8 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
         report = check_bound(
             tag, f, interval, exponent,
             quad_tol=config.quad_tol, quad_budget=config.quad_budget,
-            margin_tol=config.margin_tol, qc_grid=config.qc_grid,
-            qc_tol=config.qc_tol, integral=integral, hypothesis=hypothesis)
+            margin_tol=config.margin_tol, qc_tol=config.qc_tol,
+            integral=integral, hypothesis=hypothesis)
         if not (math.isfinite(report.lhs) and math.isfinite(report.rhs)):
             raise OverflowError(OVERFLOW_NOTE)
     except (QuadratureError, OverflowError) as err:
@@ -310,11 +311,11 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
             "status": STATUS_NON_CONVERGED, "note": _failure_note(err),
         })
         return base
-    note = ""
-    if report.hypothesis.verdict == "non_finite":
+    # A certificate without a verdict makes the record non-converged, with a note why.
+    note = {"non_finite": f"hypothesis: non-finite sample at x={report.hypothesis.bad_abscissa!r}",
+            "unresolved": UNRESOLVED_NOTE}.get(report.hypothesis.verdict, "")
+    if note:
         status = STATUS_NON_CONVERGED
-        note = (f"hypothesis: non-finite sample at "
-                f"x={report.hypothesis.bad_abscissa!r}")
     elif not report.hypothesis.certified:
         status = STATUS_REFUTED
     elif report.passed:
@@ -434,8 +435,7 @@ def run(config: RunConfig) -> RunReport:
             for tag in config.theorems:
                 order = THEOREMS[tag].derivative_order
                 if order not in hypotheses:
-                    hypotheses[order] = certify_hypotheses(
-                        tag, f, intervals, config.qc_grid, config.qc_tol)
+                    hypotheses[order] = certify_hypotheses(tag, f, intervals, config.qc_tol)
                 for exponent in _exponents_for(tag, config):
                     bound_records.extend(
                         _bound_record(tag, f, iv, exponent, config, integral, hypothesis)

@@ -14,7 +14,7 @@ argmin when the seed profile is not unimodal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +29,10 @@ EXPONENT_SEARCH_TAGS = tuple(tag for tag, spec in THEOREMS.items()
                              if spec.exponent_kind == EXP_HOLDER_P)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DEGENERATE_OBJECTIVE = 1e-14
+# worst_case_alpha's seed grid, its dense fallback grid and its golden-section tolerance.
+_SEED_POINTS = 33
+_FALLBACK_POINTS = 200
+_PARAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,43 +87,6 @@ def _count_local_minima(values: np.ndarray) -> int:
     return (switches + (1 if signs[0] > 0 else 0)) or 1
 
 
-def _minimize(fn: Callable[[float], float], seed_grid: np.ndarray,
-              param_tol: float, fallback_points: int) -> SearchResult:
-    """Seed-grid scan, degeneracy shortcut, golden section in the bracket
-    around the seed argmin, dense-grid fallback if the seed profile shows
-    more than one local minimum."""
-    values = np.array([fn(p) for p in seed_grid])
-    lo, hi = float(seed_grid[0]), float(seed_grid[-1])
-
-    if float(np.max(np.abs(values))) <= _DEGENERATE_OBJECTIVE:
-        mid = 0.5 * (lo + hi)
-        return SearchResult(objective=fn(mid), parameters=(mid,),
-                            iterations=len(seed_grid), converged=True,
-                            note="degenerate objective (identically zero)")
-
-    if _count_local_minima(values) > 1:
-        dense = np.linspace(lo, hi, fallback_points)
-        dense_values = [fn(p) for p in dense]
-        k = int(np.argmin(dense_values))
-        return SearchResult(objective=dense_values[k], parameters=(float(dense[k]),),
-                            iterations=len(seed_grid) + fallback_points,
-                            converged=True,
-                            note="dense-grid fallback (seed profile not unimodal)")
-
-    k = int(np.argmin(values))
-    blo = float(seed_grid[max(0, k - 1)])
-    bhi = float(seed_grid[min(len(seed_grid) - 1, k + 1)])
-    best, iters = _golden_section(fn, blo, bhi, param_tol)
-    # An edge minimum leaves golden section within param_tol of the range
-    # boundary; the boundary itself is a valid and possibly better point,
-    # whose value the seed scan already holds.
-    candidates = [best, lo, hi]
-    candidate_values = [fn(best), float(values[0]), float(values[-1])]
-    k = int(np.argmin(candidate_values))
-    return SearchResult(objective=candidate_values[k], parameters=(candidates[k],),
-                        iterations=len(seed_grid) + iters + 2, converged=True)
-
-
 def best_exponent(tag: str, f: SmoothFunction, interval: Interval,
                   p_range: tuple[float, float]) -> SearchResult:
     """Minimize the Holder-parameterized right-hand side of the tag over p.
@@ -142,9 +109,7 @@ def worst_case_alpha(tag: str, interval: Interval,
                      alpha_range: tuple[float, float],
                      exponent: Optional[float] = None,
                      quad_tol: float = DEFAULT_QUAD_TOL,
-                     quad_budget: int = DEFAULT_QUAD_BUDGET,
-                     param_tol: float = 1e-6, seed_points: int = 33,
-                     fallback_points: int = 200) -> SearchResult:
+                     quad_budget: int = DEFAULT_QUAD_BUDGET) -> SearchResult:
     """Maximize the tightness ratio of the tag over the power family's
     parameter on a strictly positive interval."""
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
@@ -155,10 +120,32 @@ def worst_case_alpha(tag: str, interval: Interval,
             f"alpha search needs a strictly positive interval, got [{interval.a}, {interval.b}]")
     validate_exponent(tag, exponent)
 
-    def ratio(alpha: float) -> float:
+    def neg_ratio(alpha: float) -> float:
         f = make_power_family(alpha, domain=interval)
-        return tightness_ratio(tag, f, interval, exponent, quad_tol, quad_budget)
+        return -tightness_ratio(tag, f, interval, exponent, quad_tol, quad_budget)
 
-    seed = np.linspace(lo, hi, seed_points)
-    result = _minimize(lambda a: -ratio(a), seed, param_tol, fallback_points)
-    return replace(result, objective=-result.objective)
+    seed = np.linspace(lo, hi, _SEED_POINTS)
+    values = np.array([neg_ratio(a) for a in seed])
+    if float(np.max(np.abs(values))) <= _DEGENERATE_OBJECTIVE:
+        mid = 0.5 * (lo + hi)
+        return SearchResult(objective=-neg_ratio(mid), parameters=(mid,),
+                            iterations=_SEED_POINTS, converged=True,
+                            note="degenerate objective (identically zero)")
+    if _count_local_minima(values) > 1:
+        dense = np.linspace(lo, hi, _FALLBACK_POINTS)
+        dense_values = [neg_ratio(a) for a in dense]
+        k = int(np.argmin(dense_values))
+        return SearchResult(objective=-dense_values[k], parameters=(float(dense[k]),),
+                            iterations=_SEED_POINTS + _FALLBACK_POINTS, converged=True,
+                            note="dense-grid fallback (seed profile not unimodal)")
+    k = int(np.argmin(values))
+    best, iters = _golden_section(neg_ratio, float(seed[max(0, k - 1)]),
+                                  float(seed[min(_SEED_POINTS - 1, k + 1)]), _PARAM_TOL)
+    # An edge maximum leaves golden section within _PARAM_TOL of the range
+    # boundary; the boundary itself is a valid and possibly better point,
+    # whose value the seed scan already holds.
+    candidates = [best, lo, hi]
+    candidate_values = [neg_ratio(best), float(values[0]), float(values[-1])]
+    k = int(np.argmin(candidate_values))
+    return SearchResult(objective=-candidate_values[k], parameters=(candidates[k],),
+                        iterations=_SEED_POINTS + iters + 2, converged=True)

@@ -15,16 +15,25 @@ def poly_smooth(name, coeffs, domain=None):
     """SmoothFunction for a polynomial given low-to-high coefficients.
 
     The derivative chain comes from numpy's Polynomial.deriv, which is
-    exact for the integer/rational coefficients used in tests.
+    exact for the integer/rational coefficients used in tests.  The turning
+    points are the real parts of all roots of p^(k) and p^(k+1): numpy may
+    split a multiple real root into a complex pair, and a point too many
+    keeps |p^(k)| monotone between the points.
     """
     p = np.polynomial.Polynomial(coeffs)
     derivs = tuple(p.deriv(k) for k in range(1, 5))
+
+    def turning_points(k, a, b):
+        roots = np.concatenate([p.deriv(k).roots(), p.deriv(k + 1).roots()]).real
+        return tuple(sorted({float(r) for r in roots if a < r < b}))
+
     return SmoothFunction(name=name, domain=domain or Interval(-10.0, 10.0),
-                          func=p, derivs=derivs)
+                          func=p, derivs=derivs, turning_points=turning_points)
 
 
 def reflected(f, interval):
-    """g(x) = f(a + b - x) with the matching derivative chain."""
+    """g(x) = f(a + b - x) with the matching derivative chain; its turning
+    points mirror those of f (the last four of f's, if f has more)."""
     s = interval.a + interval.b
     return SmoothFunction(
         name=f"reflect({f.name})",
@@ -34,6 +43,8 @@ def reflected(f, interval):
             (lambda x, g=d, sign=(-1.0) ** k: sign * g(s - x))
             for k, d in enumerate(f.derivs, start=1)
         ),
+        turning_points=lambda k, a, b: tuple(sorted(s - p for p in
+                                                    f.turning_points(k, s - b, s - a))),
     )
 
 
@@ -46,6 +57,7 @@ def scaled(f, c):
         derivs=tuple(
             (lambda x, g=d: c * g(x)) for d in f.derivs
         ),
+        turning_points=f.turning_points,
     )
 
 

@@ -172,7 +172,7 @@ def test_criterion_8_discrepancy_detection():
 
 def test_criterion_9_quasiconvexity_certifier(corpus, bounds_report):
     certifies = all(
-        check_quasi_convex(lambda x, a=alpha: np.abs(x) ** a, iv).certified
+        check_quasi_convex(lambda x, a=alpha: np.abs(x) ** a, iv, ()).certified
         for alpha in (0.25, 0.5, 1.0)
         for iv in (Interval(0.1, 4.0), Interval(1.0, 2.0), Interval(0.25, 3.0)))
     midpoint_rules = [r for r in bounds_report.bound_checks
@@ -180,7 +180,7 @@ def test_criterion_9_quasiconvexity_certifier(corpus, bounds_report):
     third_deriv_ok = (midpoint_rules
                       and all(r["hypothesis"]["verdict"] == "certified"
                               for r in midpoint_rules))
-    cert = check_quasi_convex(np.sin, Interval(0.0, math.pi))
+    cert = check_quasi_convex(np.sin, Interval(0.0, math.pi), (math.pi / 2,))
     w = cert.counterexample
     refutes = cert.verdict == "refuted" and w is not None
     if refutes:

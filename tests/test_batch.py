@@ -1,23 +1,21 @@
 """Differential tests: every batched row equals the same check run alone.
 
 The runner evaluates the first quadrature panel of all intervals of one
-function in one call, and stacks the small certificate grids of all
-intervals of one hypothesis.  Each row of such a batch must be bit for bit
-what ``integrate``, ``check_identity`` and ``check_quasi_convex`` give on
-that row alone, certificates field for field, witnesses included.
+function in one call, and the ends and turning points of all intervals of
+one hypothesis in one call each.  Each row of such a batch must be bit for
+bit what ``integrate``, ``check_identity`` and ``check_quasi_convex`` give
+on that row alone, certificates field for field, witnesses included.
 """
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.bounds import (THEOREMS, certify_hypotheses, certify_hypothesis,
                              hypothesis_function)
-from hhverify.corpus import builtin_corpus
-from hhverify.errors import DomainError
+from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.identities import IDENTITY_IDS, check_identities, check_identity
 from hhverify.numerics import Interval, integrate, integrate_rows
 from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
@@ -130,89 +128,35 @@ def test_identity_batch_reuses_given_integrals():
 
 
 @settings(max_examples=60, deadline=None)
-@given(function_and_intervals(max_size=14), st.sampled_from(sorted(THEOREMS)),
-       st.sampled_from([3, 5, 11, 21, 51, 101]))
-def test_stacked_certificates_equal_lone_certificates(case, tag, n_grid):
+@given(function_and_intervals(max_size=14), st.sampled_from(sorted(THEOREMS)))
+def test_certificate_rows_equal_lone_certificates(case, tag):
     f, intervals = case
-    g = hypothesis_function(f, THEOREMS[tag].derivative_order)
-    lone = [check_quasi_convex(g, iv, n_grid) for iv in intervals]
-    assert check_quasi_convex_rows(g, intervals, n_grid) == lone
-    assert certify_hypotheses(tag, f, intervals, n_grid) == lone
-    assert [certify_hypothesis(tag, f, iv, n_grid) for iv in intervals] == lone
+    order = THEOREMS[tag].derivative_order
+    g = hypothesis_function(f, order)
+    points = [f.turning_points(order, iv.a, iv.b) for iv in intervals]
+    lone = [check_quasi_convex(g, iv, p) for iv, p in zip(intervals, points)]
+    assert check_quasi_convex_rows(g, intervals, points) == lone
+    assert certify_hypotheses(tag, f, intervals) == lone
+    assert [certify_hypothesis(tag, f, iv) for iv in intervals] == lone
 
 
-def _counted(g):
-    """g, and the list of the sizes of the arrays it was called on."""
-    calls = []
-
-    def counted(x):
-        calls.append(np.size(x))
-        return g(x)
-    return counted, calls
-
-
-def test_stacks_cover_refuted_non_finite_and_partial_chunks():
-    # 11-point grids stack 99 rows per chunk; 250 intervals leave a partial
-    # chunk of 52.  |sin| is refuted on intervals around pi/2; the second
-    # g is NaN left of 1 and infinite at pi, so rows are non-finite.
+def test_certificate_rows_cover_refuted_and_non_finite_rows():
+    # |sin| is refuted on intervals around pi/2; the second g is NaN left
+    # of 1 and infinite at pi, its one turning point.
     rng = np.random.default_rng(7)
     starts = rng.uniform(0.0, 3.0, 250)
     intervals = [Interval(float(a), float(a) + float(w))
                  for a, w in zip(starts, rng.uniform(0.05, 3.3, 250))]
-    intervals[5] = Interval(1.0, math.pi)
+    intervals[5] = Interval(1.0, 3.5)
+    sin = corpus_by_name(CORPUS)["sin"]
     verdicts = []
-    for g in (lambda x: np.abs(np.sin(x)),
-              lambda x: np.where(x < 1.0, np.nan, 1.0 / np.abs(x - math.pi))):
-        lone = [check_quasi_convex(g, iv, 11) for iv in intervals]
-        assert check_quasi_convex_rows(g, intervals, 11) == lone
+    for g, turning_points in (
+            (lambda x: np.abs(np.sin(x)), lambda a, b: sin.turning_points(0, a, b)),
+            (lambda x: np.where(x < 1.0, np.nan, 1.0 / np.abs(x - math.pi)),
+             lambda a, b: (math.pi,) if a < math.pi < b else ())):
+        points = [turning_points(iv.a, iv.b) for iv in intervals]
+        lone = [check_quasi_convex(g, iv, p) for iv, p in zip(intervals, points)]
+        assert check_quasi_convex_rows(g, intervals, points) == lone
         verdicts += [c.verdict for c in lone]
     assert set(verdicts) == {"certified", "refuted", "non_finite"}
     assert lone[5].verdict == "non_finite" and lone[5].bad_abscissa == math.pi
-
-
-def test_a_refuted_and_a_non_finite_row_share_one_sampling():
-    # |sin| peaks at pi/2 inside the first interval; 1/|x - 2| is infinite
-    # at 2, a fine point of the second.  Both rows sit in one 11-point stack,
-    # so g sees the coarse and the fine grid once each, plus the witness.
-    g = lambda x: np.where(x < 1.8, np.abs(np.sin(x)), 1.0 / np.abs(x - 2.0))  # noqa: E731
-    intervals = [Interval(1.0, 1.7), Interval(1.9, 2.9)]
-    lone = [check_quasi_convex(g, iv, 11) for iv in intervals]
-    assert [c.verdict for c in lone] == ["refuted", "non_finite"]
-    assert lone[1].bad_abscissa == 2.0
-    counted, calls = _counted(g)
-    assert check_quasi_convex_rows(counted, intervals, 11) == lone
-    assert calls == [2 * 11, 2 * 101, 1]
-
-
-@pytest.mark.parametrize("n_grid", [101, 11])
-def test_stacks_of_one_equal_lone_certificates(n_grid):
-    # 101 points fill a stack alone; 11 points stack both rows.
-    intervals = [Interval(0.0, 1.0), Interval(1.0, 2.0), Interval(-1.0, 2.0)]
-    lone = [check_quasi_convex(np.abs, iv, n_grid) for iv in intervals]
-    assert [c.verdict for c in lone] == ["certified", "certified", "certified"]
-    assert check_quasi_convex_rows(np.abs, intervals, n_grid) == lone
-    counted, calls = _counted(np.abs)
-    check_quasi_convex_rows(counted, intervals, n_grid)
-    rows = 1 if n_grid == 101 else 3
-    assert calls == [rows * n_grid, rows * ((n_grid - 1) ** 2 + 1)] * (3 // rows)
-
-
-@pytest.mark.parametrize("n_grid", [2, 1, 0])
-def test_a_grid_below_three_is_rejected(n_grid):
-    f = CORPUS[0]
-    with pytest.raises(DomainError, match="grid size"):
-        check_quasi_convex_rows(np.abs, [Interval(0.0, 1.0)], n_grid)
-    with pytest.raises(DomainError, match="grid size"):
-        certify_hypotheses("T1_2", f, [Interval(0.0, 1.0)], n_grid)
-
-
-def test_an_interval_whose_fine_step_underflows_is_a_stack_of_one():
-    # linspace switches formula for every row once one row's step is 0.
-    intervals = [Interval(0.0, 1.0), Interval(0.0, 5e-324), Interval(1.0, 2.0)]
-    lone = [check_quasi_convex(np.abs, iv, 11) for iv in intervals]
-    assert check_quasi_convex_rows(np.abs, intervals, 11) == lone
-    counted, calls = _counted(np.abs)
-    check_quasi_convex_rows(counted, intervals, 11)
-    assert calls == [11, 101, 2 * 11, 2 * 101]
-    assert certify_hypotheses("T1_2", CORPUS[0], intervals, 11) == \
-        [certify_hypothesis("T1_2", CORPUS[0], iv, 11) for iv in intervals]

@@ -11,7 +11,7 @@ from hhverify.bounds import (EXP_NONE, LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
                              check_bound, certify_hypotheses, certify_hypothesis,
                              defect, rhs_bound)
 from hhverify.corpus import (SmoothFunction, admissible_intervals, builtin_corpus,
-                             corpus_by_name)
+                             corpus_by_name, no_turning_points)
 from hhverify.errors import ParameterError
 from hhverify.numerics import Interval, integrate
 from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
@@ -176,6 +176,7 @@ def _transplant(power):
                 (lambda x, k=k: h ** (power - k) * np.exp(x / h))
                 for k in range(1, 5)
             ),
+            turning_points=no_turning_points,
         )
     return make
 
@@ -219,7 +220,7 @@ def test_refuted_hypothesis_is_reported_not_raised(corpus):
 
 def test_certify_hypothesis_matches_direct_scan(corpus, unit):
     d4 = corpus["x^5"].deriv(4)
-    direct = check_quasi_convex(lambda x: np.abs(d4(x)), unit)
+    direct = check_quasi_convex(lambda x: np.abs(d4(x)), unit, ())
     assert direct.certified
     assert certify_hypothesis("ME1", corpus["x^5"], unit) == direct
     assert certify_hypothesis("ME2", corpus["x^5"], unit) == direct
@@ -243,7 +244,8 @@ def test_the_certificate_of_the_derivative_decides_every_power(tag):
         certs = [c.verdict for c in certify_hypotheses(tag, f, intervals)]
         verdicts.update(certs)
         d = f.deriv(order)
+        points = [f.turning_points(order, iv.a, iv.b) for iv in intervals]
         for e in (1.5, 2.0, 3.0):
-            powered = check_quasi_convex_rows(lambda x: np.abs(d(x)) ** e, intervals)
+            powered = check_quasi_convex_rows(lambda x: np.abs(d(x)) ** e, intervals, points)
             assert certs == [c.verdict for c in powered], (f.name, e)
     assert verdicts == {"certified", "refuted"}

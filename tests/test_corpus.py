@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hhverify.corpus import SmoothFunction, builtin_corpus, make_power_family
+from hhverify.corpus import (SmoothFunction, builtin_corpus, corpus_by_name,
+                             make_power_family, no_turning_points)
 from hhverify.errors import DomainError
 from hhverify.numerics import Interval
 
@@ -87,7 +92,7 @@ def test_constant_function_fd_residual_is_zero():
 
 def test_exp_on_unit_interval_third_order_residual():
     f = SmoothFunction("exp01", Interval(0.0, 1.0), np.exp,
-                       (np.exp, np.exp, np.exp, np.exp))
+                       (np.exp, np.exp, np.exp, np.exp), no_turning_points)
     assert fd_validate(f, 3) <= 1e-5
 
 
@@ -102,3 +107,53 @@ def test_alpha_grid_controls_family_members():
     names = [f.name for f in builtin_corpus(alpha_grid=(0.3, 0.9))]
     assert "power_family(0.3)" in names
     assert "power_family(0.9)" in names
+
+
+# --- turning points ---------------------------------------------------------
+
+WIDE_CORPUS = builtin_corpus(sin_domain=Interval(-20.0, 20.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WIDE_CORPUS), st.integers(0, 4), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0))
+def test_each_derivative_magnitude_is_monotone_between_its_turning_points(f, k, u, v):
+    lo, hi = sorted((u, v))
+    a, b = (f.domain.a + t * f.domain.width for t in (lo, hi))
+    assume(a < b)
+    points = f.turning_points(k, a, b)
+    assert list(points) == sorted(set(points)) and len(points) <= 4
+    assert all(a < p < b for p in points)
+    d, d_next = f.deriv(k), (f.deriv(k + 1) if k < 4 else None)
+    for p in points:  # a zero of f^(k) or of f^(k+1) (f^(5) of sin is cos)
+        slope = float(d_next(p)) if d_next else math.cos(p)
+        assert min(abs(float(d(p))), abs(slope)) <= 1e-12
+    # With four points (sin) |f^(k)| need not be monotone after the last one.
+    abscissae = [a, *points] + ([] if len(points) == 4 else [b])
+    for x, y in zip(abscissae, abscissae[1:]):
+        g = np.abs(d(np.linspace(x, y, 65)))
+        steps = np.diff(g)
+        eps = 1e-12 * max(1.0, float(g.max()))
+        assert (steps >= -eps).all() or (steps <= eps).all(), (f.name, k, x, y)
+
+
+def test_the_first_four_turning_points_of_sin_hold_a_hump():
+    sin = corpus_by_name(builtin_corpus(sin_domain=Interval(0.0, 1e300)))["sin"]
+    for k in range(5):
+        points = sin.turning_points(k, 0.3, 1e300)
+        g = np.abs(sin.deriv(k)(np.array(points)))
+        humps = [g[i + 1] - max(g[i], g[i + 2]) for i in range(2)]
+        assert max(humps) >= 1.0 - 1e-15
+
+
+def test_monomial_turning_points_are_the_origin_below_the_degree(corpus):
+    x4 = corpus["x^4"]
+    assert [x4.turning_points(k, -1.0, 2.0) for k in range(5)] == [(0.0,)] * 4 + [()]
+    assert x4.turning_points(1, 0.0, 2.0) == ()
+
+
+def test_sin_turning_points_too_close_for_doubles_repeat():
+    # Adjacent doubles near 1e20 hold thousands of multiples of pi/2.
+    sin = corpus_by_name(builtin_corpus(sin_domain=Interval(1e20, 2e20)))["sin"]
+    points = sin.turning_points(4, 1e20, 1.0000000000000002e20)
+    assert len(points) == 4 and len(set(points)) < 4

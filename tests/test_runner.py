@@ -122,9 +122,40 @@ def test_non_finite_hypothesis_sample_is_non_converged_with_abscissa():
     iv = Interval(0.0, 1.0)
     f = poly_smooth("x^4", [0, 0, 0, 0, 1])
     record = _bound_record("ME1", f, iv, None, RunConfig(), integral=None,
-                           hypothesis=check_quasi_convex(g, iv))
+                           hypothesis=check_quasi_convex(g, iv, (0.5,)))
     assert record["status"] == "non_converged"
     assert record["note"] == "hypothesis: non-finite sample at x=0.5"
     assert record["hypothesis"]["verdict"] == "non_finite"
     assert list(record) == list(_bound_record(
         "ME1", f, iv, None, RunConfig(), integral=None, hypothesis=None))
+
+
+def _bound_statuses(config):
+    records = run(RunConfig.from_dict(dict(config, tasks=["bounds"]))).bound_checks
+    return {(r["theorem"], tuple(r["interval"])): r for r in records}
+
+
+def test_a_peak_next_to_an_end_refutes_the_hypotheses_of_its_order():
+    # |sin| peaks at pi/2, 1.6e-5 inside [1.57078, 4.0] and 3.7e-6 inside
+    # [0.2, 1.5708]; |cos| has a valley there.  A sampling grid saw neither.
+    left, right = (1.57078, 4.0), (0.2, 1.5708)
+    records = _bound_statuses({"corpus": ["sin"], "sin_domain": [0.0, 6.3],
+                               "intervals": [list(left), list(right)],
+                               "theorems": ["T1_2", "T1_4", "T1_5", "ME1", "ME2", "ME3",
+                                            "ME4"]})
+    for tag in ("T1_4", "ME1", "ME2", "ME3"):  # |sin''| = |sin''''| = |sin|
+        for iv in (left, right):
+            assert records[tag, iv]["status"] == "refuted_hypothesis", (tag, iv)
+    for tag in ("T1_2", "T1_5", "ME4"):  # |sin'| = |sin'''| = |cos|
+        assert records[tag, right]["hypothesis"]["verdict"] == "certified", tag
+
+
+def test_turning_points_below_double_resolution_give_no_verdict():
+    # Thousands of |sin| humps lie between these two adjacent doubles.
+    records = _bound_statuses({"corpus": ["sin"], "sin_domain": [1e20, 2e20],
+                               "intervals": [[1e20, 1.0000000000000002e20]]})
+    assert len(records) == 12
+    for record in records.values():
+        assert record["status"] == "non_converged"
+        assert record["hypothesis"]["verdict"] == "unresolved"
+        assert record["note"] == runner.UNRESOLVED_NOTE
