@@ -98,7 +98,7 @@ def check_quasi_convex_rows(g: Callable, intervals: Sequence[Interval],
     ends = np.array([(iv.a, iv.b) for iv in intervals], dtype=float).reshape(-1, 2)
     end_values = eval_on_array(g, ends).tolist()
     inner = [[float(p) for p in points] for points in turning_points]
-    values = iter(eval_on_array(g, np.array(sum(inner, []), dtype=float)).tolist())
+    values = iter(eval_on_array(g, np.fromiter(itertools.chain(*inner), float)).tolist())
     return [_certificate(g, [a, *points, b],
                          [ga, *itertools.islice(values, len(points)), gb], tol)
             for (a, b), (ga, gb), points in zip(ends.tolist(), end_values, inner)]
