@@ -22,6 +22,7 @@ from .numerics import Interval
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0)
 DEFAULT_SIN_DOMAIN = Interval(0.2, 1.3)
 _HALF_PI = math.pi / 2.0
+_FLAT = 2.0 ** -26
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,14 @@ def _monomial_turning_points(n: int) -> Callable[[int, float, float], tuple[floa
 
 
 def _sin_turning_points(k: int, a: float, b: float) -> tuple[float, ...]:
-    """sin: each f^(k) is +-sin or +-cos; together they vanish on the multiples
-    of pi/2.  Their offsets from a come from a's angle, which sin and cos
-    reduce exactly, so where doubles are too coarse to hold the points they
-    repeat or land on an end."""
+    """sin: each f^(k) is +-sin or +-cos, turning on the multiples of pi/2.
+    Their offsets from a come from a's exactly reduced angle, so where doubles
+    are too coarse to hold them they repeat or land on an end.  One within
+    _FLAT of an end is left out: a valley there adds no violation, and a peak
+    rises less than _FLAT**2 / 2 = 2**-53 above the end's value."""
     first = _HALF_PI - math.atan2(math.sin(a), math.cos(a)) % _HALF_PI
-    return tuple(a + d for d in (first + j * _HALF_PI for j in range(4)) if d < b - a)
+    offsets = (first + j * _HALF_PI for j in range(4))
+    return tuple(a + d for d in offsets if _FLAT <= d < b - a - _FLAT)
 
 
 def make_power_family(alpha: float, domain: Interval | None = None) -> SmoothFunction:

@@ -62,8 +62,6 @@ def _certificate(g: Callable, xs: list[float], gs: list[float],
     n = len(xs)
     finite = [v for v in gs if math.isfinite(v)]
     tol *= max(1.0, max(map(abs, finite), default=0.0))
-    if n == len(finite) == 2:  # g is monotone on the interval
-        return QuasiConvexityCertificate("certified", 2, tol, 0.0)
     if any(x >= y for x, y in zip(xs, xs[1:])):
         return QuasiConvexityCertificate("unresolved", n, tol, math.nan)
     if len(finite) < n:

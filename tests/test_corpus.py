@@ -152,6 +152,15 @@ def test_monomial_turning_points_are_the_origin_below_the_degree(corpus):
     assert x4.turning_points(1, 0.0, 2.0) == ()
 
 
+def test_sin_turning_points_within_flat_reach_of_an_end_are_left_out():
+    # 3*pi/2 lies between the doubles h and its successor, 1.8e-16 above h.
+    sin = corpus_by_name(builtin_corpus(sin_domain=Interval(0.0, 6.3)))["sin"]
+    h = 3 * math.pi / 2
+    assert sin.turning_points(1, h, 6.0) == ()
+    assert sin.turning_points(1, 0.2, math.nextafter(h, 6.0)) == (math.pi / 2, math.pi)
+    assert sin.turning_points(1, 0.2, h + 1e-6) == (math.pi / 2, math.pi, h)
+
+
 def test_sin_turning_points_too_close_for_doubles_repeat():
     # Adjacent doubles near 1e20 hold thousands of multiples of pi/2.
     sin = corpus_by_name(builtin_corpus(sin_domain=Interval(1e20, 2e20)))["sin"]

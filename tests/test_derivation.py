@@ -43,11 +43,11 @@ def _family(alpha):
     return x ** (alpha + 4) / _pprod(alpha)
 
 
-def _exact_defect(trapezoid_side, f, a, b):
-    """The corrected trapezoid or midpoint defect of f on [a, b], exactly."""
+def _exact_defect(trapezoid_side, f, a, b, corrected=True):
+    """The corrected (or plain) trapezoid or midpoint defect of f on [a, b], exactly."""
     avg = sp.integrate(f, (x, a, b)) / (b - a)
     fp = sp.diff(f, x)
-    gap = (b - a) * (fp.subs(x, b) - fp.subs(x, a))
+    gap = (b - a) * (fp.subs(x, b) - fp.subs(x, a)) if corrected else 0
     if trapezoid_side:
         return (f.subs(x, a) + f.subs(x, b)) / 2 - avg - gap / 12
     return f.subs(x, (a + b) / 2) - avg + gap / 24
@@ -171,13 +171,6 @@ PEANO = {("trapezoid", 1): (1 - 2 * t) / 2,
 THEOREM_1 = ("T1_2", "T1_3", "T1_4", "T1_5", "T1_6", "T1_7")
 
 
-def _trapezoid_defect(corrected, f, a, b):
-    avg = sp.integrate(f, (x, a, b)) / (b - a)
-    fp = sp.diff(f, x)
-    gap = (b - a) * (fp.subs(x, b) - fp.subs(x, a)) / 12 if corrected else 0
-    return (f.subs(x, a) + f.subs(x, b)) / 2 - avg - gap
-
-
 def _abs_integral(kernel):
     """The integral of |K| over [0, 1], split at the roots of K."""
     cuts = sorted(sp.solveset(kernel, t, sp.Interval.open(0, 1))) + [1]
@@ -194,7 +187,7 @@ def test_each_peano_kernel_gives_its_defect(kind, order):
     f = sum(c * x ** i for i, c in enumerate(coeffs))
     kernel_side = (B - A) ** order * sp.integrate(
         PEANO[kind, order] * sp.diff(f, x, order).subs(x, t * A + (1 - t) * B), (t, 0, 1))
-    defect = _trapezoid_defect(kind == "trapezoid_corrected", f, A, B)
+    defect = _exact_defect(True, f, A, B, corrected=kind == "trapezoid_corrected")
     assert sp.cancel(defect - kernel_side) == 0
 
 

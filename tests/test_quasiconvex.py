@@ -1,5 +1,4 @@
 import math
-import time
 
 import mpmath
 import numpy as np
@@ -286,11 +285,10 @@ def test_a_peak_next_to_an_end_is_refuted_where_the_sampler_certifies():
                                                 rel=1e-6)
 
 
-def test_a_certificate_of_sin_over_a_huge_interval_is_immediate():
+def test_a_certificate_of_sin_over_a_huge_interval_evaluates_six_abscissae():
     sin = corpus_by_name(builtin_corpus(sin_domain=Interval(0.0, 1e300)))["sin"]
-    start = time.perf_counter()
     certs = [certify_hypothesis(tag, sin, Interval(0.0, 1e300))
              for tag in ("T1_2", "T1_4", "T1_5", "ME1")]  # derivative orders 1..4
-    assert time.perf_counter() - start < 0.1
+    assert [c.grid_size for c in certs] == [6] * 4  # the ends and four turning points
     assert [c.verdict for c in certs] == ["refuted"] * 4
     assert all(c.max_violation == pytest.approx(1.0, abs=1e-15) for c in certs)

@@ -150,10 +150,24 @@ def test_a_peak_next_to_an_end_refutes_the_hypotheses_of_its_order():
         assert records[tag, right]["hypothesis"]["verdict"] == "certified", tag
 
 
-def test_turning_points_below_double_resolution_give_no_verdict():
+def test_an_end_on_the_double_nearest_a_turning_point_keeps_its_verdict():
+    # 3*pi/2 lies 1.8e-16 above a, where |sin| and |cos| turn; both are
+    # monotone on the rest of [a, 6].
+    records = _bound_statuses({"corpus": ["sin"], "sin_domain": [0.0, 6.3],
+                               "intervals": [[4.71238898038469, 6.0]]})
+    assert len(records) == 12
+    assert {r["status"] for r in records.values()} == {"pass"}
+
+
+@pytest.mark.parametrize("interval", [
     # Thousands of |sin| humps lie between these two adjacent doubles.
-    records = _bound_statuses({"corpus": ["sin"], "sin_domain": [1e20, 2e20],
-                               "intervals": [[1e20, 1.0000000000000002e20]]})
+    (1e20, 1.0000000000000002e20),
+    # In this interval, 2 wide, the one multiple of pi/2 (0.46 inside)
+    # rounds onto an end: |sin| peaks there at 1 between 0.89 and 0.04.
+    (1.0000000000000002e16, 1.0000000000000004e16)])
+def test_turning_points_below_double_resolution_give_no_verdict(interval):
+    records = _bound_statuses({"corpus": ["sin"], "sin_domain": [interval[0], 2 * interval[0]],
+                               "intervals": [list(interval)]})
     assert len(records) == 12
     for record in records.values():
         assert record["status"] == "non_converged"
