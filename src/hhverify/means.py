@@ -32,11 +32,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .bounds import (DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
-                     LHS_TRAPEZOID_CORRECTED, THEOREMS, rhs_bound, rule_scale,
-                     validate_exponent)
+                     LHS_TRAPEZOID_CORRECTED, THEOREMS, endpoint_derivative_max,
+                     rule_scale, validate_exponent)
 from .corpus import SmoothFunction, make_power_family
 from .errors import OVERFLOW_NOTE, DomainError, ParameterError
 # integrate is not called here; perfbench's tracer patches it under this name.
@@ -123,71 +123,115 @@ def _midpoint_side_lhs_derived(a: float, b: float, alpha: float) -> float:
     )
 
 
+def _or_none(side, *args) -> Optional[float]:
+    """side(*args), or None when a double overflows on the way."""
+    try:
+        return side(*args)
+    except OverflowError:
+        return None
+
+
+# The left sides by key: the derived one of each source defect, and the
+# printed one, which every tag shares.  The printed middle term carries
+# (alpha+3)(alpha+4)(alpha+4), and the midpoint-side tags keep the leading
+# 12 and the minus sign: transcribed verbatim, typos included.
+_LHS = {
+    LHS_TRAPEZOID_CORRECTED: lambda a, b, alpha: _trapezoid_side_lhs(
+        a, b, alpha, (alpha + 3.0) * (alpha + 4.0)),
+    LHS_MIDPOINT_CORRECTED: _midpoint_side_lhs_derived,
+    "paper": lambda a, b, alpha: _trapezoid_side_lhs(
+        a, b, alpha, (alpha + 3.0) * (alpha + 4.0) * (alpha + 4.0)),
+}
+
+
+def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
+                     intervals: Sequence[tuple[float, float]], alphas: Sequence[float],
+                     margin_tol: float = DEFAULT_MARGIN_TOL) -> Iterator[tuple]:
+    """Every (theorem, variant, exponent) instance at every (a, b) and alpha.
+
+    Yields one tuple in ApplicationVerdict's field order per instance;
+    instances vary fastest, then alpha, then the interval.  What no
+    instance changes is computed once per (a, b, alpha): P, the left
+    sides, the endpoint maxima of the member's third and fourth
+    derivatives, and max(a^alpha, b^alpha); each instance's rule_scale
+    depends on the interval alone.  Every value is the expression a lone
+    instance evaluates, so a row is bit for bit the one-instance verdict.
+    The printed right side divides by the printed divisor, and its
+    power-mean max terms collapse to max(a^alpha, b^alpha) since a, b > 0.
+    Arguments are validated before the first row.
+    """
+    for theorem, variant, _ in instances:
+        if theorem not in APPLICATION_TAGS:
+            raise ParameterError(
+                f"unknown application tag {theorem!r}, expected one of {', '.join(APPLICATION_TAGS)}")
+        if variant not in APPLICATION_VARIANTS:
+            raise ParameterError(f"variant must be 'paper' or 'derived', got {variant!r}")
+    for a, b in intervals:
+        if not 0.0 < a < b:
+            raise DomainError(f"means require 0 < a < b, got ({a}, {b})")
+    for alpha in alphas:
+        if not (0.0 < alpha <= 1.0):
+            raise DomainError(f"family parameter must lie in (0, 1], got {alpha}")
+    # Per instance: its fields, its source rule, its left side's key and its divisor.
+    plan = []
+    for theorem, variant, exponent in instances:
+        source = THEOREMS[APPLICATION_SOURCE[theorem]]
+        exponent = validate_exponent(source.tag, exponent)
+        if variant == "paper":
+            plan.append((theorem, variant, exponent, source, "paper", _PRINTED_DIVISOR[theorem]))
+        else:
+            plan.append((theorem, variant, exponent, source, source.lhs_kind, source.divisor))
+    lhs_keys = {key for _, _, _, _, key, _ in plan}
+
+    for a, b in intervals:
+        interval = Interval(a, b)
+        scales = [_or_none(rule_scale, source, b - a, exponent, divisor)
+                  for _, _, exponent, source, _, divisor in plan]
+        for alpha in alphas:
+            pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
+            lhs_of = {key: _or_none(_LHS[key], a, b, alpha) for key in lhs_keys}
+            member = _family_member(alpha)
+            # By derivative order, taken only for an instance whose left side
+            # and scale are finite, as a lone instance does: a member that
+            # overflows there would raise numpy's overflow warning.
+            endpoint_max = {}
+            power_max = max(a ** alpha, b ** alpha)
+            for (theorem, variant, exponent, source, key, _), scale in zip(plan, scales):
+                lhs = lhs_of[key]
+                if lhs is None or scale is None:
+                    lhs = rhs = math.nan
+                elif key == "paper":
+                    rhs = scale * pprod * power_max
+                else:
+                    order = source.derivative_order
+                    if order not in endpoint_max:
+                        endpoint_max[order] = endpoint_derivative_max(member, interval, order)
+                    rhs = _CLEARING[key] * pprod * (scale * endpoint_max[order])
+                finite = math.isfinite(lhs) and math.isfinite(rhs)
+                passed = finite and lhs <= rhs + margin_tol
+                note = ""
+                if not finite:
+                    note = OVERFLOW_NOTE
+                elif not passed:
+                    note = REFUTED_NOTE if key == "paper" else "derived inequality violated"
+                yield theorem, variant, a, b, alpha, exponent, lhs, rhs, passed, note
+
+
 def application_check(theorem: str, variant: str, a: float, b: float, alpha: float,
                       exponent: Optional[float] = None,
                       margin_tol: float = DEFAULT_MARGIN_TOL) -> ApplicationVerdict:
-    """Evaluate one mean inequality instance in the requested variant."""
-    if theorem not in APPLICATION_TAGS:
-        raise ParameterError(
-            f"unknown application tag {theorem!r}, expected one of {', '.join(APPLICATION_TAGS)}")
-    if variant not in APPLICATION_VARIANTS:
-        raise ParameterError(f"variant must be 'paper' or 'derived', got {variant!r}")
-    if not 0.0 < a < b:
-        raise DomainError(f"means require 0 < a < b, got ({a}, {b})")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"family parameter must lie in (0, 1], got {alpha}")
-    source = THEOREMS[APPLICATION_SOURCE[theorem]]
-    exponent = validate_exponent(source.tag, exponent)
-    pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
-
-    try:
-        if variant == "derived":
-            lhs, rhs = _derived_sides(source, a, b, alpha, exponent, pprod)
-        else:
-            lhs, rhs = _paper_sides(source, theorem, a, b, alpha, exponent, pprod)
-    except OverflowError:
-        lhs = rhs = math.nan
-
-    finite = math.isfinite(lhs) and math.isfinite(rhs)
-    passed = finite and lhs <= rhs + margin_tol
-    note = ""
-    if not finite:
-        note = OVERFLOW_NOTE
-    elif not passed:
-        note = REFUTED_NOTE if variant == "paper" else "derived inequality violated"
-    return ApplicationVerdict(theorem=theorem, variant=variant, a=a, b=b, alpha=alpha,
-                              exponent=exponent, lhs=lhs, rhs=rhs, passed=passed, note=note)
-
-
-def _derived_sides(source, a, b, alpha, exponent, pprod):
-    """The source rule on the family member, cleared of 12*P or 24*P."""
-    if source.lhs_kind == LHS_TRAPEZOID_CORRECTED:
-        lhs = _trapezoid_side_lhs(a, b, alpha, (alpha + 3.0) * (alpha + 4.0))
-    else:
-        lhs = _midpoint_side_lhs_derived(a, b, alpha)
-    rhs = _CLEARING[source.lhs_kind] * pprod * rhs_bound(
-        source.tag, _family_member(alpha), Interval(a, b), exponent)
-    return lhs, rhs
+    """Evaluate one mean inequality instance in the requested variant:
+    ``application_rows`` with one instance, interval and alpha."""
+    return ApplicationVerdict(*next(application_rows(
+        [(theorem, variant, exponent)], [(a, b)], [alpha], margin_tol)))
 
 
 @functools.lru_cache(maxsize=64)
 def _family_member(alpha: float) -> SmoothFunction:
     """The power-family member for alpha on its default domain.
 
-    rhs_bound reads only the member's derivatives at the interval's
+    The right sides read only the member's derivatives at the interval's
     endpoints, never its domain, so one frozen member serves every
     interval; the cache is bounded because alpha grids are small.
     """
     return make_power_family(alpha)
-
-
-def _paper_sides(source, theorem, a, b, alpha, exponent, pprod):
-    """Printed coefficients, transcribed verbatim: the middle term carries
-    (alpha+3)(alpha+4)(alpha+4) on every tag, the midpoint-side left side
-    keeps the leading 12 and the minus sign, the right side divides by the
-    printed divisor, and the power-mean max terms collapse to
-    max(a^alpha, b^alpha) since a, b > 0."""
-    lhs = _trapezoid_side_lhs(a, b, alpha,
-                              (alpha + 3.0) * (alpha + 4.0) * (alpha + 4.0))
-    scale = rule_scale(source, b - a, exponent, _PRINTED_DIVISOR[theorem])
-    return lhs, scale * pprod * max(a ** alpha, b ** alpha)

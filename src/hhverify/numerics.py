@@ -117,17 +117,22 @@ def eval_on_array(f: Callable, x: np.ndarray) -> np.ndarray:
 
 def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     """Yield (Kronrod value, error estimate) per panel [a_r, b_r] from one call of f;
-    each row gets its own 1-D dots, so it sums exactly as a lone panel does."""
+    each row gets its own 1-D dots, so it sums exactly as a lone panel does.
+
+    A panel too narrow for its magnitude has nodes that collapse onto its
+    ends: unless they are strictly increasing doubles, its error is infinite.
+    """
     half = 0.5 * (b - a)
     xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
     ys = eval_on_array(f, xs)
     finite = np.isfinite(ys).all(axis=1)
-    for x, y, h, ok in zip(xs, ys, half.tolist(), finite.tolist()):
+    resolved = (xs[:, 1:] > xs[:, :-1]).all(axis=1)
+    for x, y, h, ok, apart in zip(xs, ys, half.tolist(), finite.tolist(), resolved.tolist()):
         if not ok:
             x_bad = float(x[np.argmax(~np.isfinite(y))])
             raise DomainError(f"integrand returned a non-finite value at x={x_bad!r}")
         kron = h * float(_KWEIGHTS @ y)
-        yield kron, abs(kron - h * float(_GWEIGHTS @ y))
+        yield kron, abs(kron - h * float(_GWEIGHTS @ y)) if apart else math.inf
 
 
 def _refine(f: Callable, a: float, b: float, value: float, err: float, tol: float,

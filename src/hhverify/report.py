@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator, Sequence
 
 FORMATS = ("json", "csv", "markdown")
 # (report key, markdown title, record kind) per record list.
@@ -121,38 +122,61 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _csv_row(record: dict, kind: str) -> list[str]:
-    """The cells of one record of the given kind, in CSV_COLUMNS order.
+# Records flattened per pass: bounds the cells alive at once.
+_CHUNK = 256
+# Columns whose cell comes from inside a record field: column -> (field, index or key).
+_NESTED = {"interval_a": ("interval", 0), "interval_b": ("interval", 1),
+           "range_lo": ("range", 0), "range_hi": ("range", 1),
+           "hypothesis_verdict": ("hypothesis", "verdict"),
+           "hypothesis_max_violation": ("hypothesis", "max_violation")}
 
-    Markdown tables show the same cells, so each renderer flattens a
-    record exactly once.
+
+def _column_cells(values: list) -> list[str]:
+    """_cell of each value; a column of finite floats is formatted in one map.
+    A sum of floats is finite only if each one is (an overflowing sum only
+    sends the column the general way)."""
+    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+        return list(map(format, values, repeat(".17g")))
+    return list(map(_cell, values))
+
+
+def _csv_columns(chunk: list[dict], kind: str) -> list[list[str]]:
+    """The cells of records of the given kind, one list per CSV column.
+
+    A cell from inside an interval, range or hypothesis that is null in
+    the report is empty.
     """
-    if record["kind"] != kind:
-        raise ValueError(f"expected a {kind!r} record, got kind {record['kind']!r}")
-    split = {}
-    interval = record.get("interval")
-    if interval is not None:
-        split["interval_a"], split["interval_b"] = interval
-    span = record.get("range")
-    if span is not None:
-        split["range_lo"], split["range_hi"] = span
-    if kind == "bound":
-        hyp = record.get("hypothesis")
-        split["hypothesis_verdict"] = None if hyp is None else hyp["verdict"]
-        split["hypothesis_max_violation"] = None if hyp is None else hyp["max_violation"]
-    get = record.get
-    return [_cell(split[col] if col in split else get(col)) for col in CSV_COLUMNS[kind]]
+    kinds = [record["kind"] for record in chunk]
+    if kinds.count(kind) != len(kinds):
+        other = next(k for k in kinds if k != kind)
+        raise ValueError(f"expected a {kind!r} record, got kind {other!r}")
+    columns = []
+    for col in CSV_COLUMNS[kind]:
+        if col in _NESTED:
+            name, key = _NESTED[col]
+            values = [None if (v := r.get(name)) is None else v[key] for r in chunk]
+        else:
+            values = [r.get(col) for r in chunk]
+        columns.append(_column_cells(values))
+    return columns
+
+
+def _csv_rows(records: list[dict], kind: str) -> Iterator[tuple[str, ...]]:
+    """Each record's cells in CSV_COLUMNS order, flattened a chunk at a
+    time and a column at a time; markdown tables show the same cells."""
+    for start in range(0, len(records), _CHUNK):
+        yield from zip(*_csv_columns(records[start:start + _CHUNK], kind))
 
 
 def render_csv(records: list[dict], kind: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS[kind])
-    writer.writerows(_csv_row(record, kind) for record in records)
+    writer.writerows(_csv_rows(records, kind))
     return buf.getvalue()
 
 
-def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
+def _md_table(headers: list[str], rows: Iterable[Sequence[str]]) -> list[str]:
     lines = ["| " + " | ".join(headers) + " |",
              "| " + " | ".join("---" for _ in headers) + " |"]
     for row in rows:
@@ -181,7 +205,7 @@ def render_markdown(report: dict) -> str:
             continue
         lines += ["", f"## {title}", ""]
         lines += _md_table(list(CSV_COLUMNS[kind]),
-                           [_csv_row(record, kind) for record in records])
+                           _csv_rows(records, kind))
     lines.append("")
     return "\n".join(lines)
 

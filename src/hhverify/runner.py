@@ -27,8 +27,9 @@ from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
 from .errors import OVERFLOW_NOTE, ConfigError, DomainError, QuadratureError
 from .identities import (IDENTITY_IDS, IdentityReport, check_identities,
                          check_identity)
+# application_check: uncalled, kept for perfbench's tracer.
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
-                    ApplicationVerdict, application_check)
+                    application_check, application_rows)
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, integrate,
                        integrate_rows)
 from .quasiconvex import DEFAULT_QC_TOL, QuasiConvexityCertificate
@@ -335,26 +336,29 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
     return base
 
 
-def _application_record(verdict: ApplicationVerdict) -> dict:
-    if verdict.passed:
+def _application_record(theorem: str, variant: str, a: float, b: float, alpha: float,
+                        exponent: Optional[float], lhs: float, rhs: float, passed: bool,
+                        note: str) -> dict:
+    """The record of one application_rows row; only an overflow has OVERFLOW_NOTE."""
+    if passed:
         status = STATUS_PASS
-    elif verdict.finite:
-        status = STATUS_FAIL
-    else:
+    elif note == OVERFLOW_NOTE:
         status = STATUS_NON_CONVERGED
+    else:
+        status = STATUS_FAIL
     return {
         "kind": "application",
-        "theorem": verdict.theorem,
-        "variant": verdict.variant,
-        "a": verdict.a,
-        "b": verdict.b,
-        "alpha": verdict.alpha,
-        "exponent": verdict.exponent,
-        "lhs": verdict.lhs,
-        "rhs": verdict.rhs,
-        "pass": verdict.passed,
+        "theorem": theorem,
+        "variant": variant,
+        "a": a,
+        "b": b,
+        "alpha": alpha,
+        "exponent": exponent,
+        "lhs": lhs,
+        "rhs": rhs,
+        "pass": passed,
         "status": status,
-        "note": verdict.note,
+        "note": note,
     }
 
 
@@ -450,19 +454,14 @@ def run(config: RunConfig) -> RunReport:
                                       -1.0 if r["exponent"] is None else r["exponent"]))
 
     if "applications" in config.tasks:
-        positive = [iv for iv in grid if iv.a > 0.0]
-        records = []
-        for tag in config.applications:
-            exponents = _exponents_for(APPLICATION_SOURCE[tag], config)
-            for variant in config.variants:
-                for iv in positive:
-                    for alpha in config.alpha_grid:
-                        for exponent in exponents:
-                            records.append(_application_record(application_check(
-                                tag, variant, iv.a, iv.b, alpha, exponent,
-                                margin_tol=config.margin_tol)))
+        instances = [(tag, variant, exponent)
+                     for tag in config.applications for variant in config.variants
+                     for exponent in _exponents_for(APPLICATION_SOURCE[tag], config)]
+        positive = [(iv.a, iv.b) for iv in grid if iv.a > 0.0]
         report.application_checks = sorted(
-            records,
+            (_application_record(*row)
+             for row in application_rows(instances, positive, config.alpha_grid,
+                                         config.margin_tol)),
             key=lambda r: (r["theorem"], r["variant"], r["a"], r["b"], r["alpha"],
                            -1.0 if r["exponent"] is None else r["exponent"]))
 

@@ -3,18 +3,21 @@ an exit code 3 with a mathematical cause, checks that fail by raising
 (quadrature, overflow, an integrand beyond the doubles) recorded as
 non-converged, an infinite tightness ratio recorded as such, integers
 beyond double range rejected by name, settings the command line alone
-makes rejected in a config file, and report bytes that do not depend on
-where the report goes."""
+makes rejected in a config file, report bytes that do not depend on
+where the report goes, and CSV bytes that repeat across runs."""
 
 import json
+import random
 import re
 import warnings
 from pathlib import Path
 
 import pytest
 
+import report_oracle
 from hhverify.cli import main
-from hhverify.runner import RATIO_INFINITE_NOTE, RunReport
+from hhverify.report import SECTIONS
+from hhverify.runner import RATIO_INFINITE_NOTE, RunConfig, RunReport, run
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 
@@ -189,3 +192,27 @@ def test_an_infinite_exponent_range_is_rejected_by_name(tmp_path, capsys):
     assert main(["tightness", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == \
         "error: search_p_range: requires finite 1 < lo < hi, got (1001, inf)\n"
+
+
+def test_a_seeded_sweep_writes_the_same_csv_bytes_twice(tmp_path):
+    rng = random.Random(7)
+    intervals = []
+    for _ in range(40):
+        a = round(rng.uniform(0.25, 5.5), 4)
+        intervals.append([a, round(a + rng.uniform(0.05, min(4.0, 6.0 - a)), 4)])
+    config = {"intervals": intervals, "theorems": ["ME1"], "quad_tol": 1e-12,
+              "alpha_grid": [0.1, 0.25, 0.5, 0.75, 1.0]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    runs = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "r.csv"
+        assert main(["scan", "--config", str(path), "--format", "csv", "--out", str(out)]) == 2
+        runs.append({kind: (tmp_path / name / f"r_{kind}.csv").read_bytes()
+                     for _, _, kind in SECTIONS})
+    assert runs[0] == runs[1]
+    report = run(RunConfig.from_dict(config)).to_dict()
+    assert len(report["application_checks"]) == 40 * 5 * 12
+    for key, _, kind in SECTIONS:
+        assert runs[0][kind] == report_oracle.render_csv(report[key], kind).encode("utf-8")

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify import means
-from hhverify.bounds import check_bound, rhs_bound
+from hhverify.bounds import THEOREMS, check_bound, rhs_bound
 from hhverify.corpus import make_power_family
 from hhverify.errors import DomainError, ParameterError
-from hhverify.means import (OVERFLOW_NOTE, application_check, arithmetic_mean,
-                            generalized_log_mean)
+from hhverify.means import (APPLICATION_SOURCE, APPLICATION_TAGS, OVERFLOW_NOTE,
+                            application_check, arithmetic_mean, generalized_log_mean)
 from hhverify.numerics import Interval
+from hhverify.runner import RunConfig, run
 
 
 def test_arithmetic_mean_values():
@@ -180,8 +181,48 @@ def test_overflowing_side_is_reported_not_raised(variant):
 
 
 def test_infinite_side_never_passes(monkeypatch):
-    monkeypatch.setattr(means, "rhs_bound", lambda *args: math.inf)
+    # The derived right side is rule_scale times this endpoint maximum.
+    monkeypatch.setattr(means, "endpoint_derivative_max", lambda *args: math.inf)
     v = application_check("A3_1", "derived", 1.0, 2.0, 1.0)
     assert v.lhs == 3.0 and v.rhs == math.inf
     assert not v.passed
     assert v.note == OVERFLOW_NOTE
+
+
+def test_a_run_equals_its_instances_checked_one_at_a_time():
+    # Intervals with a <= 0 are skipped; [1e-300, 1e300] overflows; the last
+    # interval is the cancelling instance of ROADMAP item 3.
+    intervals = [[-1.0, 1.0], [0.0, 2.0], [1e-300, 1e300], [0.5, 1.5], [2.0, 5.0],
+                 [341178919.4936399, 341178919.4940397]]
+    alphas = [0.25, 1.0]
+    exponents = {"p": [2, 3], "q": [1, 2]}
+    records = run(RunConfig.from_dict({
+        "tasks": ["applications"], "intervals": intervals, "alpha_grid": alphas,
+        "p_grid": exponents["p"], "q_grid": exponents["q"]})).application_checks
+
+    expected = []
+    for tag in APPLICATION_TAGS:
+        for variant in ("paper", "derived"):
+            for a, b in intervals[2:]:
+                for alpha in alphas:
+                    kind = THEOREMS[APPLICATION_SOURCE[tag]].exponent_kind
+                    for exponent in exponents.get(kind, [None]):
+                        v = application_check(tag, variant, a, b, alpha, exponent)
+                        status = "pass" if v.passed else "fail" if v.finite else "non_converged"
+                        expected.append({
+                            "kind": "application", "theorem": tag, "variant": variant,
+                            "a": a, "b": b, "alpha": alpha, "exponent": v.exponent,
+                            "lhs": v.lhs, "rhs": v.rhs, "pass": v.passed,
+                            "status": status, "note": v.note})
+    expected.sort(key=lambda r: (r["theorem"], r["variant"], r["a"], r["b"], r["alpha"],
+                                 -1.0 if r["exponent"] is None else r["exponent"]))
+    # Ten instances (two tags without an exponent, four with two) per variant,
+    # positive interval and alpha.
+    assert len(records) == len(expected) == 2 * 4 * 2 * 10
+    assert ([[(k, repr(v)) for k, v in r.items()] for r in records]
+            == [[(k, repr(v)) for k, v in r.items()] for r in expected])
+    assert sum(r["note"] == OVERFLOW_NOTE for r in records) == 2 * 2 * 10
+    cancelling = next(r for r in records if r["theorem"] == "A3_5" and r["variant"] == "derived"
+                      and r["a"] == 341178919.4936399 and r["alpha"] == 1.0
+                      and r["exponent"] == 2.0)
+    assert cancelling["lhs"] == pytest.approx(1.58e38, rel=0.01)

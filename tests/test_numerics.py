@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.errors import DomainError
-from hhverify.numerics import Interval, conjugate_exponent, integrate
+from hhverify.numerics import Interval, conjugate_exponent, integrate, integrate_rows
+from hhverify.runner import RunConfig, run
 
 
 def test_interval_rejects_degenerate_and_nonfinite():
@@ -108,6 +109,32 @@ def test_invalid_tolerance_and_budget():
         integrate(np.exp, Interval(0.0, 1.0), tol=0.0)
     with pytest.raises(DomainError):
         integrate(np.exp, Interval(0.0, 1.0), max_evaluations=3)
+
+
+def test_nodes_collapsed_onto_the_ends_are_not_converged():
+    # The interval is 16384 wide, but all 15 nodes round onto its two ends:
+    # the estimate reads -10571.8, though |the integral of sin| <= 2 here.
+    lone = integrate(np.sin, Interval(1e20, 1.0000000000000002e20))
+    assert not lone.converged
+    assert lone.error_estimate == math.inf
+    # In a batch only the collapsed row is affected.
+    rows = integrate_rows(np.sin, [0.0, 1e20], [math.pi, 1.0000000000000002e20])
+    assert rows[0].converged and abs(rows[0].value - 2.0) <= 1e-12
+    assert rows[1] == lone
+
+
+def test_a_run_over_collapsed_nodes_reports_no_integral():
+    report = run(RunConfig.from_dict({
+        "tasks": ["identities", "bounds"], "corpus": ["sin"], "sin_domain": [1e20, 2e20],
+        "intervals": [[1e20, 1.0000000000000002e20]]}))
+    assert len(report.identity_checks) == 2 and len(report.bound_checks) == 12
+    for record in report.identity_checks:
+        assert record["status"] == "non_converged"
+        assert record["note"] == "quadrature did not converge within budget"
+    for record in report.bound_checks:
+        assert record["status"] == "non_converged" and record["lhs"] is None
+        assert record["note"].startswith(
+            "integral of sin over [1e+20, 1.0000000000000002e+20]: "), record["note"]
 
 
 def test_error_estimate_bounds_true_error():

@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,8 @@ floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e30
 texts = st.sampled_from(["a,b", 'say "hi"', "x | y", "two\nlines", "back\\slash",
                          "\u00e9\u00e8 \u03b1\u2264\u03b2", ""]) | st.text(max_size=12)
 scalars = st.none() | st.booleans() | st.integers(-10**6, 10**6) | floats | texts
+# Often finite floats, so that a column is all floats in some chunks and not in others.
+cells = st.floats(allow_nan=False, allow_infinity=False) | scalars
 pairs = st.none() | st.lists(floats | st.integers(-5, 5), min_size=2, max_size=2)
 hypotheses = st.none() | st.fixed_dictionaries({
     "verdict": texts, "grid_size": st.integers(2, 200), "tol": floats,
@@ -149,7 +152,7 @@ hypotheses = st.none() | st.fixed_dictionaries({
 
 
 def _record(kind):
-    fields = {c: scalars for c in CSV_COLUMNS[kind]}
+    fields = {c: cells for c in CSV_COLUMNS[kind]}
     for key in ("interval_a", "interval_b", "range_lo", "range_hi",
                 "hypothesis_verdict", "hypothesis_max_violation"):
         fields.pop(key, None)
@@ -169,16 +172,30 @@ reports = st.fixed_dictionaries({
                            | st.dictionaries(texts, inner, max_size=3), max_leaves=8),
     "summary": st.fixed_dictionaries({k: st.integers(0, 10**4) for k in (
         "total", "pass", "fail", "refuted_hypothesis", "non_converged")}),
-    **{key: st.lists(_record(kind), max_size=4) for key, kind in SECTIONS}})
+    **{key: st.lists(_record(kind), max_size=7) for key, kind in SECTIONS}})
 
 
 @settings(max_examples=150, deadline=None)
 @given(reports)
 def test_renderers_match_the_oracle_byte_for_byte(data):
     assert render_json(data) == report_oracle.render_json(data)
-    assert render_markdown(data) == report_oracle.render_markdown(data)
-    for key, kind in SECTIONS:
-        assert render_csv(data[key], kind) == report_oracle.render_csv(data[key], kind)
+    # Chunks of two records, so a list of up to seven spans up to four of them.
+    with mock.patch.object(report_module, "_CHUNK", 2):
+        assert render_markdown(data) == report_oracle.render_markdown(data)
+        for key, kind in SECTIONS:
+            assert render_csv(data[key], kind) == report_oracle.render_csv(data[key], kind)
+
+
+def test_csv_past_one_full_chunk_matches_the_oracle(golden_report):
+    # Every float column is all finite floats in the first chunk; in the
+    # second, exponent mixes in None and lhs a NaN, and the others stay floats.
+    template = golden_report["application_checks"][0]
+    records = [{**template, "a": 1.0 / (i + 3), "b": 2.0 + i, "exponent": 0.5 * i,
+                "lhs": i / 7.0} for i in range(report_module._CHUNK + 5)]
+    records[report_module._CHUNK + 1]["exponent"] = None
+    records[report_module._CHUNK + 3]["lhs"] = math.nan
+    assert (render_csv(records, "application")
+            == report_oracle.render_csv(records, "application"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -191,22 +208,29 @@ def test_json_writer_matches_the_oracle_on_nested_values(value):
 
 
 def test_each_record_is_flattened_once(golden_report, monkeypatch):
-    calls = []
-    flatten = report_module._csv_row
+    # Records are flattened a chunk at a time: each one lies in exactly one chunk.
+    chunks = []
+    flatten = report_module._csv_columns
 
-    def counting(record, kind):
-        calls.append(record)
-        return flatten(record, kind)
+    def counting(chunk, kind):
+        chunks.append(chunk)
+        return flatten(chunk, kind)
 
-    monkeypatch.setattr(report_module, "_csv_row", counting)
+    monkeypatch.setattr(report_module, "_csv_columns", counting)
+    monkeypatch.setattr(report_module, "_CHUNK", 3)
     records = [r for key, _ in SECTIONS for r in golden_report[key]]
     render_markdown(golden_report)
-    assert len(calls) == len(records)
-    assert all(a is b for a, b in zip(calls, records))
-    calls.clear()
+    flattened = [r for chunk in chunks for r in chunk]
+    assert len(flattened) == len(records) and len(chunks) > len(SECTIONS)
+    assert all(a is b for a, b in zip(flattened, records))
+    chunks.clear()
     for key, kind in SECTIONS:
         render_csv(golden_report[key], kind)
-    assert len(calls) == len(records)
+    assert [r for chunk in chunks for r in chunk] == records
+    # A record of the wrong kind beyond the first chunk is named as in the first.
+    bound = golden_report["bound_checks"]
+    with pytest.raises(ValueError, match="expected a 'bound' record, got kind 'identity'"):
+        render_csv(bound[:4] + golden_report["identity_checks"][:1], "bound")
 
 
 def test_record_of_another_kind_is_rejected(golden_report):

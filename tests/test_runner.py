@@ -4,6 +4,7 @@ import pytest
 from conftest import poly_smooth
 from hhverify import runner
 from hhverify.bounds import THEOREMS, certify_hypotheses
+from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import ConfigError
 from hhverify.numerics import Interval
 from hhverify.quasiconvex import check_quasi_convex
@@ -166,8 +167,26 @@ def test_an_end_on_the_double_nearest_a_turning_point_keeps_its_verdict():
     # rounds onto an end: |sin| peaks there at 1 between 0.89 and 0.04.
     (1.0000000000000002e16, 1.0000000000000004e16)])
 def test_turning_points_below_double_resolution_give_no_verdict(interval):
+    # The quadrature nodes collapse onto the ends too, so each record is
+    # non-converged by its integral first; the certificates give no verdict.
     records = _bound_statuses({"corpus": ["sin"], "sin_domain": [interval[0], 2 * interval[0]],
                                "intervals": [list(interval)]})
+    assert len(records) == 12
+    for record in records.values():
+        assert record["status"] == "non_converged"
+        assert record["note"].startswith(f"integral of sin over [{interval[0]!r}, ")
+    sin = corpus_by_name(builtin_corpus(sin_domain=Interval(interval[0], 2 * interval[0])))
+    for tag in THEOREMS:
+        (certificate,) = certify_hypotheses(tag, sin["sin"], [Interval(*interval)])
+        assert certificate.verdict == "unresolved", tag
+
+
+def test_a_turning_point_rounded_onto_an_end_gives_no_verdict():
+    # A multiple of pi/2 lies 4.7e-8 above a, under half the spacing of the
+    # doubles there (6e-8), so it rounds onto a; the integral converges.
+    interval = [1000000002.5641972, 1000000006.5641972]
+    records = _bound_statuses({"corpus": ["sin"], "sin_domain": [1e9, 2e9],
+                               "intervals": [interval]})
     assert len(records) == 12
     for record in records.values():
         assert record["status"] == "non_converged"
