@@ -46,7 +46,7 @@ import numpy as np
 from .corpus import SmoothFunction
 from .errors import ParameterError, QuadratureError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, integrate)
+                       QuadratureResult, integrate, nonconvergence_note)
 # check_quasi_convex is not called here; perfbench's tracer patches it under this name.
 from .quasiconvex import (DEFAULT_QC_TOL, QuasiConvexityCertificate,
                           check_quasi_convex, check_quasi_convex_rows)
@@ -63,6 +63,8 @@ EXP_POWER_Q = "q"       # requires q >= 1
 LHS_TRAPEZOID = "trapezoid"
 LHS_TRAPEZOID_CORRECTED = "trapezoid_corrected"
 LHS_MIDPOINT_CORRECTED = "midpoint_corrected"
+# The divisor of each corrected defect's derivative term; a mean inequality clears it.
+CORRECTION_DIVISOR = {LHS_TRAPEZOID_CORRECTED: 12.0, LHS_MIDPOINT_CORRECTED: 24.0}
 
 
 def _holder_root(p: float) -> float:
@@ -136,10 +138,10 @@ def defect(kind: str, f: SmoothFunction, interval: Interval, avg: float) -> floa
     d1 = f.deriv(1)
     if kind == LHS_TRAPEZOID_CORRECTED:
         return (0.5 * (float(f(a)) + float(f(b))) - avg
-                - (w / 12.0) * (float(d1(b)) - float(d1(a))))
+                - (w / CORRECTION_DIVISOR[kind]) * (float(d1(b)) - float(d1(a))))
     if kind == LHS_MIDPOINT_CORRECTED:
         return (float(f(interval.midpoint)) - avg
-                + (w / 24.0) * (float(d1(b)) - float(d1(a))))
+                + (w / CORRECTION_DIVISOR[kind]) * (float(d1(b)) - float(d1(a))))
     raise ParameterError(f"unknown defect kind {kind!r}")
 
 
@@ -152,10 +154,8 @@ def rule_lhs(tag: str, f: SmoothFunction, interval: Interval,
     if integral is None:
         integral = integrate(f.func, interval, quad_tol, quad_budget)
     if not integral.converged:
-        raise QuadratureError(
-            f"integral of {f.name} over [{interval.a}, {interval.b}]: quadrature budget "
-            f"exhausted (error estimate {integral.error_estimate:.3e} after "
-            f"{integral.evaluations} evaluations)")
+        raise QuadratureError(f"integral of {f.name} over [{interval.a}, {interval.b}]: "
+                              f"{nonconvergence_note(integral, quad_budget)}")
     return abs(defect(theorem_spec(tag).lhs_kind, f, interval,
                       integral.value / interval.width))
 
@@ -210,19 +210,25 @@ def hypothesis_function(f: SmoothFunction, order: int) -> Callable:
     return lambda x: np.abs(d(x))
 
 
-def certify_hypotheses(tag: str, f: SmoothFunction, intervals: Sequence[Interval],
-                       qc_tol: float = DEFAULT_QC_TOL) -> list[QuasiConvexityCertificate]:
-    """``certify_hypothesis`` on every interval, in one valley check of all rows."""
-    order = theorem_spec(tag).derivative_order
-    points = [f.turning_points(order, iv.a, iv.b) for iv in intervals]
-    return check_quasi_convex_rows(hypothesis_function(f, order), intervals, points, qc_tol)
+def certify_hypotheses(tags: Sequence[str], f: SmoothFunction, intervals: Sequence[Interval],
+                       qc_tol: float = DEFAULT_QC_TOL
+                       ) -> dict[int, list[QuasiConvexityCertificate]]:
+    """The certificates of |f^(n)| on every interval, for each derivative
+    order n of the tags, in one valley check of all rows per order; the
+    list of order n decides every tag of that order at every exponent."""
+    orders = dict.fromkeys(theorem_spec(tag).derivative_order for tag in tags)
+    return {n: check_quasi_convex_rows(hypothesis_function(f, n), intervals,
+                                       [f.turning_points(n, iv.a, iv.b) for iv in intervals],
+                                       qc_tol)
+            for n in orders}
 
 
 def certify_hypothesis(tag: str, f: SmoothFunction, interval: Interval,
                        qc_tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
     """Certificate for quasi-convexity of |f^(n)|, n the tag's derivative
     order; it decides the tag's hypothesis for every exponent."""
-    return certify_hypotheses(tag, f, [interval], qc_tol)[0]
+    order = theorem_spec(tag).derivative_order
+    return certify_hypotheses([tag], f, [interval], qc_tol)[order][0]
 
 
 def bound_ratio(lhs: float, rhs: float, margin_tol: float = DEFAULT_MARGIN_TOL) -> float:

@@ -9,6 +9,7 @@ numerical non-convergence.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -110,12 +111,12 @@ def _common_options(fn):
     return fn
 
 
-def _execute_with(tasks, kwargs) -> int:
-    check_destination(kwargs["fmt"], kwargs["out"])
-    config = _build_config(tasks, kwargs)
+def _execute_with(tasks, **options) -> int:
+    check_destination(options["fmt"], options["out"])
+    config = _build_config(tasks, options)
     report = run(config)
     data = report.to_dict()
-    rendered = emit(data, kwargs["fmt"], kwargs["out"])
+    rendered = emit(data, options["fmt"], options["out"])
     if rendered is not None:
         click.echo(rendered, nl=False)
     summary = data["summary"]
@@ -133,40 +134,22 @@ def cli():
     special-means applications over a corpus of smooth functions."""
 
 
-@cli.command("verify-identity")
-@_common_options
-@click.option("--identities", default=None, help="Comma-separated identity ids (L1,L2).")
-def verify_identity(**kwargs):
-    """Check the two exact integral identities over the corpus."""
-    return _execute_with(("identities",), kwargs)
-
-
-@cli.command("verify-bound")
-@_common_options
-def verify_bound(**kwargs):
-    """Evaluate the inequality bounds with quasi-convexity certificates."""
-    return _execute_with(("bounds",), kwargs)
-
-
-@cli.command("verify-application")
-@_common_options
-def verify_application(**kwargs):
-    """Evaluate the special-means inequalities (paper and derived variants)."""
-    return _execute_with(("applications",), kwargs)
-
-
-@cli.command("tightness")
-@_common_options
-def tightness(**kwargs):
-    """Run exponent and family-parameter tightness searches."""
-    return _execute_with(("searches",), kwargs)
-
-
-@cli.command("scan")
-@_common_options
-def scan(**kwargs):
-    """Run every configured check: identities, bounds, applications, searches."""
-    return _execute_with(ALL_TASKS, kwargs)
+# Each task subcommand: the tasks it runs and its help.
+_TASK_COMMANDS = {
+    "verify-identity": (("identities",),
+                        "Check the two exact integral identities over the corpus."),
+    "verify-bound": (("bounds",),
+                     "Evaluate the inequality bounds with quasi-convexity certificates."),
+    "verify-application": (("applications",), "Evaluate the special-means inequalities "
+                                              "(paper and derived variants)."),
+    "tightness": (("searches",), "Run exponent and family-parameter tightness searches."),
+    "scan": (ALL_TASKS,
+             "Run every configured check: identities, bounds, applications, searches."),
+}
+for _name, (_tasks, _help) in _TASK_COMMANDS.items():
+    cli.command(_name, help=_help)(_common_options(functools.partial(_execute_with, _tasks)))
+click.option("--identities", default=None, help="Comma-separated identity ids (L1,L2).")(
+    cli.commands["verify-identity"])
 
 
 @cli.command("report")

@@ -57,11 +57,6 @@ def no_turning_points(k: int, a: float, b: float) -> tuple[float, ...]:
     return ()
 
 
-def _monomial_turning_points(n: int) -> Callable[[int, float, float], tuple[float, ...]]:
-    """x^n: f^(k) is c*x^(n-k), whose magnitude turns only at 0, and only for k < n."""
-    return lambda k, a, b: (0.0,) if k < n and a < 0.0 < b else ()
-
-
 def _sin_turning_points(k: int, a: float, b: float) -> tuple[float, ...]:
     """sin: each f^(k) is +-sin or +-cos, turning on the multiples of pi/2.
     Their offsets from a come from a's exactly reduced angle, so where doubles
@@ -107,35 +102,31 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
 
+def _monomial(n: int) -> SmoothFunction:
+    """x^n on [-10, 10]: f^(k) is n!/(n-k)! * x^(n-k) for k <= n and 0 beyond;
+    its magnitude turns only at 0, and only for k < n."""
+    def deriv(k: int) -> Callable:
+        if k > n:
+            return _zero
+        c, e = float(math.perm(n, k)), n - k
+        return lambda x: c * x ** e
+
+    return SmoothFunction(
+        name=f"x^{n}", domain=Interval(-10.0, 10.0),
+        func=lambda x: x ** n,
+        derivs=tuple(deriv(k) for k in range(1, 5)),
+        turning_points=lambda k, a, b: (0.0,) if k < n and a < 0.0 < b else (),
+    )
+
+
 def builtin_corpus(alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
                    sin_domain: Interval = DEFAULT_SIN_DOMAIN) -> list[SmoothFunction]:
     """The built-in test functions: monomials x^3..x^5, exp, sin, and the
     power family on an alpha grid.  sin's domain is configurable; the
     default keeps all four derivative magnitudes monotone there.
     """
-    wide = Interval(-10.0, 10.0)
     corpus = [
-        SmoothFunction(
-            name="x^3", domain=wide,
-            func=lambda x: x ** 3,
-            derivs=(lambda x: 3.0 * x ** 2, lambda x: 6.0 * x,
-                    lambda x: 6.0 + 0.0 * x, _zero),
-            turning_points=_monomial_turning_points(3),
-        ),
-        SmoothFunction(
-            name="x^4", domain=wide,
-            func=lambda x: x ** 4,
-            derivs=(lambda x: 4.0 * x ** 3, lambda x: 12.0 * x ** 2,
-                    lambda x: 24.0 * x, lambda x: 24.0 + 0.0 * x),
-            turning_points=_monomial_turning_points(4),
-        ),
-        SmoothFunction(
-            name="x^5", domain=wide,
-            func=lambda x: x ** 5,
-            derivs=(lambda x: 5.0 * x ** 4, lambda x: 20.0 * x ** 3,
-                    lambda x: 60.0 * x ** 2, lambda x: 120.0 * x),
-            turning_points=_monomial_turning_points(5),
-        ),
+        *(_monomial(n) for n in (3, 4, 5)),
         SmoothFunction(
             name="exp", domain=Interval(-6.0, 6.0),
             func=np.exp, derivs=(np.exp, np.exp, np.exp, np.exp),

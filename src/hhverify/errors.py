@@ -16,4 +16,4 @@ class ConfigError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """An integral required by a check did not converge within budget."""
+    """An integral required by a check did not converge."""

@@ -34,7 +34,8 @@ from .corpus import SmoothFunction
 from .errors import OVERFLOW_NOTE
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, eval_on_array, integrate, integrate_rows)
+                       QuadratureResult, eval_on_array, integrate, integrate_rows,
+                       nonconvergence_note)
 
 # Per identity: the defect kind and sign of the left side, the derivative
 # order n (scale w^n/24), the kernel weight on [0, upper], and whether the
@@ -62,12 +63,14 @@ class IdentityReport:
 
 def _report(identity_id: str, f: SmoothFunction, interval: Interval,
             base: QuadratureResult, lhs: float, rhs: float, scale: float,
-            kernels: tuple[QuadratureResult, ...]) -> IdentityReport:
+            kernels: tuple[QuadratureResult, ...], quad_budget: int) -> IdentityReport:
     """Assemble the report; rhs is scale times a combination of the kernel
-    integrals, so its error estimate is scale times their sum.  A side that
+    integrals, so its error estimate is scale times their sum.  The note
+    says why the first integral that did not converge stopped.  A side that
     is not a finite double counts as not converged, as in the applications."""
-    converged = base.converged and all(k.converged for k in kernels)
-    note = "" if converged else "quadrature did not converge within budget"
+    stalled = next((q for q in (base, *kernels) if not q.converged), None)
+    converged = stalled is None
+    note = "" if converged else nonconvergence_note(stalled, quad_budget)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         converged, note = False, OVERFLOW_NOTE
     return IdentityReport(
@@ -110,7 +113,8 @@ def check_identities(identity_id: str, f: SmoothFunction, intervals: Sequence[In
         except OverflowError:
             scale = math.nan
         value = ks[0].value - ks[1].value if swapped else ks[0].value
-        reports.append(_report(identity_id, f, interval, base, lhs, scale * value, scale, ks))
+        reports.append(_report(identity_id, f, interval, base, lhs, scale * value, scale, ks,
+                               quad_budget))
     return reports
 
 

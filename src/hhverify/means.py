@@ -29,15 +29,14 @@ the verdict does not pass and carries OVERFLOW_NOTE.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .bounds import (DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
+from .bounds import (CORRECTION_DIVISOR, DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
                      LHS_TRAPEZOID_CORRECTED, THEOREMS, endpoint_derivative_max,
                      rule_scale, validate_exponent)
-from .corpus import SmoothFunction, make_power_family
+from .corpus import make_power_family
 from .errors import OVERFLOW_NOTE, DomainError, ParameterError
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import Interval, integrate
@@ -48,8 +47,6 @@ APPLICATION_SOURCE = {"A3_1": "ME1", "A3_2": "ME2", "A3_3": "ME3",
 APPLICATION_TAGS = tuple(APPLICATION_SOURCE)
 APPLICATION_VARIANTS = ("paper", "derived")
 
-# Clears the 1/12 or 1/24 of the source defect's derivative correction.
-_CLEARING = {LHS_TRAPEZOID_CORRECTED: 12.0, LHS_MIDPOINT_CORRECTED: 24.0}
 # The divisor printed in each application's right side, in place of the
 # source rule's D; the width power and the factor c(p) are the rule's.
 _PRINTED_DIVISOR = {"A3_1": 60.0, "A3_2": 2.0, "A3_3": 60.0,
@@ -169,9 +166,8 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     for a, b in intervals:
         if not 0.0 < a < b:
             raise DomainError(f"means require 0 < a < b, got ({a}, {b})")
-    for alpha in alphas:
-        if not (0.0 < alpha <= 1.0):
-            raise DomainError(f"family parameter must lie in (0, 1], got {alpha}")
+    # One member per alpha: the right sides read its derivatives at the ends, never its domain.
+    members = [make_power_family(alpha) for alpha in alphas]
     # Per instance: its fields, its source rule, its left side's key and its divisor.
     plan = []
     for theorem, variant, exponent in instances:
@@ -187,10 +183,9 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
         interval = Interval(a, b)
         scales = [_or_none(rule_scale, source, b - a, exponent, divisor)
                   for _, _, exponent, source, _, divisor in plan]
-        for alpha in alphas:
+        for alpha, member in zip(alphas, members):
             pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
             lhs_of = {key: _or_none(_LHS[key], a, b, alpha) for key in lhs_keys}
-            member = _family_member(alpha)
             # By derivative order, taken only for an instance whose left side
             # and scale are finite, as a lone instance does: a member that
             # overflows there would raise numpy's overflow warning.
@@ -206,7 +201,7 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                     order = source.derivative_order
                     if order not in endpoint_max:
                         endpoint_max[order] = endpoint_derivative_max(member, interval, order)
-                    rhs = _CLEARING[key] * pprod * (scale * endpoint_max[order])
+                    rhs = CORRECTION_DIVISOR[key] * pprod * (scale * endpoint_max[order])
                 finite = math.isfinite(lhs) and math.isfinite(rhs)
                 passed = finite and lhs <= rhs + margin_tol
                 note = ""
@@ -224,14 +219,3 @@ def application_check(theorem: str, variant: str, a: float, b: float, alpha: flo
     ``application_rows`` with one instance, interval and alpha."""
     return ApplicationVerdict(*next(application_rows(
         [(theorem, variant, exponent)], [(a, b)], [alpha], margin_tol)))
-
-
-@functools.lru_cache(maxsize=64)
-def _family_member(alpha: float) -> SmoothFunction:
-    """The power-family member for alpha on its default domain.
-
-    The right sides read only the member's derivatives at the interval's
-    endpoints, never its domain, so one frozen member serves every
-    interval; the cache is bounded because alpha grids are small.
-    """
-    return make_power_family(alpha)

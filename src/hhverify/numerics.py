@@ -190,6 +190,16 @@ def integrate_rows(f: Callable, a, b, tol: float = DEFAULT_QUAD_TOL,
     return out
 
 
+def nonconvergence_note(result: QuadratureResult, max_evaluations: int) -> str:
+    """Why an integration did not converge: the budget, if another bisection would
+    pass it; else panels at floating-point resolution (unsplittable or nodes collapsed)."""
+    cause = ("quadrature budget exhausted"
+             if result.evaluations + 2 * _EVALS_PER_PANEL > max_evaluations
+             else "quadrature panels at floating-point resolution")
+    return (f"{cause} (error estimate {result.error_estimate:.3e} after "
+            f"{result.evaluations} evaluations)")
+
+
 def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_QUAD_TOL,
               max_evaluations: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
     """Adaptively integrate f over the interval to absolute tolerance tol

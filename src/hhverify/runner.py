@@ -287,6 +287,11 @@ def _identity_record(report: IdentityReport, residual_tol: float) -> dict:
     }
 
 
+# The sides of a bound record whose check raised or gave a side that is not a finite double.
+_NO_SIDES = {"lhs": None, "rhs": None, "margin": None, "ratio": None, "pass": False,
+             "hypothesis": None, "status": STATUS_NON_CONVERGED}
+
+
 def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
                   exponent: Optional[float], config: RunConfig,
                   integral, hypothesis) -> dict:
@@ -303,15 +308,10 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
             quad_tol=config.quad_tol, quad_budget=config.quad_budget,
             margin_tol=config.margin_tol, qc_tol=config.qc_tol,
             integral=integral, hypothesis=hypothesis)
-        if not (math.isfinite(report.lhs) and math.isfinite(report.rhs)):
-            raise OverflowError(OVERFLOW_NOTE)
     except (QuadratureError, OverflowError) as err:
-        base.update({
-            "lhs": None, "rhs": None, "margin": None, "ratio": None,
-            "pass": False, "hypothesis": None,
-            "status": STATUS_NON_CONVERGED, "note": _failure_note(err),
-        })
-        return base
+        return {**base, **_NO_SIDES, "note": _failure_note(err)}
+    if not (math.isfinite(report.lhs) and math.isfinite(report.rhs)):
+        return {**base, **_NO_SIDES, "note": OVERFLOW_NOTE}
     # A certificate without a verdict makes the record non-converged, with a note why.
     note = {"non_finite": f"hypothesis: non-finite sample at x={report.hypothesis.bad_abscissa!r}",
             "unresolved": UNRESOLVED_NOTE}.get(report.hypothesis.verdict, "")
@@ -323,7 +323,8 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
         status = STATUS_PASS
     else:
         status = STATUS_FAIL
-    base.update({
+    return {
+        **base,
         "lhs": report.lhs,
         "rhs": report.rhs,
         "margin": report.margin,
@@ -332,8 +333,7 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
         "hypothesis": _certificate_dict(report.hypothesis),
         "status": status,
         "note": note,
-    })
-    return base
+    }
 
 
 def _application_record(theorem: str, variant: str, a: float, b: float, alpha: float,
@@ -435,16 +435,13 @@ def run(config: RunConfig) -> RunReport:
                     for r in check_identities(ident, f, intervals, config.quad_tol,
                                               config.quad_budget, integrals))
         if "bounds" in config.tasks:
-            hypotheses: dict = {}  # by derivative order, whatever the exponent
+            hypotheses = certify_hypotheses(config.theorems, f, intervals, config.qc_tol)
             for tag in config.theorems:
-                order = THEOREMS[tag].derivative_order
-                if order not in hypotheses:
-                    hypotheses[order] = certify_hypotheses(tag, f, intervals, config.qc_tol)
+                certificates = hypotheses[THEOREMS[tag].derivative_order]
                 for exponent in _exponents_for(tag, config):
                     bound_records.extend(
                         _bound_record(tag, f, iv, exponent, config, integral, hypothesis)
-                        for iv, integral, hypothesis in zip(intervals, integrals,
-                                                            hypotheses[order]))
+                        for iv, integral, hypothesis in zip(intervals, integrals, certificates))
 
     report.identity_checks = sorted(
         identity_records, key=lambda r: (r["id"], r["function"], r["interval"]))

@@ -136,7 +136,7 @@ def test_certificate_rows_equal_lone_certificates(case, tag):
     points = [f.turning_points(order, iv.a, iv.b) for iv in intervals]
     lone = [check_quasi_convex(g, iv, p) for iv, p in zip(intervals, points)]
     assert check_quasi_convex_rows(g, intervals, points) == lone
-    assert certify_hypotheses(tag, f, intervals) == lone
+    assert certify_hypotheses([tag], f, intervals) == {order: lone}
     assert [certify_hypothesis(tag, f, iv) for iv in intervals] == lone
 
 

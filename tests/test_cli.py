@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import click
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,3 +268,26 @@ def test_report_on_malformed_input_never_tracebacks(tmp_path_factory, data, fmt)
     assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1
+
+
+# Each command's options (name, flags, help) and its --help text at 80
+# columns, as they were when the task subcommands were written out one by one.
+PINNED_HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
+
+
+def test_the_commands_are_the_pinned_ones():
+    assert sorted(cli.cli.commands) == sorted(set(PINNED_HELP) - {"hhverify"})
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HELP))
+def test_each_command_keeps_its_options_and_help_text(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = PINNED_HELP[name]
+    command = cli.cli if name == "hhverify" else cli.cli.commands[name]
+    options = [p for p in command.params if isinstance(p, click.Option)]
+    assert [[p.name, "/".join(p.opts), p.help] for p in options] == pinned["options"]
+    assert [p.name for p in command.params if p not in options] == pinned["arguments"]
+    context = click.Context(cli.cli, info_name="hhverify")
+    if name != "hhverify":
+        context = click.Context(command, info_name=name, parent=context)
+    assert command.get_help(context) + "\n" == pinned["help"]

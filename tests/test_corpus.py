@@ -166,3 +166,49 @@ def test_sin_turning_points_too_close_for_doubles_repeat():
     sin = corpus_by_name(builtin_corpus(sin_domain=Interval(1e20, 2e20)))["sin"]
     points = sin.turning_points(4, 1e20, 1.0000000000000002e20)
     assert len(points) == 4 and len(set(points)) < 4
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+
+
+# The hand-written chains of x^3, x^4 and x^5 (f, f', ..., f''''): the oracle
+# of the chains corpus derives from n.
+HAND_WRITTEN_MONOMIALS = {
+    "x^3": (lambda x: x ** 3, lambda x: 3.0 * x ** 2, lambda x: 6.0 * x,
+            lambda x: 6.0 + 0.0 * x, _zero),
+    "x^4": (lambda x: x ** 4, lambda x: 4.0 * x ** 3, lambda x: 12.0 * x ** 2,
+            lambda x: 24.0 * x, lambda x: 24.0 + 0.0 * x),
+    "x^5": (lambda x: x ** 5, lambda x: 5.0 * x ** 4, lambda x: 20.0 * x ** 3,
+            lambda x: 60.0 * x ** 2, lambda x: 120.0 * x),
+}
+_EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 10.0, -10.0]
+
+
+def _same_bits(got, want) -> bool:
+    return (type(got) is type(want)
+            and np.asarray(got).dtype == np.asarray(want).dtype
+            and np.asarray(got).shape == np.asarray(want).shape
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN_MONOMIALS))
+def test_monomial_chains_match_the_hand_written_ones_bit_for_bit(corpus, name):
+    rng = np.random.default_rng(20)
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 20_000), _EDGES])
+    scalars = [float(x) for x in rng.uniform(-10.0, 10.0, 200)] + _EDGES
+    for k, oracle in enumerate(HAND_WRITTEN_MONOMIALS[name]):
+        d = corpus[name].deriv(k)
+        assert _same_bits(d(xs), oracle(xs)), k
+        assert _same_bits(d(xs.reshape(-1, 8)), oracle(xs.reshape(-1, 8))), k
+        for x in scalars:
+            assert _same_bits(d(x), oracle(x)), (k, x)
+            assert _same_bits(d(np.float64(x)), oracle(np.float64(x))), (k, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(HAND_WRITTEN_MONOMIALS)), st.integers(0, 4),
+       st.floats(-10.0, 10.0))
+def test_every_monomial_derivative_matches_its_hand_written_one(name, k, x):
+    d = corpus_by_name(builtin_corpus())[name].deriv(k)
+    assert _same_bits(d(x), HAND_WRITTEN_MONOMIALS[name][k](x))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.errors import DomainError
-from hhverify.numerics import Interval, conjugate_exponent, integrate, integrate_rows
+from hhverify.numerics import (Interval, QuadratureResult, conjugate_exponent, integrate,
+                               integrate_rows, nonconvergence_note)
 from hhverify.runner import RunConfig, run
 
 
@@ -123,18 +124,43 @@ def test_nodes_collapsed_onto_the_ends_are_not_converged():
     assert rows[1] == lone
 
 
-def test_a_run_over_collapsed_nodes_reports_no_integral():
-    report = run(RunConfig.from_dict({
-        "tasks": ["identities", "bounds"], "corpus": ["sin"], "sin_domain": [1e20, 2e20],
-        "intervals": [[1e20, 1.0000000000000002e20]]}))
+def _assert_non_converged_notes(config, cause):
+    report = run(RunConfig.from_dict({"tasks": ["identities", "bounds"], **config}))
     assert len(report.identity_checks) == 2 and len(report.bound_checks) == 12
     for record in report.identity_checks:
         assert record["status"] == "non_converged"
-        assert record["note"] == "quadrature did not converge within budget"
+        assert record["note"] == cause
+    (a, b), = config["intervals"]
     for record in report.bound_checks:
         assert record["status"] == "non_converged" and record["lhs"] is None
-        assert record["note"].startswith(
-            "integral of sin over [1e+20, 1.0000000000000002e+20]: "), record["note"]
+        assert record["note"] == f"integral of {config['corpus'][0]} over [{a!r}, {b!r}]: {cause}"
+
+
+def test_a_run_over_collapsed_nodes_reports_no_integral():
+    # The budget is the default 1,000,000: the panel cannot be split.
+    _assert_non_converged_notes(
+        {"corpus": ["sin"], "sin_domain": [1e20, 2e20],
+         "intervals": [[1e20, 1.0000000000000002e20]]},
+        "quadrature panels at floating-point resolution (error estimate inf after 15 evaluations)")
+
+
+def test_a_run_over_an_exhausted_budget_names_the_budget():
+    # exp over [-6, 6] needs more than the first panel and one bisection.
+    _assert_non_converged_notes(
+        {"corpus": ["exp"], "intervals": [[-6.0, 6.0]], "quad_budget": 45},
+        "quadrature budget exhausted (error estimate 7.066e-07 after 45 evaluations)")
+
+
+def test_the_budget_is_named_only_when_another_bisection_would_pass_it():
+    stalled = QuadratureResult(0.5, 1e-3, 45, False)
+    assert nonconvergence_note(stalled, 74).startswith("quadrature budget exhausted (")
+    assert nonconvergence_note(stalled, 75).startswith(
+        "quadrature panels at floating-point resolution (")
+    # A panel too narrow to bisect is kept as it is, within any budget.
+    result = integrate(np.sin, Interval(1.0, math.nextafter(1.0, 2.0)))
+    assert (result.converged, result.evaluations) == (False, 15)
+    assert nonconvergence_note(result, 45).startswith("quadrature panels at ")
+    assert nonconvergence_note(result, 44).startswith("quadrature budget exhausted (")
 
 
 def test_error_estimate_bounds_true_error():

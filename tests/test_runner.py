@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import poly_smooth
-from hhverify import runner
+from hhverify import bounds, runner
 from hhverify.bounds import THEOREMS, certify_hypotheses
 from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import ConfigError
 from hhverify.numerics import Interval
-from hhverify.quasiconvex import check_quasi_convex
+from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
 from hhverify.runner import (DEFAULT_INTERVALS, RunConfig, RunReport,
                              _bound_record, run)
 
@@ -59,18 +59,19 @@ def test_an_unknown_search_function_is_refused_before_any_check(monkeypatch):
 
 
 def test_a_default_run_certifies_each_derivative_order_once(monkeypatch):
-    computed = []
+    rows = []
 
-    def counting(tag, f, intervals, *args):
-        certs = certify_hypotheses(tag, f, intervals, *args)
-        computed.append((f.name, THEOREMS[tag].derivative_order, len(certs)))
-        return certs
+    def counting(g, intervals, *args):
+        rows.append(len(intervals))
+        return check_quasi_convex_rows(g, intervals, *args)
 
-    monkeypatch.setattr(runner, "certify_hypotheses", counting)
+    monkeypatch.setattr(bounds, "check_quasi_convex_rows", counting)
     run(RunConfig(tasks=("bounds",)))
-    assert len({(name, order) for name, order, _ in computed}) == len(computed)
-    # 4 derivative orders x 80 (function, interval) pairs, whatever the exponents.
-    assert sum(n for *_, n in computed) == 320
+    # One valley check per (function, derivative order), whatever the tags and
+    # exponents: 8 functions x 4 orders; each order covers the 80 (function,
+    # interval) pairs once.
+    assert len(rows) == 32
+    assert sum(rows) == 320
 
 
 def test_me2_passes_at_a_holder_exponent_beyond_the_beta_underflow():
@@ -176,9 +177,10 @@ def test_turning_points_below_double_resolution_give_no_verdict(interval):
         assert record["status"] == "non_converged"
         assert record["note"].startswith(f"integral of sin over [{interval[0]!r}, ")
     sin = corpus_by_name(builtin_corpus(sin_domain=Interval(interval[0], 2 * interval[0])))
-    for tag in THEOREMS:
-        (certificate,) = certify_hypotheses(tag, sin["sin"], [Interval(*interval)])
-        assert certificate.verdict == "unresolved", tag
+    certificates = certify_hypotheses(THEOREMS, sin["sin"], [Interval(*interval)])
+    assert sorted(certificates) == [1, 2, 3, 4]
+    for order, (certificate,) in certificates.items():
+        assert certificate.verdict == "unresolved", order
 
 
 def test_a_turning_point_rounded_onto_an_end_gives_no_verdict():
