@@ -9,7 +9,7 @@ from .errors import (ConfigError, DomainError, ParameterError,
 from .identities import IdentityReport, check_identity
 from .means import (ApplicationVerdict, application_check, arithmetic_mean,
                     generalized_log_mean)
-from .numerics import Interval, QuadratureResult, conjugate_exponent, integrate
+from .numerics import Interval, QuadratureResult, integrate
 from .quasiconvex import QuasiConvexityCertificate, check_quasi_convex
 from .bounds import BoundReport, THEOREMS, check_bound, defect, rhs_bound
 from .search import (SearchResult, best_exponent, tightness_ratio,
@@ -24,7 +24,7 @@ __all__ = [
     "SearchResult", "SmoothFunction", "THEOREMS", "application_check",
     "arithmetic_mean", "best_exponent", "builtin_corpus",
     "check_bound", "check_identity", "check_quasi_convex",
-    "conjugate_exponent", "defect", "generalized_log_mean", "integrate",
+    "defect", "generalized_log_mean", "integrate",
     "make_power_family", "rhs_bound", "run", "tightness_ratio",
     "worst_case_alpha",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import ConfigError
 from .numerics import DEFAULT_QUAD_TOL
 from .report import FORMATS, check_destination, check_pairs, emit
 from .runner import ALL_TASKS, RunConfig, run
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
         message = err.format_message().partition("\n")[0]
         click.echo(f"error: {message}", err=True)
         return 1
-    except (ConfigError, DomainError, ParameterError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # ConfigError, DomainError, ParameterError too
         click.echo(f"error: {err}", err=True)
         return 1
 

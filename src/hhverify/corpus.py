@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .numerics import Interval
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0)
@@ -122,8 +122,9 @@ def _monomial(n: int) -> SmoothFunction:
 def builtin_corpus(alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
                    sin_domain: Interval = DEFAULT_SIN_DOMAIN) -> list[SmoothFunction]:
     """The built-in test functions: monomials x^3..x^5, exp, sin, and the
-    power family on an alpha grid.  sin's domain is configurable; the
-    default keeps all four derivative magnitudes monotone there.
+    power family on an alpha grid, whose alphas must not print alike under
+    %g.  sin's domain is configurable; the default keeps all four
+    derivative magnitudes monotone there.
     """
     corpus = [
         *(_monomial(n) for n in (3, 4, 5)),
@@ -139,8 +140,13 @@ def builtin_corpus(alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
             turning_points=_sin_turning_points,
         ),
     ]
-    for alpha in alpha_grid:
-        corpus.append(make_power_family(float(alpha)))
+    named = {}  # member name -> its alpha
+    for alpha in map(float, alpha_grid):
+        f = make_power_family(alpha)
+        if f.name in named:
+            raise ConfigError(f"alpha_grid: {named[f.name]!r} and {alpha!r} both name {f.name}")
+        named[f.name] = alpha
+        corpus.append(f)
     return corpus
 
 

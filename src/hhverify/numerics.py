@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-Adaptive quadrature with an embedded Gauss/Kronrod rule pair, and Holder
-conjugate-exponent arithmetic.  Everything here is pure and reentrant.
+Adaptive quadrature with an embedded Gauss/Kronrod rule pair on closed
+intervals.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
     converged: bool
-
-
-def conjugate_exponent(p: float) -> float:
-    """The Holder conjugate q = p/(p-1) of p > 1, so that 1/p + 1/q = 1."""
-    if not (math.isfinite(p) and p > 1.0):
-        raise DomainError(f"conjugate exponent requires p > 1, got {p}")
-    return p / (p - 1.0)
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].

@@ -85,6 +85,29 @@ _TYPE_CHECKS = {
 }
 
 
+def _nested(value, kind):
+    """value with every list or tuple in it made a ``kind`` (JSON lists, RunConfig tuples)."""
+    if not isinstance(value, (list, tuple)):
+        return value
+    return kind(_nested(v, kind) for v in value)
+
+
+# The names each name-list field admits, and what one of them is called.
+_NAMES = {
+    "tasks": (ALL_TASKS, "task"), "theorems": (THEOREMS, "tag"),
+    "identities": (IDENTITY_IDS, "id"), "applications": (APPLICATION_TAGS, "tag"),
+    "variants": (APPLICATION_VARIANTS, "variant"),
+    "search_p_theorems": (EXPONENT_SEARCH_TAGS, "exponent-search tag"),
+    "search_alpha_theorems": (THEOREMS, "tag"),
+}
+# What each grid's entries must satisfy, and that rule as an error states it.
+_GRID_RANGES = {
+    "p_grid": (lambda p: 1.0 < p < math.inf, "finite p > 1"),
+    "q_grid": (lambda q: 1.0 <= q < math.inf, "finite q >= 1"),
+    "alpha_grid": (lambda alpha: 0.0 < alpha <= 1.0, "0 < alpha <= 1"),
+}
+
+
 @dataclass
 class RunConfig:
     """What a batch run computes from (not where its report goes); defaults
@@ -129,22 +152,14 @@ class RunConfig:
                 raise ConfigError(f"{name}: must not be empty")
         if self.corpus is not None and len(self.corpus) == 0:
             raise ConfigError("corpus: must not be empty when given")
-        for name, known, what in (("tasks", ALL_TASKS, "task"), ("theorems", THEOREMS, "tag"),
-                                  ("identities", IDENTITY_IDS, "id"),
-                                  ("applications", APPLICATION_TAGS, "tag"),
-                                  ("variants", APPLICATION_VARIANTS, "variant")):
+        for name, (known, what) in _NAMES.items():
             for item in getattr(self, name):
                 if item not in known:
                     raise ConfigError(f"{name}: unknown {what} {item!r}")
-        for p in self.p_grid:
-            if not 1.0 < p < math.inf:
-                raise ConfigError(f"p_grid: requires finite p > 1, got {p}")
-        for q in self.q_grid:
-            if not 1.0 <= q < math.inf:
-                raise ConfigError(f"q_grid: requires finite q >= 1, got {q}")
-        for alpha in self.alpha_grid:
-            if not 0.0 < alpha <= 1.0:
-                raise ConfigError(f"alpha_grid: requires 0 < alpha <= 1, got {alpha}")
+        for name, (admits, rule) in _GRID_RANGES.items():
+            for value in getattr(self, name):
+                if not admits(value):
+                    raise ConfigError(f"{name}: requires {rule}, got {value}")
         for name in ("quad_tol", "residual_tol", "margin_tol", "qc_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name}: must be positive and finite")
@@ -154,12 +169,6 @@ class RunConfig:
             raise ConfigError(f"qc_grid: must be at least 3, got {self.qc_grid}")
         if self.qc_grid > MAX_QC_GRID:
             raise ConfigError(f"qc_grid: must be at most {MAX_QC_GRID}, got {self.qc_grid}")
-        for tag in self.search_p_theorems:
-            if tag not in EXPONENT_SEARCH_TAGS:
-                raise ConfigError(f"search_p_theorems: {tag!r} takes no Holder exponent")
-        for tag in self.search_alpha_theorems:
-            if tag not in THEOREMS:
-                raise ConfigError(f"search_alpha_theorems: unknown tag {tag!r}")
         lo, hi = self.search_p_range
         if not (1.0 < lo < hi < math.inf):
             raise ConfigError(f"search_p_range: requires finite 1 < lo < hi, got ({lo}, {hi})")
@@ -178,13 +187,7 @@ class RunConfig:
                               f"got [{a}, {b}]")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            out[f.name] = value
-        return out
+        return {f.name: _nested(getattr(self, f.name), list) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -192,15 +195,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"{sorted(unknown)[0]}: unknown configuration key")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in data:
-                continue
-            value = data[f.name]
-            if isinstance(value, list):
-                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-            kwargs[f.name] = value
-        config = cls(**kwargs)
+        config = cls(**{name: _nested(value, tuple) for name, value in data.items()})
         config.validate()
         return config
 
@@ -247,6 +242,15 @@ class RunReport:
         }
 
 
+def _status(decided: bool, certified: bool, passed: bool) -> str:
+    """Every record's status: no verdict, then a refuted hypothesis, then pass or fail."""
+    if not decided:
+        return STATUS_NON_CONVERGED
+    if not certified:
+        return STATUS_REFUTED
+    return STATUS_PASS if passed else STATUS_FAIL
+
+
 def _failure_note(err: Exception) -> str:
     """The note of a record whose check raised: overflow, or the error itself."""
     return OVERFLOW_NOTE if isinstance(err, OverflowError) else str(err)
@@ -266,12 +270,6 @@ def _certificate_dict(cert: QuasiConvexityCertificate) -> dict:
 
 
 def _identity_record(report: IdentityReport, residual_tol: float) -> dict:
-    if not report.converged:
-        status = STATUS_NON_CONVERGED
-    elif report.residual <= residual_tol:
-        status = STATUS_PASS
-    else:
-        status = STATUS_FAIL
     return {
         "kind": "identity",
         "id": report.identity_id,
@@ -282,14 +280,15 @@ def _identity_record(report: IdentityReport, residual_tol: float) -> dict:
         "residual": report.residual,
         "quadrature_error": report.quadrature_error,
         "converged": report.converged,
-        "status": status,
+        "status": _status(report.converged, True,
+                          report.converged and report.residual <= residual_tol),
         "note": report.note,
     }
 
 
 # The sides of a bound record whose check raised or gave a side that is not a finite double.
 _NO_SIDES = {"lhs": None, "rhs": None, "margin": None, "ratio": None, "pass": False,
-             "hypothesis": None, "status": STATUS_NON_CONVERGED}
+             "hypothesis": None, "status": _status(False, False, False)}
 
 
 def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
@@ -315,14 +314,6 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
     # A certificate without a verdict makes the record non-converged, with a note why.
     note = {"non_finite": f"hypothesis: non-finite sample at x={report.hypothesis.bad_abscissa!r}",
             "unresolved": UNRESOLVED_NOTE}.get(report.hypothesis.verdict, "")
-    if note:
-        status = STATUS_NON_CONVERGED
-    elif not report.hypothesis.certified:
-        status = STATUS_REFUTED
-    elif report.passed:
-        status = STATUS_PASS
-    else:
-        status = STATUS_FAIL
     return {
         **base,
         "lhs": report.lhs,
@@ -331,7 +322,7 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
         "ratio": report.ratio,
         "pass": report.passed,
         "hypothesis": _certificate_dict(report.hypothesis),
-        "status": status,
+        "status": _status(not note, report.hypothesis.certified, report.passed),
         "note": note,
     }
 
@@ -339,13 +330,7 @@ def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
 def _application_record(theorem: str, variant: str, a: float, b: float, alpha: float,
                         exponent: Optional[float], lhs: float, rhs: float, passed: bool,
                         note: str) -> dict:
-    """The record of one application_rows row; only an overflow has OVERFLOW_NOTE."""
-    if passed:
-        status = STATUS_PASS
-    elif note == OVERFLOW_NOTE:
-        status = STATUS_NON_CONVERGED
-    else:
-        status = STATUS_FAIL
+    """The record of one application_rows row; a non-finite side leaves no verdict."""
     return {
         "kind": "application",
         "theorem": theorem,
@@ -357,7 +342,7 @@ def _application_record(theorem: str, variant: str, a: float, b: float, alpha: f
         "lhs": lhs,
         "rhs": rhs,
         "pass": passed,
-        "status": status,
+        "status": _status(math.isfinite(lhs) and math.isfinite(rhs), True, passed),
         "note": note,
     }
 
@@ -390,7 +375,7 @@ def _search_record(search: str, tag: str, function: Optional[str],
         "parameters": list(result.parameters),
         "iterations": result.iterations,
         "converged": result.converged,
-        "status": STATUS_PASS if result.converged else STATUS_NON_CONVERGED,
+        "status": _status(result.converged, True, True),
         "note": result.note,
     }
 

@@ -6,9 +6,9 @@ best_exponent minimizes a Holder-parameterized right-hand side over p,
 and worst_case_alpha maximizes the tightness ratio over the power
 family's parameter.  The right side's factor c(p) is nondecreasing in p
 (see bounds), so best_exponent's minimum is the range's left end, found
-by one evaluation.  worst_case_alpha runs golden-section inside a
-bracket found on a coarse seed grid and falls back to a dense-grid
-argmin when the seed profile is not unimodal.
+by one evaluation.  worst_case_alpha scans a coarse seed grid and runs
+golden-section inside the bracket around its best point; an objective
+that vanishes on the whole seed grid is reported as degenerate.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ EXPONENT_SEARCH_TAGS = tuple(tag for tag, spec in THEOREMS.items()
                              if spec.exponent_kind == EXP_HOLDER_P)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DEGENERATE_OBJECTIVE = 1e-14
-# worst_case_alpha's seed grid, its dense fallback grid and its golden-section tolerance.
+# worst_case_alpha's seed grid and its golden-section tolerance.
 _SEED_POINTS = 33
-_FALLBACK_POINTS = 200
 _PARAM_TOL = 1e-6
 
 
@@ -74,17 +73,6 @@ def _golden_section(fn: Callable[[float], float], lo: float, hi: float,
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = fn(x2)
     return 0.5 * (lo + hi), iters
-
-
-def _count_local_minima(values: np.ndarray) -> int:
-    with np.errstate(invalid="ignore"):  # inf - inf between two infinite ratios
-        signs = np.sign(np.diff(values))
-    signs = signs[signs != 0.0]
-    if signs.size == 0:
-        return 1
-    switches = int(np.sum((signs[:-1] < 0) & (signs[1:] > 0)))
-    # A profile that starts ascending has its minimum at the left edge.
-    return (switches + (1 if signs[0] > 0 else 0)) or 1
 
 
 def best_exponent(tag: str, f: SmoothFunction, interval: Interval,
@@ -131,13 +119,6 @@ def worst_case_alpha(tag: str, interval: Interval,
         return SearchResult(objective=-neg_ratio(mid), parameters=(mid,),
                             iterations=_SEED_POINTS, converged=True,
                             note="degenerate objective (identically zero)")
-    if _count_local_minima(values) > 1:
-        dense = np.linspace(lo, hi, _FALLBACK_POINTS)
-        dense_values = [neg_ratio(a) for a in dense]
-        k = int(np.argmin(dense_values))
-        return SearchResult(objective=-dense_values[k], parameters=(float(dense[k]),),
-                            iterations=_SEED_POINTS + _FALLBACK_POINTS, converged=True,
-                            note="dense-grid fallback (seed profile not unimodal)")
     k = int(np.argmin(values))
     best, iters = _golden_section(neg_ratio, float(seed[max(0, k - 1)]),
                                   float(seed[min(_SEED_POINTS - 1, k + 1)]), _PARAM_TOL)

@@ -3,8 +3,9 @@ an exit code 3 with a mathematical cause, checks that fail by raising
 (quadrature, overflow, an integrand beyond the doubles) recorded as
 non-converged, an infinite tightness ratio recorded as such, integers
 beyond double range rejected by name, settings the command line alone
-makes rejected in a config file, report bytes that do not depend on
-where the report goes, and CSV bytes that repeat across runs."""
+makes rejected in a config file, alpha grids whose members would share a
+name rejected, report bytes that do not depend on where the report goes,
+and CSV bytes that repeat across runs."""
 
 import json
 import random
@@ -192,6 +193,29 @@ def test_an_infinite_exponent_range_is_rejected_by_name(tmp_path, capsys):
     assert main(["tightness", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == \
         "error: search_p_range: requires finite 1 < lo < hi, got (1001, inf)\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    # Three alphas within 1e-7 of each other all print as 0.1.
+    (["--alpha-grid", "0.1:0.1000001:3"],
+     "alpha_grid: 0.1 and 0.10000005000000001 both name power_family(0.1)"),
+    (["--alpha-grid", "1:1:2"], "alpha_grid: 1.0 and 1.0 both name power_family(1)"),
+])
+def test_alphas_that_name_one_family_member_are_rejected(tmp_path, capsys, argv, line):
+    # Their bound records would share (theorem, function, interval) with
+    # different sides, and a lookup by name would keep only the last member.
+    out = tmp_path / "r.json"
+    assert main(["scan", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
+def test_a_repeated_alpha_in_a_config_file_is_rejected(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"alpha_grid": [0.5, 0.25, 0.5]}), encoding="utf-8")
+    assert main(["verify-application", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: alpha_grid: 0.5 and 0.5 both name power_family(0.5)\n"
 
 
 def test_a_seeded_sweep_writes_the_same_csv_bytes_twice(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.errors import DomainError
-from hhverify.numerics import (Interval, QuadratureResult, conjugate_exponent, integrate,
-                               integrate_rows, nonconvergence_note)
+from hhverify.numerics import (Interval, QuadratureResult, integrate, integrate_rows,
+                               nonconvergence_note)
 from hhverify.runner import RunConfig, run
 
 
@@ -172,37 +172,3 @@ def test_error_estimate_bounds_true_error():
         r = integrate(f, iv)
         assert r.converged
         assert abs(r.value - truth) <= max(r.error_estimate, 5e-15)
-
-
-def test_conjugate_exponent_values():
-    assert conjugate_exponent(2.0) == 2.0
-    assert conjugate_exponent(3.0) == pytest.approx(1.5, abs=0.0)
-    assert conjugate_exponent(1.25) == 5.0
-
-
-def test_conjugate_exponent_rejects_p_at_most_one():
-    for p in (1.0, 0.5, -3.0):
-        with pytest.raises(DomainError):
-            conjugate_exponent(p)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(1.0 + 1e-9, 1e6))
-def test_conjugate_identity_holds(p):
-    q = conjugate_exponent(p)
-    assert q > 1.0
-    assert abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
-
-
-def test_conjugate_q_decreases_to_one():
-    ps = [1.1, 1.5, 2.0, 5.0, 10.0, 100.0, 1e4, 1e6]
-    qs = [conjugate_exponent(p) for p in ps]
-    assert all(q1 > q2 for q1, q2 in zip(qs, qs[1:]))
-    assert all(q > 1.0 for q in qs)
-    assert qs[-1] == pytest.approx(1.0, abs=1e-5)
-
-
-def test_conjugate_exponent_rejects_non_finite_p():
-    for p in (math.inf, math.nan):
-        with pytest.raises(DomainError):
-            conjugate_exponent(p)

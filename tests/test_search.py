@@ -168,6 +168,15 @@ def test_worst_alpha_evaluates_no_point_after_the_search(monkeypatch, tag):
     assert r.objective == tightness_ratio(tag, f, Interval(1.0, 2.0))
 
 
+@pytest.mark.parametrize("tag", ["ME1", "ME4"])
+def test_worst_alpha_reports_a_degenerate_objective_at_the_midpoint(tag):
+    # On [0.001, 0.002] both sides are far below the absolute ratio cut-off,
+    # so every seed ratio reads 0 and no bracket is searched.
+    r = worst_case_alpha(tag, Interval(0.001, 0.002), (0.01, 1.0))
+    assert r.note == "degenerate objective (identically zero)"
+    assert (r.objective, r.parameters, r.iterations, r.converged) == (0.0, (0.505,), 33, True)
+
+
 def test_worst_alpha_validation():
     with pytest.raises(ParameterError):
         worst_case_alpha("ME1", Interval(-1.0, 2.0), (0.01, 1.0))
