@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .corpus import SmoothFunction
 from .errors import ParameterError, QuadratureError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
@@ -207,7 +205,7 @@ def rule_scale(spec: TheoremSpec, width: float, exponent: Optional[float],
 
 def hypothesis_function(f: SmoothFunction, order: int) -> Callable:
     d = f.deriv(order)
-    return lambda x: np.abs(d(x))
+    return lambda x: abs(d(x))
 
 
 def certify_hypotheses(tags: Sequence[str], f: SmoothFunction, intervals: Sequence[Interval],

@@ -3,9 +3,10 @@
 A SmoothFunction bundles an evaluator with analytically supplied
 derivatives of orders 1 through 4; derivatives are never obtained by
 automatic differentiation, so endpoint derivative magnitudes entering the
-bounds carry no extra error source.  Evaluators accept scalars and numpy
-arrays alike.  Each function also knows where the magnitude of each
-derivative turns, which makes its quasi-convexity certificates exact.
+bounds carry no extra error source.  Evaluators are scalar callables,
+float -> float; one that overflows a double may raise OverflowError.  Each
+function also knows where the magnitude of each derivative turns, which
+makes its quasi-convexity certificates exact.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import ConfigError, DomainError
 from .numerics import Interval
@@ -72,7 +71,8 @@ def make_power_family(alpha: float, domain: Interval | None = None) -> SmoothFun
     """Member of the power family whose fourth derivative is x**alpha.
 
     f(x) = x**(alpha+4) / ((alpha+1)(alpha+2)(alpha+3)(alpha+4)) on a
-    strictly positive domain; requires 0 < alpha <= 1.
+    strictly positive domain; requires 0 < alpha <= 1.  Left of 0 each
+    evaluator is NaN, never a complex power.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"family parameter must lie in (0, 1], got {alpha}")
@@ -80,26 +80,19 @@ def make_power_family(alpha: float, domain: Interval | None = None) -> SmoothFun
         domain = Interval(0.25, 20.0)
     if domain.a < 0.0:
         raise DomainError(f"power family needs a non-negative domain, got [{domain.a}, {domain.b}]")
-    c0 = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
-    c1 = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0)
-    c2 = (alpha + 1.0) * (alpha + 2.0)
-    c3 = alpha + 1.0
+
+    def deriv(k: int) -> Callable:
+        """f^(k)(x) = x**(alpha+4-k) / ((alpha+1)...(alpha+4-k))."""
+        e, c = alpha + (4 - k), math.prod(alpha + j for j in range(1, 5 - k))
+        return lambda x: (x ** e if x >= 0.0 else math.nan) / c
+
     return SmoothFunction(
         name=f"power_family({alpha:g})",
         domain=domain,
-        func=lambda x, a=alpha, c=c0: np.power(x, a + 4.0) / c,
-        derivs=(
-            lambda x, a=alpha, c=c1: np.power(x, a + 3.0) / c,
-            lambda x, a=alpha, c=c2: np.power(x, a + 2.0) / c,
-            lambda x, a=alpha, c=c3: np.power(x, a + 1.0) / c,
-            lambda x, a=alpha: np.power(x, a),
-        ),
+        func=deriv(0),
+        derivs=tuple(deriv(k) for k in range(1, 5)),
         turning_points=no_turning_points,
     )
-
-
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
 
 def _monomial(n: int) -> SmoothFunction:
@@ -107,7 +100,7 @@ def _monomial(n: int) -> SmoothFunction:
     its magnitude turns only at 0, and only for k < n."""
     def deriv(k: int) -> Callable:
         if k > n:
-            return _zero
+            return lambda x: 0.0
         c, e = float(math.perm(n, k)), n - k
         return lambda x: c * x ** e
 
@@ -130,13 +123,13 @@ def builtin_corpus(alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
         *(_monomial(n) for n in (3, 4, 5)),
         SmoothFunction(
             name="exp", domain=Interval(-6.0, 6.0),
-            func=np.exp, derivs=(np.exp, np.exp, np.exp, np.exp),
+            func=math.exp, derivs=(math.exp,) * 4,
             turning_points=no_turning_points,
         ),
         SmoothFunction(
             name="sin", domain=sin_domain,
-            func=np.sin,
-            derivs=(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin),
+            func=math.sin,
+            derivs=(math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), math.sin),
             turning_points=_sin_turning_points,
         ),
     ]

@@ -27,23 +27,23 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
 from .errors import OVERFLOW_NOTE
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, eval_on_array, integrate, integrate_rows,
-                       nonconvergence_note)
+                       QuadratureResult, integrate, integrate_rows, nonconvergence_note)
 
 # Per identity: the defect kind and sign of the left side, the derivative
-# order n (scale w^n/24), the kernel weight on [0, upper], and whether the
-# side with a and b swapped is subtracted.
+# order n (scale w^n/24), the kernel integrand at t in [0, upper] (its weight
+# times the derivative d at t*u + (1-t)*v), upper, and whether the side with
+# a and b swapped is subtracted.
 _IDENTITIES = {
-    "L1": (LHS_TRAPEZOID_CORRECTED, -1.0, 4, lambda t: (t * (1.0 - t)) ** 2, 1.0, False),
+    "L1": (LHS_TRAPEZOID_CORRECTED, -1.0, 4,
+           lambda d, u, v, t: (t * (1.0 - t)) ** 2 * d(u * t + (1.0 - t) * v), 1.0, False),
     "L2": (LHS_MIDPOINT_CORRECTED, 1.0, 3,
-           lambda t: t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t), 0.5, True),
+           lambda d, u, v, t: (t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t)
+                               * d(u * t + (1.0 - t) * v)), 0.5, True),
 }
 IDENTITY_IDS = tuple(_IDENTITIES)
 
@@ -88,20 +88,20 @@ def check_identities(identity_id: str, f: SmoothFunction, intervals: Sequence[In
                      quad_tol: float = DEFAULT_QUAD_TOL,
                      quad_budget: int = DEFAULT_QUAD_BUDGET,
                      integrals: Sequence[QuadratureResult] | None = None) -> list[IdentityReport]:
-    """Check identity L1 or L2 on f over every interval, batching each
-    kernel's first panel; ``integrals`` are f's, if already computed."""
+    """Check identity L1 or L2 on f over every interval; ``integrals`` are
+    f's, if already computed."""
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity id {identity_id!r}, expected one of {IDENTITY_IDS}")
-    kind, sign, order, weight, upper, swapped = _IDENTITIES[identity_id]
-    a = np.array([iv.a for iv in intervals])
-    b = np.array([iv.b for iv in intervals])
+    kind, sign, order, kernel, upper, swapped = _IDENTITIES[identity_id]
+    a = [iv.a for iv in intervals]
+    b = [iv.b for iv in intervals]
     if integrals is None:
         integrals = integrate_rows(f.func, a, b, quad_tol, quad_budget)
     d = f.deriv(order)
-    # Per row, I[0,upper](weight(t) * d(t*u + (1-t)*v)) for (u, v) = (a, b), (b, a).
-    sides = [integrate_rows(lambda t, u, v: weight(t) * eval_on_array(d, u * t + (1.0 - t) * v),
-                            np.zeros(len(a)), np.full(len(a), upper), quad_tol, quad_budget, uv)
-             for uv in ([(a, b), (b, a)] if swapped else [(a, b)])]
+    # Per row, the kernel's integral over [0, upper] for (u, v) = (a, b), then (b, a).
+    sides = [integrate_rows(kernel, [0.0] * len(a), [upper] * len(a), quad_tol, quad_budget,
+                            [(d, u, v) for u, v in uv])
+             for uv in ([zip(a, b), zip(b, a)] if swapped else [zip(a, b)])]
     reports = []
     for interval, base, *ks in zip(intervals, integrals, *sides):
         try:

@@ -187,8 +187,7 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
             pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
             lhs_of = {key: _or_none(_LHS[key], a, b, alpha) for key in lhs_keys}
             # By derivative order, taken only for an instance whose left side
-            # and scale are finite, as a lone instance does: a member that
-            # overflows there would raise numpy's overflow warning.
+            # and scale are finite, as a lone instance does; None if it overflows.
             endpoint_max = {}
             power_max = max(a ** alpha, b ** alpha)
             for (theorem, variant, exponent, source, key, _), scale in zip(plan, scales):
@@ -200,8 +199,10 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                 else:
                     order = source.derivative_order
                     if order not in endpoint_max:
-                        endpoint_max[order] = endpoint_derivative_max(member, interval, order)
-                    rhs = CORRECTION_DIVISOR[key] * pprod * (scale * endpoint_max[order])
+                        endpoint_max[order] = _or_none(endpoint_derivative_max, member,
+                                                       interval, order)
+                    m = endpoint_max[order]
+                    rhs = math.inf if m is None else CORRECTION_DIVISOR[key] * pprod * (scale * m)
                 finite = math.isfinite(lhs) and math.isfinite(rhs)
                 passed = finite and lhs <= rhs + margin_tol
                 note = ""

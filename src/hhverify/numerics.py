@@ -10,9 +10,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from functools import partial
+from operator import mul
+from typing import Callable, Sequence
 
 from .errors import DomainError
 
@@ -62,7 +62,7 @@ class QuadratureResult:
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 # Positive abscissae; odd indices plus the centre form the embedded Gauss rule.
-_XGK = np.array([
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -71,8 +71,8 @@ _XGK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.000000000000000000000000000000000,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -81,56 +81,61 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
-# Full symmetric node/weight tables, ordered left to right.
-_NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
-_KWEIGHTS = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-_GWEIGHTS = np.zeros(15)
-_GWEIGHTS[[1, 3, 5]] = _WG[:3]
-_GWEIGHTS[7] = _WG[3]
-_GWEIGHTS[[9, 11, 13]] = _WG[2::-1]
+# Full symmetric node/weight tables, ordered left to right; the Gauss
+# weights are those of the odd-indexed nodes.
+_NODES = tuple(-x for x in _XGK[:7]) + _XGK[7::-1]
+_KWEIGHTS = _WGK + _WGK[6::-1]
+_GWEIGHTS = _WG + _WG[2::-1]
 
 _EVALS_PER_PANEL = 15
 
 
-def eval_on_array(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f elementwise on x; a scalar return (f ignores its input,
-    as a constant derivative may) is broadcast to x's shape."""
-    with np.errstate(all="ignore"):
-        out = np.asarray(f(x), dtype=float)
-    return out if out.shape == x.shape else np.full(x.shape, float(out))
+def value_at(f: Callable, x: float) -> float:
+    """f(x) as a float, infinite where f overflows a double."""
+    try:
+        return float(f(x))
+    except OverflowError:
+        return math.inf
 
 
-def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
-    """Yield (Kronrod value, error estimate) per panel [a_r, b_r] from one call of f;
-    each row gets its own 1-D dots, so it sums exactly as a lone panel does.
+def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
+    """(Kronrod value, error estimate) of f on the panel [a, b].
 
-    A panel too narrow for its magnitude has nodes that collapse onto its
-    ends: unless they are strictly increasing doubles, its error is infinite.
+    A node where f overflows or is not a finite double raises DomainError
+    naming it.  A panel too narrow for its magnitude has nodes that collapse
+    onto its ends: unless they are distinct doubles, its error is infinite.
     """
     half = 0.5 * (b - a)
-    xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
-    ys = eval_on_array(f, xs)
-    finite = np.isfinite(ys).all(axis=1)
-    resolved = (xs[:, 1:] > xs[:, :-1]).all(axis=1)
-    for x, y, h, ok, apart in zip(xs, ys, half.tolist(), finite.tolist(), resolved.tolist()):
-        if not ok:
-            x_bad = float(x[np.argmax(~np.isfinite(y))])
-            raise DomainError(f"integrand returned a non-finite value at x={x_bad!r}")
-        kron = h * float(_KWEIGHTS @ y)
-        yield kron, abs(kron - h * float(_GWEIGHTS @ y)) if apart else math.inf
+    centre = 0.5 * (a + b)
+    xs = [centre + half * t for t in _NODES]
+    try:
+        ys = list(map(f, xs))
+        finite = all(map(math.isfinite, ys))
+    except OverflowError:
+        finite = False
+    if not finite:
+        bad = next(x for x in xs if not math.isfinite(value_at(f, x)))
+        raise DomainError(f"integrand returned a non-finite value at x={bad!r}")
+    kron = half * sum(map(mul, _KWEIGHTS, ys))
+    if len(set(xs)) < _EVALS_PER_PANEL:  # rounding is monotone: distinct means increasing
+        return kron, math.inf
+    return kron, abs(kron - half * sum(map(mul, _GWEIGHTS, ys[1::2])))
 
 
-def _refine(f: Callable, a: float, b: float, value: float, err: float, tol: float,
-            max_evaluations: int) -> QuadratureResult:
-    """From the first panel (value, err) on [a, b], bisect the worst until tol or budget."""
+def _integrate(f: Callable, a: float, b: float, tol: float,
+               max_evaluations: int) -> QuadratureResult:
+    """From one panel on [a, b], bisect the worst panel until tol or budget."""
+    value, err = _panel(f, a, b)
+    if err <= tol:  # settled: what the loop below returns at once (fsum maps -0.0 to 0.0)
+        return QuadratureResult(math.fsum((value,)), err, _EVALS_PER_PANEL, True)
     evals = _EVALS_PER_PANEL
     # (-err, insertion counter, a, b, value, err); counter fixes heap ties.
     counter = itertools.count()
@@ -145,7 +150,8 @@ def _refine(f: Callable, a: float, b: float, value: float, err: float, tol: floa
             # Panel at floating-point resolution; cannot refine further.
             done.append((a, b, pval, perr))
             continue
-        (lv, le), (rv, re) = _panels(f, np.array([a, mid]), np.array([mid, b]))
+        lv, le = _panel(f, a, mid)
+        rv, re = _panel(f, mid, b)
         evals += 2 * _EVALS_PER_PANEL
         total_err += le + re - perr
         heapq.heappush(active, (-le, next(counter), a, mid, lv, le))
@@ -161,26 +167,19 @@ def _refine(f: Callable, a: float, b: float, value: float, err: float, tol: floa
                             evaluations=evals, converged=error <= tol)
 
 
-def integrate_rows(f: Callable, a, b, tol: float = DEFAULT_QUAD_TOL,
+def integrate_rows(f: Callable, a: Sequence[float], b: Sequence[float],
+                   tol: float = DEFAULT_QUAD_TOL,
                    max_evaluations: int = DEFAULT_QUAD_BUDGET,
-                   params: tuple = ()) -> list[QuadratureResult]:
-    """Integrate x -> f(x, *params_r) over [a_r, b_r] for every row r: the
-    first panels are one call of f (parameters as columns), then each row
-    is refined from its panel as a lone ``integrate`` would, bit for bit."""
+                   params: Sequence[tuple] | None = None) -> list[QuadratureResult]:
+    """Integrate x -> f(*params[r], x) over [a[r], b[r]] for every row r
+    (x -> f(x) when params is None), each row as a lone ``integrate``."""
     if not tol > 0.0:
         raise DomainError(f"quadrature tolerance must be positive, got {tol}")
     if max_evaluations < _EVALS_PER_PANEL:
         raise DomainError(f"evaluation budget below one panel ({_EVALS_PER_PANEL}), got {max_evaluations}")
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    columns = [np.asarray(p, dtype=float)[:, None] for p in params]
-    out = []
-    for r, (value, err) in enumerate(_panels(lambda x: f(x, *columns), a, b)):
-        if err <= tol:  # settled: what _refine returns at once (its fsum maps -0.0 to 0.0)
-            out.append(QuadratureResult(math.fsum((value,)), err, _EVALS_PER_PANEL, True))
-            continue
-        row_f = f if not params else (lambda x, r=r: f(x, *(p[r] for p in params)))
-        out.append(_refine(row_f, float(a[r]), float(b[r]), value, err, tol, max_evaluations))
-    return out
+    return [_integrate(f if params is None else partial(f, *params[r]), float(ar), float(br),
+                       tol, max_evaluations)
+            for r, (ar, br) in enumerate(zip(a, b))]
 
 
 def nonconvergence_note(result: QuadratureResult, max_evaluations: int) -> str:

@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import DomainError
-from .numerics import Interval, eval_on_array
+from .numerics import Interval, value_at
 
 DEFAULT_QC_TOL = 1e-12
 
@@ -74,7 +72,7 @@ def _certificate(g: Callable, xs: list[float], gs: list[float],
         j = min(range(s, n), key=gs.__getitem__)
         lam = min(1.0, max(0.0, (xs[j] - xs[s]) / (xs[j] - xs[i])))
         t = lam * xs[i] + (1.0 - lam) * xs[j]
-        mixed = float(np.asarray(g(t), dtype=float))
+        mixed = value_at(g, t)
         if not math.isfinite(mixed):
             return QuasiConvexityCertificate("non_finite", n, tol, math.nan, bad_abscissa=t)
         violation = mixed - max(gs[i], gs[j])
@@ -89,17 +87,13 @@ def check_quasi_convex_rows(g: Callable, intervals: Sequence[Interval],
                             turning_points: Sequence[Sequence[float]],
                             tol: float = DEFAULT_QC_TOL) -> list[QuasiConvexityCertificate]:
     """The certificate of g on each interval, given g's turning points inside
-    it, ascending, from one call of g on all ends and one on all turning
-    points.  ``tol`` is relative, so that rounding cannot refute large g."""
+    it, ascending: g is evaluated at each end and turning point, and at a
+    witness.  ``tol`` is relative, so that rounding cannot refute large g."""
     if tol < 0.0:
         raise DomainError(f"tolerance must be non-negative, got {tol}")
-    ends = np.array([(iv.a, iv.b) for iv in intervals], dtype=float).reshape(-1, 2)
-    end_values = eval_on_array(g, ends).tolist()
-    inner = [[float(p) for p in points] for points in turning_points]
-    values = iter(eval_on_array(g, np.fromiter(itertools.chain(*inner), float)).tolist())
-    return [_certificate(g, [a, *points, b],
-                         [ga, *itertools.islice(values, len(points)), gb], tol)
-            for (a, b), (ga, gb), points in zip(ends.tolist(), end_values, inner)]
+    rows = ([float(iv.a), *map(float, points), float(iv.b)]
+            for iv, points in zip(intervals, turning_points))
+    return [_certificate(g, xs, [value_at(g, x) for x in xs], tol) for xs in rows]
 
 
 def check_quasi_convex(g: Callable, interval: Interval, turning_points: Sequence[float],

@@ -15,7 +15,7 @@ import math
 from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 FORMATS = ("json", "csv", "markdown")
 # (report key, markdown title, record kind) per record list.
@@ -168,11 +168,15 @@ def _csv_rows(records: list[dict], kind: str) -> Iterator[tuple[str, ...]]:
         yield from zip(*_csv_columns(records[start:start + _CHUNK], kind))
 
 
-def render_csv(records: list[dict], kind: str) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(out: TextIO, records: list[dict], kind: str) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS[kind])
     writer.writerows(_csv_rows(records, kind))
+
+
+def render_csv(records: list[dict], kind: str) -> str:
+    buf = io.StringIO()
+    _write_csv(buf, records, kind)
     return buf.getvalue()
 
 
@@ -210,9 +214,10 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_file(path: Path, write: Callable[[TextIO], Any]) -> None:
     try:
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as out:
+            write(out)
     except OSError as err:
         raise OSError(f"cannot write report to {path}: {err}") from err
 
@@ -231,17 +236,18 @@ def emit(report: dict, format: str, path: str | Path | None) -> str | None:
 
     JSON and markdown return the rendered text when path is None (the CLI
     prints it); CSV always needs a path because it writes one file per
-    record kind, named <stem>_<kind>.csv next to the given path.
+    record kind, named <stem>_<kind>.csv next to the given path, each
+    streamed to its file a chunk of rows at a time.
     """
     check_destination(format, path)
     if format != "csv":
         text = render_json(report) if format == "json" else render_markdown(report)
         if path is None:
             return text
-        _write_text(Path(path), text)
+        _write_file(Path(path), lambda out: out.write(text))
         return None
     base = Path(path)
     for key, _, kind in SECTIONS:
-        target = base.with_name(f"{base.stem}_{kind}.csv")
-        _write_text(target, render_csv(report.get(key, []), kind))
+        _write_file(base.with_name(f"{base.stem}_{kind}.csv"),
+                    lambda out: _write_csv(out, report.get(key, []), kind))
     return None

@@ -56,7 +56,7 @@ MAX_QC_GRID = 1001
 
 def _is_number(value) -> bool:
     # A JSON integer beyond double range is no number the checks can compare
-    # or subtract: math.isfinite and numpy raise OverflowError on it.
+    # or subtract: math.isfinite and float arithmetic raise OverflowError on it.
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
 

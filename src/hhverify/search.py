@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, bound_ratio,
                      rhs_bound, rule_lhs, validate_exponent)
 from .corpus import SmoothFunction, make_power_family
@@ -53,6 +51,11 @@ def tightness_ratio(tag: str, f: SmoothFunction, interval: Interval,
     lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget)
     rhs = rhs_bound(tag, f, interval, exponent)
     return bound_ratio(lhs, rhs, DEFAULT_MARGIN_TOL)
+
+
+def _argmin(values: list[float]) -> int:
+    """Index of the first NaN, else of the first smallest value."""
+    return min(range(len(values)), key=lambda i: (values[i] == values[i], values[i]))
 
 
 def _golden_section(fn: Callable[[float], float], lo: float, hi: float,
@@ -112,21 +115,22 @@ def worst_case_alpha(tag: str, interval: Interval,
         f = make_power_family(alpha, domain=interval)
         return -tightness_ratio(tag, f, interval, exponent, quad_tol, quad_budget)
 
-    seed = np.linspace(lo, hi, _SEED_POINTS)
-    values = np.array([neg_ratio(a) for a in seed])
-    if float(np.max(np.abs(values))) <= _DEGENERATE_OBJECTIVE:
+    step = (hi - lo) / (_SEED_POINTS - 1)
+    seed = [lo + i * step for i in range(_SEED_POINTS - 1)] + [hi]
+    values = [neg_ratio(a) for a in seed]
+    if all(abs(v) <= _DEGENERATE_OBJECTIVE for v in values):
         mid = 0.5 * (lo + hi)
         return SearchResult(objective=-neg_ratio(mid), parameters=(mid,),
                             iterations=_SEED_POINTS, converged=True,
                             note="degenerate objective (identically zero)")
-    k = int(np.argmin(values))
-    best, iters = _golden_section(neg_ratio, float(seed[max(0, k - 1)]),
-                                  float(seed[min(_SEED_POINTS - 1, k + 1)]), _PARAM_TOL)
+    k = _argmin(values)
+    best, iters = _golden_section(neg_ratio, seed[max(0, k - 1)],
+                                  seed[min(_SEED_POINTS - 1, k + 1)], _PARAM_TOL)
     # An edge maximum leaves golden section within _PARAM_TOL of the range
     # boundary; the boundary itself is a valid and possibly better point,
     # whose value the seed scan already holds.
     candidates = [best, lo, hi]
-    candidate_values = [neg_ratio(best), float(values[0]), float(values[-1])]
-    k = int(np.argmin(candidate_values))
+    candidate_values = [neg_ratio(best), values[0], values[-1]]
+    k = _argmin(candidate_values)
     return SearchResult(objective=-candidate_values[k], parameters=(candidates[k],),
                         iterations=_SEED_POINTS + iters + 2, converged=True)

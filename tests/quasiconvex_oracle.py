@@ -22,8 +22,22 @@ import math
 import numpy as np
 
 from hhverify.errors import DomainError
-from hhverify.numerics import eval_on_array
 from hhverify.quasiconvex import CounterExample, QuasiConvexityCertificate
+
+
+def _value(g, x):
+    try:
+        return float(g(x))
+    except OverflowError:
+        return math.inf
+
+
+def eval_on_array(g, x):
+    """g at each point of the array x, one scalar call per point (an overflow
+    is infinite), shaped as x."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.array([_value(g, t) for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 def sample_certificate(g, interval, n_grid=101, tol=1e-12):
@@ -65,7 +79,7 @@ def _verdict(g, xs, gx, ts, viol, n_grid, tol):
         j = above + int(np.argmin(gx[above:]))
         x, y, t = float(xs[i]), float(xs[j]), float(ts[s])
         lam = 1.0 if y == x else min(1.0, max(0.0, (y - t) / (y - x)))
-        mixed = float(np.asarray(g(lam * x + (1.0 - lam) * y), dtype=float))
+        mixed = _value(g, lam * x + (1.0 - lam) * y)
         if not math.isfinite(mixed):
             return QuasiConvexityCertificate("non_finite", n_grid, tol, math.nan,
                                              bad_abscissa=lam * x + (1.0 - lam) * y)

@@ -223,7 +223,7 @@ def test_criterion_10_determinism_and_exit_codes(tmp_path):
                       "--out", str(tmp_path / "f.json")])
 
     slow_cfg = tmp_path / "slow.json"
-    slow_cfg.write_text(json.dumps({"corpus": ["exp"], "intervals": [[0.0, 1.0]],
+    slow_cfg.write_text(json.dumps({"corpus": ["exp"], "intervals": [[-6.0, 6.0]],
                                     "theorems": ["ME1"], "quad_tol": 1e-16,
                                     "quad_budget": 45}), encoding="utf-8")
     code_slow = main(["verify-bound", "--config", str(slow_cfg),

@@ -69,14 +69,12 @@ def test_batches_include_refined_and_exhausted_rows():
                 max_size=8),
        st.sampled_from([1e-10, 1e-14]), st.sampled_from([45, 1_000_000]))
 def test_parameterized_rows_equal_lone_integrals(params, tol, budget):
-    def family(t, u, v):
-        return np.exp(u * t) * np.sin(v * t + 1.0)
+    def family(u, v, t):
+        return math.exp(u * t) * math.sin(v * t + 1.0)
 
-    us = [u for u, _ in params]
-    vs = [v for _, v in params]
     rows = integrate_rows(family, [0.0] * len(params), [1.0] * len(params), tol, budget,
-                          (us, vs))
-    lone = [integrate(lambda t, u=u, v=v: family(t, u, v), Interval(0.0, 1.0), tol, budget)
+                          params)
+    lone = [integrate(lambda t, u=u, v=v: family(u, v, t), Interval(0.0, 1.0), tol, budget)
             for u, v in params]
     assert [_fields(r) for r in rows] == [_fields(r) for r in lone]
 

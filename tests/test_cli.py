@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -60,7 +63,7 @@ def test_paper_variant_failure_exits_two(tmp_path):
 def test_non_convergence_exits_three(tmp_path):
     cfg = _write_config(tmp_path, {
         "corpus": ["exp"],
-        "intervals": [[0.0, 1.0]],
+        "intervals": [[-6.0, 6.0]],
         "theorems": ["ME1"],
         "quad_tol": 1e-16,
         "quad_budget": 45,
@@ -69,6 +72,22 @@ def test_non_convergence_exits_three(tmp_path):
     assert code == 3
     data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
     assert data["summary"]["non_converged"] >= 1
+
+
+def test_default_scan_never_imports_numpy(tmp_path):
+    # A fresh interpreter, so that no test has imported numpy before.
+    code = ("import sys\n"
+            "from hhverify.cli import main\n"
+            "code = main(['scan', '--out', sys.argv[1]])\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "sys.exit(code)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["summary"]["total"]
 
 
 def test_overflowing_application_exits_three_without_traceback(tmp_path, capsys):

@@ -32,6 +32,13 @@ def test_power_family_alpha_half():
     assert f.deriv(3)(4.0) == pytest.approx(4.0 ** 1.5 / 1.5, rel=1e-15)
 
 
+def test_power_family_is_nan_left_of_zero_never_complex():
+    f = make_power_family(0.5, domain=Interval(0.0, 1.0))
+    for k in range(5):
+        value = f.deriv(k)(-1.0)
+        assert type(value) is float and math.isnan(value)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.0001, 2.0])
 def test_power_family_rejects_bad_alpha(alpha):
     with pytest.raises(DomainError):
@@ -52,8 +59,8 @@ def test_quartic_has_constant_fourth_derivative(corpus):
     f = corpus["x^4"]
     for x in (-3.0, 0.0, 0.7, 5.0):
         assert f.deriv(4)(x) == 24.0
-    xs = np.linspace(-2, 2, 7)
-    assert np.allclose(f.deriv(4)(xs), 24.0)
+    xs = np.linspace(-2, 2, 7).tolist()
+    assert np.allclose([f.deriv(4)(x) for x in xs], 24.0)
 
 
 def test_cubic_derivative_chain(corpus):
@@ -131,7 +138,7 @@ def test_each_derivative_magnitude_is_monotone_between_its_turning_points(f, k, 
     # With four points (sin) |f^(k)| need not be monotone after the last one.
     abscissae = [a, *points] + ([] if len(points) == 4 else [b])
     for x, y in zip(abscissae, abscissae[1:]):
-        g = np.abs(d(np.linspace(x, y, 65)))
+        g = np.abs([d(t) for t in np.linspace(x, y, 65).tolist()])
         steps = np.diff(g)
         eps = 1e-12 * max(1.0, float(g.max()))
         assert (steps >= -eps).all() or (steps <= eps).all(), (f.name, k, x, y)
@@ -141,7 +148,7 @@ def test_the_first_four_turning_points_of_sin_hold_a_hump():
     sin = corpus_by_name(builtin_corpus(sin_domain=Interval(0.0, 1e300)))["sin"]
     for k in range(5):
         points = sin.turning_points(k, 0.3, 1e300)
-        g = np.abs(sin.deriv(k)(np.array(points)))
+        g = [abs(sin.deriv(k)(p)) for p in points]
         humps = [g[i + 1] - max(g[i], g[i + 2]) for i in range(2)]
         assert max(humps) >= 1.0 - 1e-15
 
@@ -169,7 +176,7 @@ def test_sin_turning_points_too_close_for_doubles_repeat():
 
 
 def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+    return 0.0
 
 
 # The hand-written chains of x^3, x^4 and x^5 (f, f', ..., f''''): the oracle
@@ -199,8 +206,8 @@ def test_monomial_chains_match_the_hand_written_ones_bit_for_bit(corpus, name):
     scalars = [float(x) for x in rng.uniform(-10.0, 10.0, 200)] + _EDGES
     for k, oracle in enumerate(HAND_WRITTEN_MONOMIALS[name]):
         d = corpus[name].deriv(k)
-        assert _same_bits(d(xs), oracle(xs)), k
-        assert _same_bits(d(xs.reshape(-1, 8)), oracle(xs.reshape(-1, 8))), k
+        for x in xs.tolist():
+            assert _same_bits(d(x), oracle(x)), (k, x)
         for x in scalars:
             assert _same_bits(d(x), oracle(x)), (k, x)
             assert _same_bits(d(np.float64(x)), oracle(np.float64(x))), (k, x)

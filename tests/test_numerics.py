@@ -7,6 +7,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import DomainError
 from hhverify.numerics import (Interval, QuadratureResult, integrate, integrate_rows,
                                nonconvergence_note)
@@ -93,16 +94,28 @@ def test_agrees_with_scipy_quad():
 
 
 def test_budget_exhaustion_is_explicit():
-    r = integrate(np.exp, Interval(0.0, 1.0), tol=1e-30, max_evaluations=200)
+    # The estimate left after 45 evaluations is 7.1e-7, far above any
+    # rounding of the Kronrod-Gauss difference.
+    r = integrate(math.exp, Interval(-6.0, 6.0), tol=1e-30, max_evaluations=45)
     assert not r.converged
-    assert r.evaluations <= 200
+    assert r.evaluations <= 45
     # The value is still the best estimate, not a silent wrong answer.
-    assert abs(r.value - (math.e - 1.0)) <= 1e-9
+    assert abs(r.value - (math.exp(6.0) - math.exp(-6.0))) <= 1e-9
 
 
 def test_nonfinite_integrand_names_abscissa():
     with pytest.raises(DomainError, match="x="):
         integrate(lambda x: np.log(x), Interval(-1.0, 1.0))
+
+
+def test_an_overflowing_integrand_names_the_abscissa():
+    # math.exp raises OverflowError above log(max double) = 709.78: the first
+    # node past it is named, as a non-finite value would be.
+    exp = corpus_by_name(builtin_corpus())["exp"]
+    with pytest.raises(DomainError, match="x=") as err:
+        integrate(exp.func, Interval(700.0, 720.0))
+    x = float(str(err.value).rpartition("x=")[2])
+    assert 700.0 < x <= 720.0 and x > math.log(1.7976931348623157e308)
 
 
 def test_invalid_tolerance_and_budget():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hhverify.bounds import certify_hypothesis
+from hhverify.bounds import certify_hypothesis, hypothesis_function
 from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import DomainError
 from hhverify.numerics import Interval
@@ -142,6 +142,17 @@ def test_an_infinite_end_is_non_finite_and_thresholds_the_finite_values():
     assert cert.tol == 1e-12 * 20.0
 
 
+def test_an_overflowing_g_is_non_finite_at_its_abscissa():
+    # exp overflows a double above 709.78: exp(720) raises OverflowError.
+    exp = corpus_by_name(builtin_corpus())["exp"]
+    iv = Interval(700.0, 720.0)
+    for g in (exp.deriv(4), hypothesis_function(exp, 4)):
+        cert = check_quasi_convex(g, iv, ())
+        assert cert.verdict == "non_finite" and cert.bad_abscissa == 720.0
+        assert math.isnan(cert.max_violation)
+    assert certify_hypothesis("ME1", exp, iv).verdict == "non_finite"
+
+
 @pytest.mark.parametrize("points", [(0.5, 0.5), (0.0,), (1.0,), (1.5,), (0.6, 0.4)])
 def test_turning_points_not_distinct_and_strictly_inside_give_no_verdict(points):
     cert = check_quasi_convex(np.abs, Interval(0.0, 1.0), points)
@@ -170,7 +181,7 @@ def test_rows_equal_lone_certificates_from_two_calls_of_g():
         return g(x)
 
     assert check_quasi_convex_rows(counted, intervals, points) == lone
-    assert calls == [2 * 3, 2, 1]  # the ends, the turning points, the witness
+    assert calls == [1] * (6 + 2 + 1)  # one point per call: 6 ends, 2 turning points, a witness
 
 
 def test_no_rows_give_no_certificates():

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.errors import DomainError
-from hhverify.numerics import Interval, eval_on_array
+from hhverify.numerics import Interval
 
-from quasiconvex_oracle import sample_certificate
+from quasiconvex_oracle import eval_on_array, sample_certificate
 
 
 def brute_force_scan(g, interval, n_grid, tol, exact_mixing=False):
