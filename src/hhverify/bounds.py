@@ -39,15 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .corpus import SmoothFunction
 from .errors import ParameterError, QuadratureError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, integrate, nonconvergence_note)
-# check_quasi_convex is not called here; perfbench's tracer patches it under this name.
-from .quasiconvex import (DEFAULT_QC_TOL, QuasiConvexityCertificate,
-                          check_quasi_convex, check_quasi_convex_rows)
+from .quasiconvex import DEFAULT_QC_TOL, QuasiConvexityCertificate, check_quasi_convex
 
 DEFAULT_MARGIN_TOL = 1e-9
 RATIO_DEGENERATE_TOL = 1e-9
@@ -208,25 +206,13 @@ def hypothesis_function(f: SmoothFunction, order: int) -> Callable:
     return lambda x: abs(d(x))
 
 
-def certify_hypotheses(tags: Sequence[str], f: SmoothFunction, intervals: Sequence[Interval],
-                       qc_tol: float = DEFAULT_QC_TOL
-                       ) -> dict[int, list[QuasiConvexityCertificate]]:
-    """The certificates of |f^(n)| on every interval, for each derivative
-    order n of the tags, in one valley check of all rows per order; the
-    list of order n decides every tag of that order at every exponent."""
-    orders = dict.fromkeys(theorem_spec(tag).derivative_order for tag in tags)
-    return {n: check_quasi_convex_rows(hypothesis_function(f, n), intervals,
-                                       [f.turning_points(n, iv.a, iv.b) for iv in intervals],
-                                       qc_tol)
-            for n in orders}
-
-
 def certify_hypothesis(tag: str, f: SmoothFunction, interval: Interval,
                        qc_tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
     """Certificate for quasi-convexity of |f^(n)|, n the tag's derivative
-    order; it decides the tag's hypothesis for every exponent."""
+    order; it decides every tag of that order at every exponent."""
     order = theorem_spec(tag).derivative_order
-    return certify_hypotheses([tag], f, [interval], qc_tol)[order][0]
+    return check_quasi_convex(hypothesis_function(f, order), interval,
+                              f.turning_points(order, interval.a, interval.b), qc_tol)
 
 
 def bound_ratio(lhs: float, rhs: float, margin_tol: float = DEFAULT_MARGIN_TOL) -> float:

@@ -25,25 +25,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Optional
 
 from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
-from .errors import OVERFLOW_NOTE
-# integrate is not called here; perfbench's tracer patches it under this name.
+from .errors import OVERFLOW_NOTE, ParameterError
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, integrate, integrate_rows, nonconvergence_note)
+                       QuadratureResult, integrate, nonconvergence_note)
+
+_UNIT = Interval(0.0, 1.0)
+_HALF = Interval(0.0, 0.5)
 
 # Per identity: the defect kind and sign of the left side, the derivative
-# order n (scale w^n/24), the kernel integrand at t in [0, upper] (its weight
-# times the derivative d at t*u + (1-t)*v), upper, and whether the side with
+# order n (scale w^n/24), the kernel integrand at t in span (its weight
+# times the derivative d at t*u + (1-t)*v), span, and whether the side with
 # a and b swapped is subtracted.
 _IDENTITIES = {
     "L1": (LHS_TRAPEZOID_CORRECTED, -1.0, 4,
-           lambda d, u, v, t: (t * (1.0 - t)) ** 2 * d(u * t + (1.0 - t) * v), 1.0, False),
+           lambda d, u, v, t: (t * (1.0 - t)) ** 2 * d(u * t + (1.0 - t) * v), _UNIT, False),
     "L2": (LHS_MIDPOINT_CORRECTED, 1.0, 3,
            lambda d, u, v, t: (t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t)
-                               * d(u * t + (1.0 - t) * v)), 0.5, True),
+                               * d(u * t + (1.0 - t) * v)), _HALF, True),
 }
 IDENTITY_IDS = tuple(_IDENTITIES)
 
@@ -84,43 +87,31 @@ def _report(identity_id: str, f: SmoothFunction, interval: Interval,
     )
 
 
-def check_identities(identity_id: str, f: SmoothFunction, intervals: Sequence[Interval],
-                     quad_tol: float = DEFAULT_QUAD_TOL,
-                     quad_budget: int = DEFAULT_QUAD_BUDGET,
-                     integrals: Sequence[QuadratureResult] | None = None) -> list[IdentityReport]:
-    """Check identity L1 or L2 on f over every interval; ``integrals`` are
-    f's, if already computed."""
-    if identity_id not in _IDENTITIES:
-        raise ValueError(f"unknown identity id {identity_id!r}, expected one of {IDENTITY_IDS}")
-    kind, sign, order, kernel, upper, swapped = _IDENTITIES[identity_id]
-    a = [iv.a for iv in intervals]
-    b = [iv.b for iv in intervals]
-    if integrals is None:
-        integrals = integrate_rows(f.func, a, b, quad_tol, quad_budget)
-    d = f.deriv(order)
-    # Per row, the kernel's integral over [0, upper] for (u, v) = (a, b), then (b, a).
-    sides = [integrate_rows(kernel, [0.0] * len(a), [upper] * len(a), quad_tol, quad_budget,
-                            [(d, u, v) for u, v in uv])
-             for uv in ([zip(a, b), zip(b, a)] if swapped else [zip(a, b)])]
-    reports = []
-    for interval, base, *ks in zip(intervals, integrals, *sides):
-        try:
-            lhs = sign * defect(kind, f, interval, base.value / interval.width)
-        except OverflowError:
-            lhs = math.nan
-        try:
-            scale = interval.width ** order / 24.0
-        except OverflowError:
-            scale = math.nan
-        value = ks[0].value - ks[1].value if swapped else ks[0].value
-        reports.append(_report(identity_id, f, interval, base, lhs, scale * value, scale, ks,
-                               quad_budget))
-    return reports
-
-
 def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
                    quad_tol: float = DEFAULT_QUAD_TOL,
-                   quad_budget: int = DEFAULT_QUAD_BUDGET) -> IdentityReport:
-    """Check identity L1 or L2 on f over one interval."""
-    return check_identities(identity_id, f, [interval], quad_tol, quad_budget)[0]
-
+                   quad_budget: int = DEFAULT_QUAD_BUDGET,
+                   integral: QuadratureResult | None = None) -> IdentityReport:
+    """Check identity L1 or L2 on f over one interval; ``integral`` is f's
+    over it, if already computed."""
+    if identity_id not in _IDENTITIES:
+        raise ParameterError(f"unknown identity id {identity_id!r}, "
+                             f"expected one of {', '.join(IDENTITY_IDS)}")
+    kind, sign, order, kernel, span, swapped = _IDENTITIES[identity_id]
+    if integral is None:
+        integral = integrate(f.func, interval, quad_tol, quad_budget)
+    d = f.deriv(order)
+    a, b = interval.a, interval.b
+    # The kernel's integral over span for (u, v) = (a, b), then (b, a).
+    kernels = tuple(integrate(partial(kernel, d, u, v), span, quad_tol, quad_budget)
+                    for u, v in ([(a, b), (b, a)] if swapped else [(a, b)]))
+    try:
+        lhs = sign * defect(kind, f, interval, integral.value / interval.width)
+    except OverflowError:
+        lhs = math.nan
+    try:
+        scale = interval.width ** order / 24.0
+    except OverflowError:
+        scale = math.nan
+    value = kernels[0].value - kernels[1].value if swapped else kernels[0].value
+    return _report(identity_id, f, interval, integral, lhs, scale * value, scale, kernels,
+                   quad_budget)

@@ -10,9 +10,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DomainError
 
@@ -167,21 +166,6 @@ def _integrate(f: Callable, a: float, b: float, tol: float,
                             evaluations=evals, converged=error <= tol)
 
 
-def integrate_rows(f: Callable, a: Sequence[float], b: Sequence[float],
-                   tol: float = DEFAULT_QUAD_TOL,
-                   max_evaluations: int = DEFAULT_QUAD_BUDGET,
-                   params: Sequence[tuple] | None = None) -> list[QuadratureResult]:
-    """Integrate x -> f(*params[r], x) over [a[r], b[r]] for every row r
-    (x -> f(x) when params is None), each row as a lone ``integrate``."""
-    if not tol > 0.0:
-        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
-    if max_evaluations < _EVALS_PER_PANEL:
-        raise DomainError(f"evaluation budget below one panel ({_EVALS_PER_PANEL}), got {max_evaluations}")
-    return [_integrate(f if params is None else partial(f, *params[r]), float(ar), float(br),
-                       tol, max_evaluations)
-            for r, (ar, br) in enumerate(zip(a, b))]
-
-
 def nonconvergence_note(result: QuadratureResult, max_evaluations: int) -> str:
     """Why an integration did not converge: the budget, if another bisection would
     pass it; else panels at floating-point resolution (unsplittable or nodes collapsed)."""
@@ -195,5 +179,9 @@ def nonconvergence_note(result: QuadratureResult, max_evaluations: int) -> str:
 def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_QUAD_TOL,
               max_evaluations: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
     """Adaptively integrate f over the interval to absolute tolerance tol
-    (``integrate_rows`` with one row; deterministic for fixed inputs)."""
-    return integrate_rows(f, [interval.a], [interval.b], tol, max_evaluations)[0]
+    (deterministic for fixed inputs)."""
+    if not tol > 0.0:
+        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
+    if max_evaluations < _EVALS_PER_PANEL:
+        raise DomainError(f"evaluation budget below one panel ({_EVALS_PER_PANEL}), got {max_evaluations}")
+    return _integrate(f, float(interval.a), float(interval.b), tol, max_evaluations)

@@ -83,20 +83,12 @@ def _certificate(g: Callable, xs: list[float], gs: list[float],
     return QuasiConvexityCertificate("certified", n, tol, max(viol[s], 0.0))
 
 
-def check_quasi_convex_rows(g: Callable, intervals: Sequence[Interval],
-                            turning_points: Sequence[Sequence[float]],
-                            tol: float = DEFAULT_QC_TOL) -> list[QuasiConvexityCertificate]:
-    """The certificate of g on each interval, given g's turning points inside
+def check_quasi_convex(g: Callable, interval: Interval, turning_points: Sequence[float],
+                       tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
+    """The certificate of g on the interval, given g's turning points inside
     it, ascending: g is evaluated at each end and turning point, and at a
     witness.  ``tol`` is relative, so that rounding cannot refute large g."""
     if tol < 0.0:
         raise DomainError(f"tolerance must be non-negative, got {tol}")
-    rows = ([float(iv.a), *map(float, points), float(iv.b)]
-            for iv, points in zip(intervals, turning_points))
-    return [_certificate(g, xs, [value_at(g, x) for x in xs], tol) for xs in rows]
-
-
-def check_quasi_convex(g: Callable, interval: Interval, turning_points: Sequence[float],
-                       tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
-    """``check_quasi_convex_rows`` on one interval."""
-    return check_quasi_convex_rows(g, [interval], [turning_points], tol)[0]
+    xs = [float(interval.a), *map(float, turning_points), float(interval.b)]
+    return _certificate(g, xs, [value_at(g, x) for x in xs], tol)

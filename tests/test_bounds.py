@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from hhverify.bounds import (EXP_NONE, LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
                              LHS_TRAPEZOID_CORRECTED, THEOREM_ORDER, THEOREMS,
-                             check_bound, certify_hypotheses, certify_hypothesis,
-                             defect, rhs_bound)
+                             check_bound, certify_hypothesis, defect, rhs_bound)
 from hhverify.corpus import (SmoothFunction, admissible_intervals, builtin_corpus,
                              corpus_by_name, no_turning_points)
 from hhverify.errors import ParameterError
 from hhverify.numerics import Interval, integrate
-from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
+from hhverify.quasiconvex import check_quasi_convex
 from hhverify.runner import DEFAULT_INTERVALS
 
 from conftest import PLAIN_RULE, poly_smooth, scaled
@@ -240,12 +239,12 @@ def test_the_certificate_of_the_derivative_decides_every_power(tag):
     order = THEOREMS[tag].derivative_order
     verdicts = set()
     for f in builtin_corpus(sin_domain=Interval(0.0, 6.3)):
-        intervals = admissible_intervals(f, grid)
-        certs = [c.verdict for c in certify_hypotheses([tag], f, intervals)[order]]
-        verdicts.update(certs)
         d = f.deriv(order)
-        points = [f.turning_points(order, iv.a, iv.b) for iv in intervals]
-        for e in (1.5, 2.0, 3.0):
-            powered = check_quasi_convex_rows(lambda x: np.abs(d(x)) ** e, intervals, points)
-            assert certs == [c.verdict for c in powered], (f.name, e)
+        for iv in admissible_intervals(f, grid):
+            verdict = certify_hypothesis(tag, f, iv).verdict
+            verdicts.add(verdict)
+            points = f.turning_points(order, iv.a, iv.b)
+            for e in (1.5, 2.0, 3.0):
+                powered = check_quasi_convex(lambda x: np.abs(d(x)) ** e, iv, points)
+                assert powered.verdict == verdict, (f.name, iv, e)
     assert verdicts == {"certified", "refuted"}

@@ -9,6 +9,7 @@ application_check and the theorem table with those derivations.
 
 import itertools
 
+import mpmath
 import pytest
 import sympy as sp
 
@@ -218,3 +219,24 @@ def test_theorem_1_rules_are_norms_of_their_peano_kernels(tag):
             assert norm < tabled < 1.3 * norm
     limit = sp.limit(_kernel_norm(tag) / sp.nsimplify(spec.divisor), P, 1, dir="+")
     assert limit == _abs_integral(kernel)
+
+
+@pytest.mark.parametrize("p,ratio,digits", [("1.5", 1.0253, 4), ("2", 1.0458, 4),
+                                            ("7", 1.1449, 4), ("1.0001", 1.0000057, 7)])
+def test_me5_dominates_the_holder_bound_of_its_own_kernel(p, ratio, digits):
+    # Holder on each of L2's two integrals: ||K||_{L^p[0,1/2]} times the
+    # L^q norm of |f'''| <= M3 over [0, 1/2], so the constant per w^3 M3 is
+    # (2/24) ||K||_p (1/2)^(1/q).  ME5 keeps the printed constant, which is
+    # above that, and equal to it (1/192, the L^1 norm) as p -> 1.
+    spec = THEOREMS["ME5"]
+    kernel = sp.lambdify(t, L2_KERNEL, "mpmath")
+    with mpmath.workdps(30):
+        p = mpmath.mpf(p)
+        norm = mpmath.quad(lambda s: kernel(s) ** p, [0, 0.5]) ** (1 / p)
+        kernel_bound = float(2 * norm * mpmath.mpf(0.5) ** (1 - 1 / p) / 24)
+    tabled = spec.factor(float(p)) / spec.divisor
+    assert round(tabled / kernel_bound, digits) == ratio
+    assert tabled > kernel_bound
+    assert (spec.lhs_kind, spec.derivative_order, spec.width_power) == (
+        "midpoint_corrected", 3, 3)
+    assert spec.factor(1.0) / spec.divisor == float(_l2_constant())

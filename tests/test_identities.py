@@ -1,6 +1,7 @@
 import pytest
 
 from hhverify.corpus import admissible_intervals, builtin_corpus
+from hhverify.errors import ParameterError
 from hhverify.identities import check_identity
 from hhverify.numerics import Interval, integrate
 from hhverify.runner import DEFAULT_INTERVALS
@@ -15,6 +16,12 @@ def test_trapezoid_identity_quartic_closed_form(corpus, unit):
     assert r.lhs == pytest.approx(1.0 / 30.0, abs=1e-12)
     assert r.rhs == pytest.approx(1.0 / 30.0, abs=1e-12)
     assert r.residual <= 1e-12
+
+
+def test_an_unknown_identity_id_is_a_parameter_error(corpus, unit):
+    with pytest.raises(ParameterError) as err:
+        check_identity("L3", corpus["x^4"], unit)
+    assert str(err.value) == "unknown identity id 'L3', expected one of L1, L2"
 
 
 def test_trapezoid_identity_vanishes_for_quadratic(corpus, unit):

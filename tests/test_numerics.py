@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import DomainError
-from hhverify.numerics import (Interval, QuadratureResult, integrate, integrate_rows,
-                               nonconvergence_note)
+from hhverify.numerics import Interval, QuadratureResult, integrate, nonconvergence_note
 from hhverify.runner import RunConfig, run
 
 
@@ -131,10 +130,9 @@ def test_nodes_collapsed_onto_the_ends_are_not_converged():
     lone = integrate(np.sin, Interval(1e20, 1.0000000000000002e20))
     assert not lone.converged
     assert lone.error_estimate == math.inf
-    # In a batch only the collapsed row is affected.
-    rows = integrate_rows(np.sin, [0.0, 1e20], [math.pi, 1.0000000000000002e20])
-    assert rows[0].converged and abs(rows[0].value - 2.0) <= 1e-12
-    assert rows[1] == lone
+    # The same integrand over an ordinary interval converges.
+    ordinary = integrate(np.sin, Interval(0.0, math.pi))
+    assert ordinary.converged and abs(ordinary.value - 2.0) <= 1e-12
 
 
 def _assert_non_converged_notes(config, cause):

@@ -10,7 +10,7 @@ from hhverify.bounds import certify_hypothesis, hypothesis_function
 from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import DomainError
 from hhverify.numerics import Interval
-from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
+from hhverify.quasiconvex import check_quasi_convex
 
 from conftest import poly_smooth
 from quasiconvex_oracle import sample_certificate
@@ -162,30 +162,33 @@ def test_turning_points_not_distinct_and_strictly_inside_give_no_verdict(points)
     assert cert.counterexample is None
 
 
-def test_rows_equal_lone_certificates_from_two_calls_of_g():
+def test_each_certificate_evaluates_g_at_its_ends_turning_points_and_a_witness():
     # |sin| peaks at pi/2 inside the first interval; 1/|x - 2| is infinite
     # at the turning point 2 of the second; the third is monotone.
     def g(x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 1.8, np.abs(np.sin(x)), 1.0 / np.abs(x - 2.0))
 
-    intervals = [Interval(1.0, 1.7), Interval(1.9, 2.9), Interval(0.1, 0.2)]
-    points = [(math.pi / 2,), (2.0,), ()]
-    lone = [check_quasi_convex(g, iv, p) for iv, p in zip(intervals, points)]
-    assert [c.verdict for c in lone] == ["refuted", "non_finite", "certified"]
-    assert lone[1].bad_abscissa == 2.0
     calls = []
 
     def counted(x):
-        calls.append(np.size(x))
+        calls.append(x)
         return g(x)
 
-    assert check_quasi_convex_rows(counted, intervals, points) == lone
-    assert calls == [1] * (6 + 2 + 1)  # one point per call: 6 ends, 2 turning points, a witness
-
-
-def test_no_rows_give_no_certificates():
-    assert check_quasi_convex_rows(np.abs, [], []) == []
+    certs, seen = [], []
+    for iv, points in ((Interval(1.0, 1.7), (math.pi / 2,)), (Interval(1.9, 2.9), (2.0,)),
+                       (Interval(0.1, 0.2), ())):
+        calls.clear()
+        certs.append(check_quasi_convex(counted, iv, points))
+        seen.append(list(calls))
+    assert [c.verdict for c in certs] == ["refuted", "non_finite", "certified"]
+    assert certs[1].bad_abscissa == 2.0
+    # One float per call: the ends and turning points in order, then the
+    # witness's mixed point, which only the refuted certificate evaluates.
+    w = certs[0].counterexample
+    assert seen == [[1.0, math.pi / 2, 1.7, w.lam * w.x + (1.0 - w.lam) * w.y],
+                    [1.9, 2.0, 2.9], [0.1, 0.2]]
+    assert all(type(x) is float for xs in seen for x in xs)
 
 
 # --- the exact check against the sampler and against the analytic violation --

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import poly_smooth
-from hhverify import bounds, runner
-from hhverify.bounds import THEOREMS, certify_hypotheses
+from hhverify import bounds, identities, runner
+from hhverify.bounds import THEOREMS, certify_hypothesis
 from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import ConfigError
 from hhverify.numerics import Interval
-from hhverify.quasiconvex import check_quasi_convex, check_quasi_convex_rows
+from hhverify.quasiconvex import check_quasi_convex
 from hhverify.runner import (DEFAULT_INTERVALS, RunConfig, RunReport,
                              _bound_record, run)
 
@@ -52,26 +52,44 @@ def test_an_unknown_search_function_is_refused_before_any_check(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a check ran before the config was refused")
 
-    monkeypatch.setattr(runner, "integrate_rows", no_work)
+    monkeypatch.setattr(runner, "integrate", no_work)
     with pytest.raises(ConfigError) as err:
         run(RunConfig.from_dict({"search_p_function": "nope"}))
     assert str(err.value) == "search_p_function: unknown function 'nope'"
 
 
 def test_a_default_run_certifies_each_derivative_order_once(monkeypatch):
-    rows = []
+    # Each check is one call per (function, interval), under the name its
+    # caller looks up, so that a wrapper there sees every call.
+    calls = {}
 
-    def counting(g, intervals, *args):
-        rows.append(len(intervals))
-        return check_quasi_convex_rows(g, intervals, *args)
+    def count(module, name, key=None):
+        original = getattr(module, name)
+        seen = calls.setdefault(f"{module.__name__.rsplit('.', 1)[1]}.{name}", [])
 
-    monkeypatch.setattr(bounds, "check_quasi_convex_rows", counting)
-    run(RunConfig(tasks=("bounds",)))
-    # One valley check per (function, derivative order), whatever the tags and
-    # exponents: 8 functions x 4 orders; each order covers the 80 (function,
-    # interval) pairs once.
-    assert len(rows) == 32
-    assert sum(rows) == 320
+        def counted(*args, **kwargs):
+            seen.append(key(*args) if key else None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(runner, "integrate")
+    count(runner, "check_identity")
+    count(runner, "certify_hypothesis",
+          key=lambda tag, f, iv, *_: (THEOREMS[tag].derivative_order, f.name, iv))
+    count(bounds, "check_quasi_convex")
+    count(identities, "integrate", key=lambda f, span, *_: span)
+    run(RunConfig())
+    # 80 (function, interval) pairs; one certificate per derivative order
+    # of each, whatever the tags and exponents: 8 functions x 4 orders.
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "runner.integrate": 80, "runner.check_identity": 160,
+        "runner.certify_hypothesis": 320, "bounds.check_quasi_convex": 320,
+        "identities.integrate": 240}
+    assert len(set(calls["runner.certify_hypothesis"])) == 320
+    # L1's kernel spans [0, 1] once per pair, L2's spans [0, 1/2] twice.
+    spans = calls["identities.integrate"]
+    assert (spans.count(Interval(0.0, 1.0)), spans.count(Interval(0.0, 0.5))) == (80, 160)
 
 
 def test_me2_passes_at_a_holder_exponent_beyond_the_beta_underflow():
@@ -177,10 +195,8 @@ def test_turning_points_below_double_resolution_give_no_verdict(interval):
         assert record["status"] == "non_converged"
         assert record["note"].startswith(f"integral of sin over [{interval[0]!r}, ")
     sin = corpus_by_name(builtin_corpus(sin_domain=Interval(interval[0], 2 * interval[0])))
-    certificates = certify_hypotheses(THEOREMS, sin["sin"], [Interval(*interval)])
-    assert sorted(certificates) == [1, 2, 3, 4]
-    for order, (certificate,) in certificates.items():
-        assert certificate.verdict == "unresolved", order
+    for tag in THEOREMS:
+        assert certify_hypothesis(tag, sin["sin"], Interval(*interval)).verdict == "unresolved", tag
 
 
 def test_a_turning_point_rounded_onto_an_end_gives_no_verdict():
