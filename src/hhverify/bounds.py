@@ -240,8 +240,8 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
 
     A refuted hypothesis does not abort the check: the inequality is still
     evaluated and both facts are reported, with passed = False.
-    ``integral`` and ``hypothesis`` accept precomputed values so batch
-    runs can share work; they must match (f, interval) when given.
+    ``integral`` and ``hypothesis`` accept precomputed values so a run
+    can share work; they must match (f, interval) when given.
     """
     exponent = validate_exponent(tag, exponent)
     lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .bounds import (CORRECTION_DIVISOR, DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
-                     LHS_TRAPEZOID_CORRECTED, THEOREMS, endpoint_derivative_max,
-                     rule_scale, validate_exponent)
+                     LHS_TRAPEZOID_CORRECTED, THEOREMS, rhs_bound, rule_scale,
+                     validate_exponent)
 from .corpus import make_power_family
 from .errors import OVERFLOW_NOTE, DomainError, ParameterError
 # integrate is not called here; perfbench's tracer patches it under this name.
@@ -147,13 +147,12 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     """Every (theorem, variant, exponent) instance at every (a, b) and alpha.
 
     Yields one tuple in ApplicationVerdict's field order per instance;
-    instances vary fastest, then alpha, then the interval.  What no
-    instance changes is computed once per (a, b, alpha): P, the left
-    sides, the endpoint maxima of the member's third and fourth
-    derivatives, and max(a^alpha, b^alpha); each instance's rule_scale
-    depends on the interval alone.  Every value is the expression a lone
+    instances vary fastest, then alpha, then the interval.  P, the left
+    sides and max(a^alpha, b^alpha) are computed once per (a, b, alpha),
+    as every instance there uses them; each is the expression a lone
     instance evaluates, so a row is bit for bit the one-instance verdict.
-    The printed right side divides by the printed divisor, and its
+    The derived right side is 12P or 24P times rhs_bound of the source rule
+    on the member.  The printed one divides by the printed divisor, and its
     power-mean max terms collapse to max(a^alpha, b^alpha) since a, b > 0.
     Arguments are validated before the first row.
     """
@@ -168,41 +167,34 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
             raise DomainError(f"means require 0 < a < b, got ({a}, {b})")
     # One member per alpha: the right sides read its derivatives at the ends, never its domain.
     members = [make_power_family(alpha) for alpha in alphas]
-    # Per instance: its fields, its source rule, its left side's key and its divisor.
+    # Per instance: its fields, its source rule and its left side's key.
     plan = []
     for theorem, variant, exponent in instances:
         source = THEOREMS[APPLICATION_SOURCE[theorem]]
         exponent = validate_exponent(source.tag, exponent)
-        if variant == "paper":
-            plan.append((theorem, variant, exponent, source, "paper", _PRINTED_DIVISOR[theorem]))
-        else:
-            plan.append((theorem, variant, exponent, source, source.lhs_kind, source.divisor))
-    lhs_keys = {key for _, _, _, _, key, _ in plan}
+        plan.append((theorem, variant, exponent, source,
+                     "paper" if variant == "paper" else source.lhs_kind))
+    lhs_keys = {key for _, _, _, _, key in plan}
 
     for a, b in intervals:
         interval = Interval(a, b)
-        scales = [_or_none(rule_scale, source, b - a, exponent, divisor)
-                  for _, _, exponent, source, _, divisor in plan]
         for alpha, member in zip(alphas, members):
             pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
             lhs_of = {key: _or_none(_LHS[key], a, b, alpha) for key in lhs_keys}
-            # By derivative order, taken only for an instance whose left side
-            # and scale are finite, as a lone instance does; None if it overflows.
-            endpoint_max = {}
             power_max = max(a ** alpha, b ** alpha)
-            for (theorem, variant, exponent, source, key, _), scale in zip(plan, scales):
+            for theorem, variant, exponent, source, key in plan:
                 lhs = lhs_of[key]
-                if lhs is None or scale is None:
+                try:
+                    if lhs is None:  # the left side overflowed
+                        raise OverflowError
+                    if key == "paper":
+                        rhs = (rule_scale(source, b - a, exponent, _PRINTED_DIVISOR[theorem])
+                               * pprod * power_max)
+                    else:
+                        rhs = (CORRECTION_DIVISOR[key] * pprod
+                               * rhs_bound(source.tag, member, interval, exponent))
+                except OverflowError:
                     lhs = rhs = math.nan
-                elif key == "paper":
-                    rhs = scale * pprod * power_max
-                else:
-                    order = source.derivative_order
-                    if order not in endpoint_max:
-                        endpoint_max[order] = _or_none(endpoint_derivative_max, member,
-                                                       interval, order)
-                    m = endpoint_max[order]
-                    rhs = math.inf if m is None else CORRECTION_DIVISOR[key] * pprod * (scale * m)
                 finite = math.isfinite(lhs) and math.isfinite(rhs)
                 passed = finite and lhs <= rhs + margin_tol
                 note = ""

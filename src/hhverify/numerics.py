@@ -139,7 +139,7 @@ def _integrate(f: Callable, a: float, b: float, tol: float,
     # (-err, insertion counter, a, b, value, err); counter fixes heap ties.
     counter = itertools.count()
     active = [(-err, next(counter), a, b, value, err)]
-    done: list[tuple[float, float, float, float]] = []
+    done: list[tuple[float, float]] = []  # (value, err) of unsplittable panels
     total_err = err
 
     while total_err > tol and active and evals + 2 * _EVALS_PER_PANEL <= max_evaluations:
@@ -147,7 +147,7 @@ def _integrate(f: Callable, a: float, b: float, tol: float,
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # Panel at floating-point resolution; cannot refine further.
-            done.append((a, b, pval, perr))
+            done.append((pval, perr))
             continue
         lv, le = _panel(f, a, mid)
         rv, re = _panel(f, mid, b)
@@ -156,12 +156,10 @@ def _integrate(f: Callable, a: float, b: float, tol: float,
         heapq.heappush(active, (-le, next(counter), a, mid, lv, le))
         heapq.heappush(active, (-re, next(counter), mid, b, rv, re))
 
-    panels = sorted(
-        [(a, b, v, e) for (_, _, a, b, v, e) in active] + done,
-        key=lambda t: t[0],
-    )
-    value = math.fsum(v for (_, _, v, _) in panels)
-    error = math.fsum(e for (_, _, _, e) in panels)
+    # fsum is correctly rounded, so the order of the panels changes no bit.
+    panels = [(v, e) for (_, _, _, _, v, e) in active] + done
+    value = math.fsum(v for v, _ in panels)
+    error = math.fsum(e for _, e in panels)
     return QuadratureResult(value=value, error_estimate=error,
                             evaluations=evals, converged=error <= tol)
 

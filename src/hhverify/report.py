@@ -43,7 +43,7 @@ def _format_float(x: float) -> str:
         return "null"
     s = format(float(x), ".17g")
     # ".17g" may drop the decimal point; keep the token a JSON float.
-    if "." not in s and "e" not in s and "E" not in s and "n" not in s:
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 

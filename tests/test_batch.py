@@ -2,8 +2,10 @@
 
 ``check_identity`` integrates its kernels through one table of weights and
 spans.  Each report must be bit for bit what the identities give when
-every integral is written out as the paper states it, and an integral of
-f passed in must change nothing.
+every integral is written out as the paper states it, L2's two kernel
+integrals folded into one, and an integral of f passed in must change
+nothing.  The two-integral form is the value oracle of
+test_quadrature_oracles.py.
 """
 
 from hypothesis import given, settings
@@ -37,7 +39,8 @@ def test_lone_integrals_include_refined_and_exhausted_ones():
 
 def _lone_identity(identity_id, f, iv, tol, budget):
     """Right side, error estimate and convergence of the identity with one
-    lone ``integrate`` per integral, written out as the paper states it."""
+    lone ``integrate`` per integral, written out as the paper states it
+    (L2's two kernel integrals as the one integral of their difference)."""
     a, b, w = iv.a, iv.b, iv.width
     base = integrate(f.func, iv, tol, budget)
     if identity_id == "L1":
@@ -47,14 +50,13 @@ def _lone_identity(identity_id, f, iv, tol, budget):
         scale = w ** 4 / 24.0
         kernels, rhs = (k,), scale * k.value
     else:
+        # The paper's two integrals over [0, 1/2], folded into one by linearity.
         d3 = f.deriv(3)
-        half = Interval(0.0, 0.5)
-        sa = integrate(lambda t: t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t)
-                       * d3(t * a + (1.0 - t) * b), half, tol, budget)
-        sb = integrate(lambda t: t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t)
-                       * d3(t * b + (1.0 - t) * a), half, tol, budget)
+        k = integrate(lambda t: t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t)
+                      * (d3(t * a + (1.0 - t) * b) - d3(t * b + (1.0 - t) * a)),
+                      Interval(0.0, 0.5), tol, budget)
         scale = w ** 3 / 24.0
-        kernels, rhs = (sa, sb), scale * (sa.value - sb.value)
+        kernels, rhs = (k,), scale * k.value
     converged = base.converged and all(k.converged for k in kernels)
     error = base.error_estimate / w + scale * sum(k.error_estimate for k in kernels)
     return rhs, error, converged

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhverify import means
-from hhverify.bounds import THEOREMS, check_bound, rhs_bound
+from hhverify import bounds
+from hhverify.bounds import THEOREMS, check_bound, rhs_bound, rule_scale
 from hhverify.corpus import make_power_family
 from hhverify.errors import DomainError, ParameterError
-from hhverify.means import (APPLICATION_SOURCE, APPLICATION_TAGS, OVERFLOW_NOTE,
-                            application_check, arithmetic_mean, generalized_log_mean)
+from hhverify.means import (_PRINTED_DIVISOR, APPLICATION_SOURCE, APPLICATION_TAGS,
+                            OVERFLOW_NOTE, application_check, arithmetic_mean,
+                            generalized_log_mean)
 from hhverify.numerics import Interval
 from hhverify.runner import RunConfig, run
 
@@ -141,20 +142,27 @@ def test_derived_variant_matches_scaled_bound_check(tag, exponent):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_CLEARING)), st.floats(0.01, 50.0), st.floats(0.001, 50.0),
+@given(st.sampled_from(sorted(_CLEARING)), st.sampled_from(["derived", "paper"]),
+       st.floats(0.01, 50.0), st.floats(0.001, 50.0),
        st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.001, 1.0),
        st.floats(1.01, 8.0))
-def test_derived_rhs_is_bit_identical_to_member_on_the_interval(tag, a, width, alpha, p):
+def test_derived_rhs_is_bit_identical_to_member_on_the_interval(tag, variant, a, width,
+                                                                alpha, p):
     # The derived side reuses one power-family member per alpha; the rhs
-    # must equal the one built from a member whose domain is [a, b].
+    # must equal the one built from a member whose domain is [a, b].  The
+    # printed side is the source rule's scale over the printed divisor.
     b = a + width
     source, clear = _CLEARING[tag]
     exponent = None if tag in ("A3_1", "A3_4") else p
     iv = Interval(a, b)
     pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
-    expected = clear * pprod * rhs_bound(source, make_power_family(alpha, domain=iv),
-                                         iv, exponent)
-    assert application_check(tag, "derived", a, b, alpha, exponent).rhs == expected
+    if variant == "derived":
+        expected = clear * pprod * rhs_bound(source, make_power_family(alpha, domain=iv),
+                                             iv, exponent)
+    else:
+        expected = (rule_scale(THEOREMS[source], b - a, exponent, _PRINTED_DIVISOR[tag])
+                    * pprod * max(a ** alpha, b ** alpha))
+    assert application_check(tag, variant, a, b, alpha, exponent).rhs == expected
 
 
 def test_application_parameter_errors():
@@ -181,8 +189,8 @@ def test_overflowing_side_is_reported_not_raised(variant):
 
 
 def test_infinite_side_never_passes(monkeypatch):
-    # The derived right side is rule_scale times this endpoint maximum.
-    monkeypatch.setattr(means, "endpoint_derivative_max", lambda *args: math.inf)
+    # The derived right side is 12P times rhs_bound, which reads this endpoint maximum.
+    monkeypatch.setattr(bounds, "endpoint_derivative_max", lambda *args: math.inf)
     v = application_check("A3_1", "derived", 1.0, 2.0, 1.0)
     assert v.lhs == 3.0 and v.rhs == math.inf
     assert not v.passed

@@ -85,11 +85,11 @@ def test_a_default_run_certifies_each_derivative_order_once(monkeypatch):
     assert {name: len(seen) for name, seen in calls.items()} == {
         "runner.integrate": 80, "runner.check_identity": 160,
         "runner.certify_hypothesis": 320, "bounds.check_quasi_convex": 320,
-        "identities.integrate": 240}
+        "identities.integrate": 160}
     assert len(set(calls["runner.certify_hypothesis"])) == 320
-    # L1's kernel spans [0, 1] once per pair, L2's spans [0, 1/2] twice.
+    # L1's kernel spans [0, 1] once per pair, L2's folded kernel [0, 1/2] once.
     spans = calls["identities.integrate"]
-    assert (spans.count(Interval(0.0, 1.0)), spans.count(Interval(0.0, 0.5))) == (80, 160)
+    assert (spans.count(Interval(0.0, 1.0)), spans.count(Interval(0.0, 0.5))) == (80, 80)
 
 
 def test_me2_passes_at_a_holder_exponent_beyond_the_beta_underflow():
