@@ -42,13 +42,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .corpus import SmoothFunction
-from .errors import ParameterError, QuadratureError
+from .errors import (OVERFLOW_NOTE, ParameterError, QuadratureError, check_tolerance,
+                     failure_note, status)
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, integrate, nonconvergence_note)
 from .quasiconvex import DEFAULT_QC_TOL, QuasiConvexityCertificate, check_quasi_convex
 
 DEFAULT_MARGIN_TOL = 1e-9
 RATIO_DEGENERATE_TOL = 1e-9
+UNRESOLVED_NOTE = "hypothesis: no verdict, turning points not distinct doubles inside the interval"
+# The sides of a bound record without a verdict: a stalled integral or a side
+# that is not a finite double.
+_NO_SIDES = {"lhs": None, "rhs": None, "margin": None, "ratio": None, "pass": False,
+             "hypothesis": None, "status": status(False, False, False)}
 
 # Exponent parameter kinds.
 EXP_NONE = "none"
@@ -109,20 +115,6 @@ def theorem_spec(tag: str) -> TheoremSpec:
         raise ParameterError(
             f"unknown theorem tag {tag!r}, expected one of {', '.join(THEOREM_ORDER)}"
         ) from None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    theorem: str
-    function: str
-    interval: Interval
-    exponent: Optional[float]
-    lhs: float
-    rhs: float
-    margin: float            # rhs - lhs
-    ratio: float             # lhs / rhs, 0 for the degenerate 0/0 case
-    hypothesis: QuasiConvexityCertificate
-    passed: bool             # margin >= -tol and hypothesis certified
 
 
 def defect(kind: str, f: SmoothFunction, interval: Interval, avg: float) -> float:
@@ -228,6 +220,19 @@ def bound_ratio(lhs: float, rhs: float, margin_tol: float = DEFAULT_MARGIN_TOL) 
     return lhs / rhs
 
 
+def _certificate_dict(cert: QuasiConvexityCertificate) -> dict:
+    # The witness's fields, in CounterExample's order, are the report's keys
+    # (vars keeps __init__'s order; dataclasses.asdict would deep-copy each float).
+    counterexample = None if cert.counterexample is None else dict(vars(cert.counterexample))
+    return {
+        "verdict": cert.verdict,
+        "grid_size": cert.grid_size,
+        "tol": cert.tol,
+        "max_violation": cert.max_violation,
+        "counterexample": counterexample,
+    }
+
+
 def check_bound(tag: str, f: SmoothFunction, interval: Interval,
                 exponent: Optional[float] = None,
                 quad_tol: float = DEFAULT_QUAD_TOL,
@@ -235,24 +240,35 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
                 margin_tol: float = DEFAULT_MARGIN_TOL,
                 qc_tol: float = DEFAULT_QC_TOL,
                 integral: QuadratureResult | None = None,
-                hypothesis: QuasiConvexityCertificate | None = None) -> BoundReport:
-    """Full verdict for one rule instance.
+                hypothesis: QuasiConvexityCertificate | None = None) -> dict:
+    """The bound record of one rule instance, ``exponent`` as given.
 
     A refuted hypothesis does not abort the check: the inequality is still
-    evaluated and both facts are reported, with passed = False.
+    evaluated and both facts are reported, with pass false.  An integral
+    that did not converge or a side that is not a finite double leaves a
+    record with no sides, non-converged, with a note why; so does a
+    certificate without a verdict, which keeps the sides.
     ``integral`` and ``hypothesis`` accept precomputed values so a run
     can share work; they must match (f, interval) when given.
     """
-    exponent = validate_exponent(tag, exponent)
-    lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)
-    rhs = rhs_bound(tag, f, interval, exponent)
+    validate_exponent(tag, exponent)
+    check_tolerance("margin_tol", margin_tol)
+    record = {"kind": "bound", "theorem": tag, "function": f.name,
+              "interval": [interval.a, interval.b], "exponent": exponent}
+    try:
+        lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)
+        rhs = rhs_bound(tag, f, interval, exponent)
+    except (QuadratureError, OverflowError) as err:
+        return {**record, **_NO_SIDES, "note": failure_note(err)}
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        return {**record, **_NO_SIDES, "note": OVERFLOW_NOTE}
     if hypothesis is None:
         hypothesis = certify_hypothesis(tag, f, interval, qc_tol)
+    note = {"non_finite": f"hypothesis: non-finite sample at x={hypothesis.bad_abscissa!r}",
+            "unresolved": UNRESOLVED_NOTE}.get(hypothesis.verdict, "")
     margin = rhs - lhs
-    return BoundReport(
-        theorem=tag, function=f.name, interval=interval, exponent=exponent,
-        lhs=lhs, rhs=rhs, margin=margin,
-        ratio=bound_ratio(lhs, rhs, margin_tol),
-        hypothesis=hypothesis,
-        passed=bool(margin >= -margin_tol and hypothesis.certified),
-    )
+    passed = bool(margin >= -margin_tol and hypothesis.certified)
+    return {**record, "lhs": lhs, "rhs": rhs, "margin": margin,
+            "ratio": bound_ratio(lhs, rhs, margin_tol), "pass": passed,
+            "hypothesis": _certificate_dict(hypothesis),
+            "status": status(not note, hypothesis.certified, passed), "note": note}

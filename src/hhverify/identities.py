@@ -25,13 +25,11 @@ identities hold exactly, so the residual is pure numerical error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
-from .errors import OVERFLOW_NOTE, ParameterError
+from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, integrate, nonconvergence_note)
 
@@ -48,36 +46,27 @@ _IDENTITIES = {
            Interval(0.0, 0.5)),
 }
 IDENTITY_IDS = tuple(_IDENTITIES)
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_id: str
-    function: str
-    interval: Interval
-    lhs: float
-    rhs: float
-    residual: Optional[float]  # None unless every quadrature converged
-    quadrature_error: float
-    converged: bool
-    note: str = ""
+DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
                    quad_tol: float = DEFAULT_QUAD_TOL,
                    quad_budget: int = DEFAULT_QUAD_BUDGET,
-                   integral: QuadratureResult | None = None) -> IdentityReport:
-    """Check identity L1 or L2 on f over one interval; ``integral`` is f's
-    over it, if already computed.
+                   integral: QuadratureResult | None = None,
+                   residual_tol: float = DEFAULT_RESIDUAL_TOL) -> dict:
+    """The identity record of L1 or L2 on f over one interval; ``integral``
+    is f's over it, if already computed.
 
     The right side is scale times one kernel integral, so its error
     estimate is scale times that integral's.  The note says why the first
     integral that did not converge stopped.  A side that is not a finite
-    double counts as not converged, as in the applications.
+    double counts as not converged, as in the applications.  A converged
+    record passes when the residual is at most ``residual_tol``.
     """
     if identity_id not in _IDENTITIES:
         raise ParameterError(f"unknown identity id {identity_id!r}, "
                              f"expected one of {', '.join(IDENTITY_IDS)}")
+    check_tolerance("residual_tol", residual_tol)
     kind, sign, order, kernel, span = _IDENTITIES[identity_id]
     if integral is None:
         integral = integrate(f.func, interval, quad_tol, quad_budget)
@@ -97,12 +86,18 @@ def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
     note = "" if converged else nonconvergence_note(stalled, quad_budget)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         converged, note = False, OVERFLOW_NOTE
-    return IdentityReport(
-        identity_id=identity_id, function=f.name, interval=interval,
-        lhs=lhs, rhs=rhs,
-        residual=abs(lhs - rhs) if converged else None,
-        quadrature_error=(integral.error_estimate / interval.width
-                          + scale * kernel_integral.error_estimate),
-        converged=converged,
-        note=note,
-    )
+    residual = abs(lhs - rhs) if converged else None
+    return {
+        "kind": "identity",
+        "id": identity_id,
+        "function": f.name,
+        "interval": [interval.a, interval.b],
+        "lhs": lhs,
+        "rhs": rhs,
+        "residual": residual,
+        "quadrature_error": (integral.error_estimate / interval.width
+                             + scale * kernel_integral.error_estimate),
+        "converged": converged,
+        "status": status(converged, True, converged and residual <= residual_tol),
+        "note": note,
+    }

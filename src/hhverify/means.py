@@ -24,20 +24,19 @@ inequality (tags A3_1..A3_6).  Two variants are evaluated per tag:
 
 A refuted printed coefficient is surfaced in the verdict note rather than
 silently corrected.  A side that overflows a double is never compared:
-the verdict does not pass and carries OVERFLOW_NOTE.
+the record does not pass, is non-converged and carries OVERFLOW_NOTE.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .bounds import (CORRECTION_DIVISOR, DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
                      LHS_TRAPEZOID_CORRECTED, THEOREMS, rhs_bound, rule_scale,
                      validate_exponent)
 from .corpus import make_power_family
-from .errors import OVERFLOW_NOTE, DomainError, ParameterError
+from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import Interval, integrate
 
@@ -83,25 +82,6 @@ def _lp(a: float, b: float, p: float) -> float:
     return (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
 
 
-@dataclass(frozen=True)
-class ApplicationVerdict:
-    theorem: str
-    variant: str
-    a: float
-    b: float
-    alpha: float
-    exponent: Optional[float]
-    lhs: float
-    rhs: float
-    passed: bool
-    note: str = ""
-
-    @property
-    def finite(self) -> bool:
-        """False when a side overflowed; such a verdict never passes."""
-        return math.isfinite(self.lhs) and math.isfinite(self.rhs)
-
-
 def _trapezoid_side_lhs(a: float, b: float, alpha: float, middle_coeff: float) -> float:
     """|12*A(a^(alpha+4), b^(alpha+4)) - 12*L_(alpha+4) - (b-a)^2 * middle_coeff * L_(alpha+2)|."""
     return abs(
@@ -143,14 +123,15 @@ _LHS = {
 
 def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                      intervals: Sequence[tuple[float, float]], alphas: Sequence[float],
-                     margin_tol: float = DEFAULT_MARGIN_TOL) -> Iterator[tuple]:
+                     margin_tol: float = DEFAULT_MARGIN_TOL) -> Iterator[dict]:
     """Every (theorem, variant, exponent) instance at every (a, b) and alpha.
 
-    Yields one tuple in ApplicationVerdict's field order per instance;
-    instances vary fastest, then alpha, then the interval.  P, the left
-    sides and max(a^alpha, b^alpha) are computed once per (a, b, alpha),
-    as every instance there uses them; each is the expression a lone
-    instance evaluates, so a row is bit for bit the one-instance verdict.
+    Yields one application record per instance; a side that is not a
+    finite double leaves it non-converged.  Instances vary fastest, then
+    alpha, then the interval.  P, the left sides and max(a^alpha, b^alpha)
+    are computed once per (a, b, alpha), as every instance there uses them;
+    each is the expression a lone instance evaluates, so a record is bit
+    for bit the one-instance one.
     The derived right side is 12P or 24P times rhs_bound of the source rule
     on the member.  The printed one divides by the printed divisor, and its
     power-mean max terms collapse to max(a^alpha, b^alpha) since a, b > 0.
@@ -165,6 +146,7 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     for a, b in intervals:
         if not 0.0 < a < b:
             raise DomainError(f"means require 0 < a < b, got ({a}, {b})")
+    check_tolerance("margin_tol", margin_tol)
     # One member per alpha: the right sides read its derivatives at the ends, never its domain.
     members = [make_power_family(alpha) for alpha in alphas]
     # Per instance: its fields, its source rule and its left side's key.
@@ -202,13 +184,16 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                     note = OVERFLOW_NOTE
                 elif not passed:
                     note = REFUTED_NOTE if key == "paper" else "derived inequality violated"
-                yield theorem, variant, a, b, alpha, exponent, lhs, rhs, passed, note
+                yield {"kind": "application", "theorem": theorem, "variant": variant,
+                       "a": a, "b": b, "alpha": alpha, "exponent": exponent,
+                       "lhs": lhs, "rhs": rhs, "pass": passed,
+                       "status": status(finite, True, passed), "note": note}
 
 
 def application_check(theorem: str, variant: str, a: float, b: float, alpha: float,
                       exponent: Optional[float] = None,
-                      margin_tol: float = DEFAULT_MARGIN_TOL) -> ApplicationVerdict:
-    """Evaluate one mean inequality instance in the requested variant:
-    ``application_rows`` with one instance, interval and alpha."""
-    return ApplicationVerdict(*next(application_rows(
-        [(theorem, variant, exponent)], [(a, b)], [alpha], margin_tol)))
+                      margin_tol: float = DEFAULT_MARGIN_TOL) -> dict:
+    """The application record of one mean inequality instance in the requested
+    variant: ``application_rows`` with one instance, interval and alpha."""
+    return next(application_rows([(theorem, variant, exponent)], [(a, b)], [alpha],
+                                 margin_tol))

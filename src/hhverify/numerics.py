@@ -10,10 +10,11 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, check_tolerance
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_QUAD_BUDGET = 1_000_000
@@ -123,10 +124,13 @@ def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     if not finite:
         bad = next(x for x in xs if not math.isfinite(value_at(f, x)))
         raise DomainError(f"integrand returned a non-finite value at x={bad!r}")
-    kron = half * sum(map(mul, _KWEIGHTS, ys))
+    # Weighted sums added left to right: Python 3.12 made the built-in sum()
+    # of floats compensated, which would change a report's bits with the
+    # interpreter.  reduce keeps them the same on every version.
+    kron = half * reduce(add, map(mul, _KWEIGHTS, ys), 0.0)
     if len(set(xs)) < _EVALS_PER_PANEL:  # rounding is monotone: distinct means increasing
         return kron, math.inf
-    return kron, abs(kron - half * sum(map(mul, _GWEIGHTS, ys[1::2])))
+    return kron, abs(kron - half * reduce(add, map(mul, _GWEIGHTS, ys[1::2]), 0.0))
 
 
 def _integrate(f: Callable, a: float, b: float, tol: float,
@@ -178,8 +182,7 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_QUAD_TOL,
               max_evaluations: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
     """Adaptively integrate f over the interval to absolute tolerance tol
     (deterministic for fixed inputs)."""
-    if not tol > 0.0:
-        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
+    check_tolerance("tol", tol, positive=True)
     if max_evaluations < _EVALS_PER_PANEL:
         raise DomainError(f"evaluation budget below one panel ({_EVALS_PER_PANEL}), got {max_evaluations}")
     return _integrate(f, float(interval.a), float(interval.b), tol, max_evaluations)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import check_tolerance
 from .numerics import Interval, value_at
 
 DEFAULT_QC_TOL = 1e-12
@@ -88,7 +88,6 @@ def check_quasi_convex(g: Callable, interval: Interval, turning_points: Sequence
     """The certificate of g on the interval, given g's turning points inside
     it, ascending: g is evaluated at each end and turning point, and at a
     witness.  ``tol`` is relative, so that rounding cannot refute large g."""
-    if tol < 0.0:
-        raise DomainError(f"tolerance must be non-negative, got {tol}")
+    check_tolerance("tol", tol)
     xs = [float(interval.a), *map(float, turning_points), float(interval.b)]
     return _certificate(g, xs, [value_at(g, x) for x in xs], tol)

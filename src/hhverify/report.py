@@ -48,54 +48,41 @@ def _format_float(x: float) -> str:
     return s
 
 
-def _write_json(obj: Any, out: list[str], indent: int, level: int) -> None:
+# Each nesting level indents by this much.
+_INDENT = "  "
+
+
+def _json(obj: Any, pad: str) -> str:
+    """obj as JSON text whose closing bracket sits at ``pad``."""
     # encode_basestring is what json.dumps(s, ensure_ascii=False) calls,
     # without building a JSONEncoder per string.
     if isinstance(obj, float):
-        out.append(_format_float(obj))
-    elif isinstance(obj, str):
-        out.append(encode_basestring(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, dict):
+        return _format_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    inner = pad + _INDENT
+    if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        pad = " " * (indent * level)
-        child_pad = pad + " " * indent
-        sep = "{\n"
-        for key, value in obj.items():
-            out.append(sep + child_pad + encode_basestring(str(key)) + ": ")
-            _write_json(value, out, indent, level + 1)
-            sep = ",\n"
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple)):
+            return "{}"
+        return ("{\n" + ",\n".join(inner + encode_basestring(str(key)) + ": " + _json(value, inner)
+                                   for key, value in obj.items()) + "\n" + pad + "}")
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
-            return
-        pad = " " * (indent * level)
-        child_pad = pad + " " * indent
-        sep = "[\n"
-        for value in obj:
-            out.append(sep + child_pad)
-            _write_json(value, out, indent, level + 1)
-            sep = ",\n"
-        out.append("\n" + pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json(value, inner) for value in obj) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def render_json(report: dict, indent: int = 2) -> str:
-    parts: list[str] = []
-    _write_json(report, parts, indent, 0)
-    parts.append("\n")
-    return "".join(parts)
+def render_json(report: dict) -> str:
+    return _json(report, "") + "\n"
 
 
 def check_pairs(report: dict) -> None:

@@ -1,10 +1,11 @@
 """Batch runner: executes configured checks and assembles a report.
 
-Records are produced as JSON-shaped dicts with a fixed field order, then
-sorted by a deterministic key, so two runs with the same configuration
-yield byte-identical output (the generated_at timestamp aside).  Shared
-work (the average integral per function/interval pair and each distinct
-quasi-convexity certificate) is computed once and reused.
+Each check returns its record, a JSON-shaped dict with a fixed field
+order; the runner sorts the records by a deterministic key, so two runs
+with the same configuration yield byte-identical output (the
+generated_at timestamp aside).  Shared work (the average integral per
+function/interval pair and each distinct quasi-convexity certificate)
+is computed once and reused.
 """
 
 from __future__ import annotations
@@ -13,24 +14,23 @@ import math
 import numbers
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
 from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDER,
                      THEOREMS, check_bound, certify_hypothesis, theorem_spec)
-from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
-                     admissible_intervals, builtin_corpus, corpus_by_name)
-from .errors import OVERFLOW_NOTE, ConfigError, DomainError, QuadratureError
-from .identities import IDENTITY_IDS, IdentityReport, check_identity
+from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, admissible_intervals,
+                     builtin_corpus, corpus_by_name)
+from .errors import STATUSES, ConfigError
+from .identities import DEFAULT_RESIDUAL_TOL, IDENTITY_IDS, check_identity
 # application_check: uncalled, kept for perfbench's tracer.
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
                     application_check, application_rows)
 from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, integrate
-from .quasiconvex import DEFAULT_QC_TOL, QuasiConvexityCertificate
-from .search import (EXPONENT_SEARCH_TAGS, SearchResult, best_exponent,
-                     worst_case_alpha)
+from .quasiconvex import DEFAULT_QC_TOL
+from .search import EXPONENT_SEARCH_TAGS, best_exponent, worst_case_alpha
 
 ALL_TASKS = ("identities", "bounds", "applications", "searches")
 
@@ -40,13 +40,6 @@ DEFAULT_INTERVALS = (
     (-1.0, 1.0), (-2.0, 0.5), (2.0, 4.0),
 )
 
-STATUS_PASS = "pass"
-STATUS_FAIL = "fail"
-STATUS_REFUTED = "refuted_hypothesis"
-STATUS_NON_CONVERGED = "non_converged"
-STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_REFUTED, STATUS_NON_CONVERGED)
-RATIO_INFINITE_NOTE = "ratio infinite: the right side vanishes against a positive left side"
-UNRESOLVED_NOTE = "hypothesis: no verdict, turning points not distinct doubles inside the interval"
 MAX_QC_GRID = 1001
 
 
@@ -121,7 +114,7 @@ class RunConfig:
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     quad_tol: float = DEFAULT_QUAD_TOL
     quad_budget: int = DEFAULT_QUAD_BUDGET
-    residual_tol: float = 1e-8
+    residual_tol: float = DEFAULT_RESIDUAL_TOL
     margin_tol: float = DEFAULT_MARGIN_TOL
     qc_grid: int = 101  # reaches no certificate; accepted so that config files naming it run
     qc_tol: float = DEFAULT_QC_TOL
@@ -238,144 +231,6 @@ class RunReport:
         }
 
 
-def _status(decided: bool, certified: bool, passed: bool) -> str:
-    """Every record's status: no verdict, then a refuted hypothesis, then pass or fail."""
-    if not decided:
-        return STATUS_NON_CONVERGED
-    if not certified:
-        return STATUS_REFUTED
-    return STATUS_PASS if passed else STATUS_FAIL
-
-
-def _failure_note(err: Exception) -> str:
-    """The note of a record whose check raised: overflow, or the error itself."""
-    return OVERFLOW_NOTE if isinstance(err, OverflowError) else str(err)
-
-
-def _certificate_dict(cert: QuasiConvexityCertificate) -> dict:
-    # The witness's fields, in CounterExample's order, are the report's keys
-    # (vars keeps __init__'s order; dataclasses.asdict would deep-copy each float).
-    counterexample = None if cert.counterexample is None else dict(vars(cert.counterexample))
-    return {
-        "verdict": cert.verdict,
-        "grid_size": cert.grid_size,
-        "tol": cert.tol,
-        "max_violation": cert.max_violation,
-        "counterexample": counterexample,
-    }
-
-
-def _identity_record(report: IdentityReport, residual_tol: float) -> dict:
-    return {
-        "kind": "identity",
-        "id": report.identity_id,
-        "function": report.function,
-        "interval": [report.interval.a, report.interval.b],
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "residual": report.residual,
-        "quadrature_error": report.quadrature_error,
-        "converged": report.converged,
-        "status": _status(report.converged, True,
-                          report.converged and report.residual <= residual_tol),
-        "note": report.note,
-    }
-
-
-# The sides of a bound record whose check raised or gave a side that is not a finite double.
-_NO_SIDES = {"lhs": None, "rhs": None, "margin": None, "ratio": None, "pass": False,
-             "hypothesis": None, "status": _status(False, False, False)}
-
-
-def _bound_record(tag: str, f: SmoothFunction, interval: Interval,
-                  exponent: Optional[float], config: RunConfig,
-                  integral, hypothesis) -> dict:
-    base = {
-        "kind": "bound",
-        "theorem": tag,
-        "function": f.name,
-        "interval": [interval.a, interval.b],
-        "exponent": exponent,
-    }
-    try:
-        report = check_bound(
-            tag, f, interval, exponent,
-            quad_tol=config.quad_tol, quad_budget=config.quad_budget,
-            margin_tol=config.margin_tol, qc_tol=config.qc_tol,
-            integral=integral, hypothesis=hypothesis)
-    except (QuadratureError, OverflowError) as err:
-        return {**base, **_NO_SIDES, "note": _failure_note(err)}
-    if not (math.isfinite(report.lhs) and math.isfinite(report.rhs)):
-        return {**base, **_NO_SIDES, "note": OVERFLOW_NOTE}
-    # A certificate without a verdict makes the record non-converged, with a note why.
-    note = {"non_finite": f"hypothesis: non-finite sample at x={report.hypothesis.bad_abscissa!r}",
-            "unresolved": UNRESOLVED_NOTE}.get(report.hypothesis.verdict, "")
-    return {
-        **base,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-        "ratio": report.ratio,
-        "pass": report.passed,
-        "hypothesis": _certificate_dict(report.hypothesis),
-        "status": _status(not note, report.hypothesis.certified, report.passed),
-        "note": note,
-    }
-
-
-def _application_record(theorem: str, variant: str, a: float, b: float, alpha: float,
-                        exponent: Optional[float], lhs: float, rhs: float, passed: bool,
-                        note: str) -> dict:
-    """The record of one application_rows row; a non-finite side leaves no verdict."""
-    return {
-        "kind": "application",
-        "theorem": theorem,
-        "variant": variant,
-        "a": a,
-        "b": b,
-        "alpha": alpha,
-        "exponent": exponent,
-        "lhs": lhs,
-        "rhs": rhs,
-        "pass": passed,
-        "status": _status(math.isfinite(lhs) and math.isfinite(rhs), True, passed),
-        "note": note,
-    }
-
-
-def _search_record(search: str, tag: str, function: Optional[str],
-                   interval: Interval, search_range: tuple[float, float],
-                   exponent: Optional[float], run_search) -> dict:
-    """The record of ``run_search()``; a search that raises or whose objective
-    overflowed is non-converged, with no objective.  worst_case_alpha's
-    objective is a tightness ratio, whose infinity is not an overflow but
-    bound_ratio's refutation signal: that record keeps its result and says so."""
-    try:
-        result = run_search()
-        if search == "worst_case_alpha" and result.objective == math.inf:
-            result = replace(result, note="; ".join(filter(None, (result.note,
-                                                                  RATIO_INFINITE_NOTE))))
-        elif not math.isfinite(result.objective):
-            result = SearchResult(None, (), None, False, OVERFLOW_NOTE)
-    except (QuadratureError, OverflowError, DomainError) as err:
-        result = SearchResult(None, (), None, False, _failure_note(err))
-    return {
-        "kind": "search",
-        "search": search,
-        "theorem": tag,
-        "function": function,
-        "interval": [interval.a, interval.b],
-        "range": [search_range[0], search_range[1]],
-        "exponent": exponent,
-        "objective": result.objective,
-        "parameters": list(result.parameters),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "status": _status(result.converged, True, True),
-        "note": result.note,
-    }
-
-
 def _exponents_for(tag: str, config: RunConfig) -> list[Optional[float]]:
     """The configured exponent grid of the tag's kind, or [None]."""
     grids = {EXP_HOLDER_P: config.p_grid, EXP_POWER_Q: config.q_grid}
@@ -414,16 +269,16 @@ def run(config: RunConfig) -> RunReport:
                      for iv in intervals]
         if "identities" in config.tasks:
             identity_records.extend(
-                _identity_record(check_identity(ident, f, iv, config.quad_tol,
-                                                config.quad_budget, integral),
-                                 config.residual_tol)
+                check_identity(ident, f, iv, config.quad_tol, config.quad_budget, integral,
+                               config.residual_tol)
                 for ident in config.identities for iv, integral in zip(intervals, integrals))
         if "bounds" in config.tasks:
             certificates = {order: [certify_hypothesis(tag, f, iv, config.qc_tol)
                                     for iv in intervals]
                             for order, tag in order_tags.items()}
             bound_records.extend(
-                _bound_record(tag, f, iv, exponent, config, integral, certificate)
+                check_bound(tag, f, iv, exponent, config.quad_tol, config.quad_budget,
+                            config.margin_tol, config.qc_tol, integral, certificate)
                 for tag in config.theorems for exponent in _exponents_for(tag, config)
                 for iv, integral, certificate in zip(
                     intervals, integrals, certificates[THEOREMS[tag].derivative_order]))
@@ -441,29 +296,20 @@ def run(config: RunConfig) -> RunReport:
                      for exponent in _exponents_for(APPLICATION_SOURCE[tag], config)]
         positive = [(iv.a, iv.b) for iv in grid if iv.a > 0.0]
         report.application_checks = sorted(
-            (_application_record(*row)
-             for row in application_rows(instances, positive, config.alpha_grid,
-                                         config.margin_tol)),
+            application_rows(instances, positive, config.alpha_grid, config.margin_tol),
             key=lambda r: (r["theorem"], r["variant"], r["a"], r["b"], r["alpha"],
                            -1.0 if r["exponent"] is None else r["exponent"]))
 
     if "searches" in config.tasks:
-        records = []
         p_interval = Interval(*config.search_p_interval)
         p_function = by_name[config.search_p_function]
-        for tag in config.search_p_theorems:
-            records.append(_search_record(
-                "best_exponent", tag, p_function.name, p_interval, config.search_p_range,
-                None, lambda: best_exponent(tag, p_function, p_interval,
-                                            config.search_p_range)))
         alpha_interval = Interval(*config.search_alpha_interval)
-        for tag in config.search_alpha_theorems:
-            exponent = _exponents_for(tag, config)[0]
-            records.append(_search_record(
-                "worst_case_alpha", tag, None, alpha_interval, config.search_alpha_range,
-                exponent, lambda: worst_case_alpha(tag, alpha_interval,
-                                                   config.search_alpha_range, exponent,
-                                                   config.quad_tol, config.quad_budget)))
+        records = [best_exponent(tag, p_function, p_interval, config.search_p_range)
+                   for tag in config.search_p_theorems]
+        records += [worst_case_alpha(tag, alpha_interval, config.search_alpha_range,
+                                     _exponents_for(tag, config)[0], config.quad_tol,
+                                     config.quad_budget)
+                    for tag in config.search_alpha_theorems]
         report.searches = sorted(
             records, key=lambda r: (r["search"], r["theorem"], r["function"] or ""))
 

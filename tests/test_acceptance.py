@@ -46,15 +46,15 @@ def bounds_report():
 def test_criterion_1_trapezoid_identity(corpus, identity_report):
     unit = Interval(0.0, 1.0)
     r = check_identity("L1", corpus["x^4"], unit)
-    ok = (abs(r.lhs - 1.0 / 30.0) <= 1e-10
-          and abs(r.rhs - 1.0 / 30.0) <= 1e-10
-          and r.residual <= 1e-10)
+    ok = (abs(r["lhs"] - 1.0 / 30.0) <= 1e-10
+          and abs(r["rhs"] - 1.0 / 30.0) <= 1e-10
+          and r["residual"] <= 1e-10)
     records = [x for x in identity_report.identity_checks if x["id"] == "L1"]
     corpus_ok = (len(records) >= 30
                  and all(x["converged"] and x["residual"] <= 1e-8 for x in records))
     _criterion(1, "identity L1: quartic closed form 1/30 and corpus-wide residuals",
                ok and corpus_ok,
-               f"x^4 residual {r.residual!r}, {len(records)} corpus instances")
+               f"x^4 residual {r['residual']!r}, {len(records)} corpus instances")
 
 
 def test_criterion_2_midpoint_identity(corpus, identity_report):
@@ -65,9 +65,9 @@ def test_criterion_2_midpoint_identity(corpus, identity_report):
                        Interval(0.0, 0.5), tol=1e-12)
     side_b = integrate(lambda t: t * (1 - 2 * t) * (1 + 2 * t) * f.deriv(3)(t),
                        Interval(0.0, 0.5), tol=1e-12)
-    ok = (abs(r.lhs - 7.0 / 240.0) <= 1e-10
-          and abs(r.rhs - 7.0 / 240.0) <= 1e-10
-          and r.residual <= 1e-10
+    ok = (abs(r["lhs"] - 7.0 / 240.0) <= 1e-10
+          and abs(r["rhs"] - 7.0 / 240.0) <= 1e-10
+          and r["residual"] <= 1e-10
           and abs(side_a.value - 11.0 / 10.0) <= 1e-10
           and abs(side_b.value - 2.0 / 5.0) <= 1e-10)
     records = [x for x in identity_report.identity_checks if x["id"] == "L2"]
@@ -113,15 +113,15 @@ def test_criterion_4_bound_dominance(bounds_report):
 def test_criterion_5_sharpness(corpus):
     unit = Interval(0.0, 1.0)
     quartic = corpus["x^4"]
-    ratios = [check_bound("ME1", quartic, unit).ratio]
-    ratios += [check_bound("ME3", quartic, unit, q).ratio for q in (1.0, 2.0, 7.0)]
-    ratios += [check_bound("ME1", quartic, Interval(0.5, 2.0)).ratio]
+    ratios = [check_bound("ME1", quartic, unit)["ratio"]]
+    ratios += [check_bound("ME3", quartic, unit, q)["ratio"] for q in (1.0, 2.0, 7.0)]
+    ratios += [check_bound("ME1", quartic, Interval(0.5, 2.0))["ratio"]]
     quintic = check_bound("ME1", corpus["x^5"], unit)
     ok = (all(abs(r - 1.0) <= 1e-9 for r in ratios)
-          and abs(quintic.lhs - 1.0 / 12.0) <= 1e-12
-          and abs(quintic.rhs - 1.0 / 6.0) <= 1e-12)
+          and abs(quintic["lhs"] - 1.0 / 12.0) <= 1e-12
+          and abs(quintic["rhs"] - 1.0 / 6.0) <= 1e-12)
     _criterion(5, "quartic attains ME1/ME3 with ratio 1; quintic gives exactly 1/12 vs 1/6",
-               ok, f"ratios {ratios}, quintic ({quintic.lhs!r}, {quintic.rhs!r})")
+               ok, f"ratios {ratios}, quintic ({quintic['lhs']!r}, {quintic['rhs']!r})")
 
 
 def test_criterion_6_exponent_consistency(corpus):
@@ -153,21 +153,21 @@ def test_criterion_7_application_bridge():
                                  iv, exponent, quad_tol=1e-12)
             v = application_check(tag, "derived", a, b, alpha, exponent)
             worst = max(worst,
-                        abs(v.lhs - scale * direct.lhs) / abs(v.lhs),
-                        abs(v.rhs - scale * direct.rhs) / abs(v.rhs))
+                        abs(v["lhs"] - scale * direct["lhs"]) / abs(v["lhs"]),
+                        abs(v["rhs"] - scale * direct["rhs"]) / abs(v["rhs"]))
     v = application_check("A3_1", "derived", 1.0, 2.0, 1.0)
-    instance_ok = v.lhs == 3.0 and abs(v.rhs - 4.0) <= 1e-12 and v.passed
+    instance_ok = v["lhs"] == 3.0 and abs(v["rhs"] - 4.0) <= 1e-12 and v["pass"]
     _criterion(7, "derived applications equal the cleared bound checks to 1e-9 relative",
                worst <= 1e-9 and instance_ok,
-               f"worst relative gap {worst:.3e}, reference instance lhs={v.lhs}")
+               f"worst relative gap {worst:.3e}, reference instance lhs={v['lhs']}")
 
 
 def test_criterion_8_discrepancy_detection():
     v = application_check("A3_1", "paper", 1.0, 2.0, 1.0)
-    ok = (v.lhs == 303.0 and abs(v.rhs - 4.0) <= 1e-12 and not v.passed
-          and v.note == "printed coefficient refuted at this instance")
+    ok = (v["lhs"] == 303.0 and abs(v["rhs"] - 4.0) <= 1e-12 and not v["pass"]
+          and v["note"] == "printed coefficient refuted at this instance")
     _criterion(8, "printed-coefficient variant evaluates to 303 > 4 and is surfaced as a fail",
-               ok, f"lhs={v.lhs}, rhs={v.rhs}, note={v.note!r}")
+               ok, f"lhs={v['lhs']}, rhs={v['rhs']}, note={v['note']!r}")
 
 
 def test_criterion_9_quasiconvexity_certifier(corpus, bounds_report):

@@ -11,8 +11,10 @@ from hhverify.bounds import (EXP_NONE, LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
                              check_bound, certify_hypothesis, defect, rhs_bound)
 from hhverify.corpus import (SmoothFunction, admissible_intervals, builtin_corpus,
                              corpus_by_name, no_turning_points)
-from hhverify.errors import ParameterError
-from hhverify.numerics import Interval, integrate
+from hhverify.errors import OVERFLOW_NOTE, DomainError, ParameterError
+from hhverify.identities import check_identity
+from hhverify.means import application_check
+from hhverify.numerics import Interval, integrate, nonconvergence_note
 from hhverify.quasiconvex import check_quasi_convex
 from hhverify.runner import DEFAULT_INTERVALS
 
@@ -108,22 +110,22 @@ def test_exponent_parameter_rules(corpus, unit):
 
 def test_check_bound_sharpness_on_quartic(corpus, unit):
     r = check_bound("ME1", corpus["x^4"], unit)
-    assert r.passed
-    assert r.ratio == pytest.approx(1.0, abs=1e-9)
-    assert r.hypothesis.certified
+    assert r["pass"]
+    assert r["ratio"] == pytest.approx(1.0, abs=1e-9)
+    assert r["hypothesis"]["verdict"] == "certified"
 
 
 def test_check_bound_midpoint_quartic(corpus, unit):
     r = check_bound("ME4", corpus["x^4"], unit)
-    assert r.passed
-    assert r.ratio == pytest.approx(7.0 / 30.0, abs=1e-12)
+    assert r["pass"]
+    assert r["ratio"] == pytest.approx(7.0 / 30.0, abs=1e-12)
 
 
 def test_check_bound_quintic(corpus, unit):
     r = check_bound("ME1", corpus["x^5"], unit)
-    assert r.passed
-    assert r.lhs == pytest.approx(1.0 / 12.0, abs=1e-14)
-    assert r.rhs == pytest.approx(1.0 / 6.0, abs=1e-14)
+    assert r["pass"]
+    assert r["lhs"] == pytest.approx(1.0 / 12.0, abs=1e-14)
+    assert r["rhs"] == pytest.approx(1.0 / 6.0, abs=1e-14)
 
 
 def test_power_mean_bounds_are_exponent_independent(corpus, unit):
@@ -138,7 +140,7 @@ def test_power_mean_at_q_one_equals_plain_bound(corpus, unit):
     assert rhs_bound("ME6", f, unit, 1.0) == rhs_bound("ME4", f, unit)
     r3 = check_bound("ME3", f, unit, 1.0)
     r1 = check_bound("ME1", f, unit)
-    assert (r3.lhs, r3.rhs) == (r1.lhs, r1.rhs)
+    assert (r3["lhs"], r3["rhs"]) == (r1["lhs"], r1["rhs"])
 
 
 def test_dominance_on_certified_instances():
@@ -149,10 +151,10 @@ def test_dominance_on_certified_instances():
                 kind = THEOREMS[tag].exponent_kind
                 exponent = {"none": None, "p": 2.0, "q": 2.0}[kind]
                 r = check_bound(tag, f, iv, exponent)
-                if r.hypothesis.certified:
-                    assert r.margin >= -1e-9, (tag, f.name, iv)
-                    assert r.passed
-                    assert 0.0 <= r.ratio <= 1.0 + 1e-9
+                if r["hypothesis"]["verdict"] == "certified":
+                    assert r["margin"] >= -1e-9, (tag, f.name, iv)
+                    assert r["pass"]
+                    assert 0.0 <= r["ratio"] <= 1.0 + 1e-9
 
 
 def test_ratio_is_scale_invariant(corpus):
@@ -160,9 +162,9 @@ def test_ratio_is_scale_invariant(corpus):
     base = check_bound("ME1", corpus["x^5"], iv)
     for c in (2.0, 10.0):
         r = check_bound("ME1", scaled(corpus["x^5"], c), iv)
-        assert r.lhs == pytest.approx(c * base.lhs, rel=1e-12)
-        assert r.rhs == pytest.approx(c * base.rhs, rel=1e-12)
-        assert r.ratio == pytest.approx(base.ratio, rel=1e-12)
+        assert r["lhs"] == pytest.approx(c * base["lhs"], rel=1e-12)
+        assert r["rhs"] == pytest.approx(c * base["rhs"], rel=1e-12)
+        assert r["ratio"] == pytest.approx(base["ratio"], rel=1e-12)
 
 
 def _transplant(power):
@@ -193,9 +195,9 @@ def test_width_scaling(tag, power):
     base = check_bound(tag, make(1.0), Interval(0.0, 1.0), exponent)
     for h in (0.5, 2.0):
         r = check_bound(tag, make(h), Interval(0.0, h), exponent)
-        assert r.lhs == pytest.approx(h ** power * base.lhs, rel=1e-9)
-        assert r.rhs == pytest.approx(h ** power * base.rhs, rel=1e-9)
-        assert r.ratio == pytest.approx(base.ratio, rel=1e-9)
+        assert r["lhs"] == pytest.approx(h ** power * base["lhs"], rel=1e-9)
+        assert r["rhs"] == pytest.approx(h ** power * base["rhs"], rel=1e-9)
+        assert r["ratio"] == pytest.approx(base["ratio"], rel=1e-9)
 
 
 def test_sharpness_survives_lower_order_perturbations(unit):
@@ -204,17 +206,82 @@ def test_sharpness_survives_lower_order_perturbations(unit):
         f = poly_smooth("quartic", coeffs)
         for tag, exponent in [("ME1", None), ("ME3", 2.0)]:
             r = check_bound(tag, f, unit, exponent)
-            assert r.ratio == pytest.approx(1.0, abs=1e-9), (tag, coeffs)
+            assert r["ratio"] == pytest.approx(1.0, abs=1e-9), (tag, coeffs)
 
 
 def test_refuted_hypothesis_is_reported_not_raised(corpus):
     # |sin''''| = |sin| rises then falls on [1, 3], so the rule's
     # hypothesis fails there; the inequality is still evaluated.
     r = check_bound("ME1", corpus["sin"], Interval(1.0, 3.0))
-    assert not r.passed
-    assert r.hypothesis.verdict == "refuted"
-    assert r.hypothesis.counterexample is not None
-    assert math.isfinite(r.lhs) and math.isfinite(r.rhs)
+    assert not r["pass"]
+    assert r["hypothesis"]["verdict"] == "refuted"
+    assert r["hypothesis"]["counterexample"] is not None
+    assert math.isfinite(r["lhs"]) and math.isfinite(r["rhs"])
+
+
+def test_non_finite_hypothesis_sample_is_non_converged_with_abscissa():
+    def g(x):
+        return math.nan if x == 0.5 else x ** 2
+
+    iv = Interval(0.0, 1.0)
+    f = poly_smooth("x^4", [0, 0, 0, 0, 1])
+    record = check_bound("ME1", f, iv, hypothesis=check_quasi_convex(g, iv, (0.5,)))
+    assert record["status"] == "non_converged"
+    assert record["note"] == "hypothesis: non-finite sample at x=0.5"
+    assert record["hypothesis"]["verdict"] == "non_finite"
+    assert list(record) == list(check_bound("ME1", f, iv))
+
+
+_NO_SIDES = {"lhs": None, "rhs": None, "margin": None, "ratio": None, "pass": False,
+             "hypothesis": None, "status": "non_converged"}
+
+
+def test_a_stalled_integral_gives_a_record_without_sides(corpus):
+    # exp over [-6, 6] keeps an error estimate of 7.07e-7 after 45 evaluations.
+    iv = Interval(-6.0, 6.0)
+    stalled = integrate(corpus["exp"].func, iv, max_evaluations=45)
+    record = check_bound("ME1", corpus["exp"], iv, quad_budget=45)
+    assert record == {"kind": "bound", "theorem": "ME1", "function": "exp",
+                      "interval": [-6.0, 6.0], "exponent": None, **_NO_SIDES,
+                      "note": "integral of exp over [-6.0, 6.0]: "
+                              + nonconvergence_note(stalled, 45)}
+    assert record["note"].startswith("integral of exp over [-6.0, 6.0]: quadrature budget")
+    # A given integral is the one used.
+    assert check_bound("ME1", corpus["exp"], iv, quad_budget=45, integral=stalled) == record
+
+
+def test_an_overflowing_side_gives_a_record_without_sides(corpus, unit):
+    # ME2 at p = 1e308: 2p+1 overflows, and the Beta root with it.
+    record = check_bound("ME2", corpus["x^4"], unit, 1e308)
+    assert record == {"kind": "bound", "theorem": "ME2", "function": "x^4",
+                      "interval": [0.0, 1.0], "exponent": 1e308, **_NO_SIDES,
+                      "note": OVERFLOW_NOTE}
+
+
+def test_the_record_keeps_the_exponent_as_given(corpus, unit):
+    record = check_bound("ME2", corpus["x^4"], unit, 3)
+    assert type(record["exponent"]) is int
+    assert record["rhs"] == check_bound("ME2", corpus["x^4"], unit, 3.0)["rhs"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call, name", [
+    (lambda tol: integrate(math.exp, Interval(0.0, 1.0), tol=tol), "tol"),
+    (lambda tol: check_quasi_convex(math.sin, Interval(0.5, 2.8), (math.pi / 2,), tol=tol),
+     "tol"),
+    (lambda tol: check_bound("ME1", _BY_NAME["x^4"], Interval(0.0, 1.0), margin_tol=tol),
+     "margin_tol"),
+    (lambda tol: check_bound("ME1", _BY_NAME["x^4"], Interval(0.0, 1.0), qc_tol=tol),
+     "tol"),
+    (lambda tol: application_check("A3_1", "paper", 1.0, 2.0, 1.0, margin_tol=tol),
+     "margin_tol"),
+    (lambda tol: check_identity("L1", _BY_NAME["x^4"], Interval(0.0, 1.0), residual_tol=tol),
+     "residual_tol"),
+])
+def test_a_tolerance_that_is_not_a_finite_bound_is_a_domain_error(call, name, value):
+    # A NaN or infinite tolerance would decide every comparison one way.
+    with pytest.raises(DomainError, match=f"^{name} must be a finite "):
+        call(value)
 
 
 def test_certify_hypothesis_matches_direct_scan(corpus, unit):

@@ -18,7 +18,8 @@ import pytest
 import report_oracle
 from hhverify.cli import main
 from hhverify.report import SECTIONS
-from hhverify.runner import RATIO_INFINITE_NOTE, RunConfig, RunReport, run
+from hhverify.runner import RunConfig, RunReport, run
+from hhverify.search import RATIO_INFINITE_NOTE
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 

@@ -81,7 +81,7 @@ def test_derived_left_sides_match_the_exact_cleared_defect(tag):
     for a, b, alpha in SAMPLES:
         exact = abs(clear * _pprod(alpha) * _exact_defect(trapezoid_side, _family(alpha), a, b))
         v = application_check(tag, "derived", float(a), float(b), float(alpha), exponent)
-        assert v.lhs == pytest.approx(float(sp.N(exact, 30)), rel=1e-12), (a, b, alpha)
+        assert v["lhs"] == pytest.approx(float(sp.N(exact, 30)), rel=1e-12), (a, b, alpha)
 
 
 def _l1_constant(p=1):
@@ -161,7 +161,7 @@ def test_derived_right_sides_match_the_kernel_bound(tag):
         exact = clear * _pprod(alpha) * constant * (b - a) ** k * m
         v = application_check(tag, "derived", float(a), float(b), float(alpha),
                               None if exponent is None else float(exponent))
-        assert v.rhs == pytest.approx(float(sp.N(exact, 30)), rel=1e-13), (a, b, alpha)
+        assert v["rhs"] == pytest.approx(float(sp.N(exact, 30)), rel=1e-13), (a, b, alpha)
 
 
 # Peano kernels of T1_2..T1_7: with w = b - a, the rule's defect is

@@ -174,6 +174,34 @@ def test_the_budget_is_named_only_when_another_bisection_would_pass_it():
     assert nonconvergence_note(result, 44).startswith("quadrature budget exhausted (")
 
 
+def test_a_panel_adds_its_weighted_values_left_to_right():
+    # From Python 3.12 the built-in sum() of floats is compensated; a panel
+    # sums in a fixed order, so a report has the same bits on every version.
+    from hhverify.numerics import _KWEIGHTS, _NODES
+
+    def f(x):
+        return math.exp(40.0 * x) - 1e17 * x
+
+    terms = [w * f(t) for w, t in zip(_KWEIGHTS, _NODES)]
+    left_to_right = 0.0
+    for term in terms:
+        left_to_right += term
+    result = integrate(f, Interval(-1.0, 1.0), tol=1e300)  # settles on the first panel
+    assert result.value == left_to_right
+    assert result.value != math.fsum(terms)  # the order decides the last bit here
+
+
+def test_lone_integrals_include_refined_and_exhausted_ones():
+    # The integrals of test_identities' paper-form property test are not
+    # vacuous: at these settings some refine past their first panel and
+    # some run out.
+    f = corpus_by_name(builtin_corpus())["exp"]
+    results = [integrate(f.func, iv, 1e-13, 45)
+               for iv in (Interval(-6.0, 6.0), Interval(0.0, 1.0), Interval(-1.0, 5.0))]
+    assert [r.evaluations for r in results] == [45, 15, 45]
+    assert [r.converged for r in results] == [False, True, False]
+
+
 def test_error_estimate_bounds_true_error():
     for f, iv, truth in [
         (np.exp, Interval(0.0, 1.0), math.e - 1.0),

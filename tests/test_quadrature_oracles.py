@@ -108,14 +108,14 @@ def _scipy_kernel_rhs(f, identity_id, iv):
 def test_identity_kernels_agree_with_scipy_and_mpmath(case, identity_id):
     name, iv = case
     report = check_identity(identity_id, CORPUS[name], iv)
-    assert report.converged
+    assert report["converged"]
     with mpmath.workdps(30):
         oracle = float(_mp_kernel_rhs(name, identity_id, iv))
     # The kernel integrals meet 1e-10 absolutely; the right side scales
     # them by w^n / 24 and adds the rounding of terms of its own size.
     n = 4 if identity_id == "L1" else 3
     tol = 2e-10 * iv.width ** n / 24 * (2 if identity_id == "L2" else 1)
-    assert _close(report.rhs, oracle, tol)
+    assert _close(report["rhs"], oracle, tol)
     assert _close(_scipy_kernel_rhs(CORPUS[name], identity_id, iv), oracle, tol)
 
 

@@ -1,15 +1,16 @@
-import numpy as np
 import pytest
 
-from conftest import poly_smooth
 from hhverify import bounds, identities, runner
-from hhverify.bounds import THEOREMS, certify_hypothesis
+from hhverify.bounds import THEOREMS, certify_hypothesis, check_bound
 from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import ConfigError
+from hhverify.identities import check_identity
+from hhverify.means import application_check
 from hhverify.numerics import Interval
-from hhverify.quasiconvex import check_quasi_convex
-from hhverify.runner import (DEFAULT_INTERVALS, RunConfig, RunReport,
-                             _bound_record, run)
+from hhverify.runner import DEFAULT_INTERVALS, RunConfig, RunReport, run
+from hhverify.search import best_exponent, worst_case_alpha
+
+_CORPUS = corpus_by_name(builtin_corpus())
 
 
 def test_me1_on_two_quartics_example():
@@ -134,20 +135,46 @@ def test_exit_code_precedence():
     assert report.exit_code() == 0
 
 
-def test_non_finite_hypothesis_sample_is_non_converged_with_abscissa():
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x == 0.5, np.nan, x ** 2)
+def _same_record(library, record):
+    # repr tells 3 from 3.0 and shows the key order; equal floats print alike.
+    assert repr(library) == repr(record)
 
-    iv = Interval(0.0, 1.0)
-    f = poly_smooth("x^4", [0, 0, 0, 0, 1])
-    record = _bound_record("ME1", f, iv, None, RunConfig(), integral=None,
-                           hypothesis=check_quasi_convex(g, iv, (0.5,)))
-    assert record["status"] == "non_converged"
-    assert record["note"] == "hypothesis: non-finite sample at x=0.5"
-    assert record["hypothesis"]["verdict"] == "non_finite"
-    assert list(record) == list(_bound_record(
-        "ME1", f, iv, None, RunConfig(), integral=None, hypothesis=None))
+
+def test_an_identity_record_is_the_library_call():
+    (record,) = run(RunConfig.from_dict({
+        "tasks": ["identities"], "corpus": ["exp"], "intervals": [[0.25, 1.25]],
+        "identities": ["L2"]})).identity_checks
+    _same_record(check_identity("L2", _CORPUS["exp"], Interval(0.25, 1.25)), record)
+
+
+@pytest.mark.parametrize("tag, name, interval, exponent", [
+    ("ME2", "x^5", [0.25, 1.25], 3),  # an integer exponent stays one
+    ("ME1", "sin", [1.0, 3.0], None),  # a refuted hypothesis and its witness
+])
+def test_a_bound_record_is_the_library_call(tag, name, interval, exponent):
+    (record,) = run(RunConfig.from_dict({
+        "tasks": ["bounds"], "corpus": [name], "sin_domain": [0.0, 6.3],
+        "intervals": [interval], "theorems": [tag],
+        "p_grid": [2.0 if exponent is None else exponent]})).bound_checks
+    f = corpus_by_name(builtin_corpus(sin_domain=Interval(0.0, 6.3)))[name]
+    _same_record(check_bound(tag, f, Interval(*interval), exponent), record)
+
+
+def test_an_application_record_is_the_library_call():
+    (record,) = run(RunConfig.from_dict({
+        "tasks": ["applications"], "intervals": [[1.0, 2.0]], "applications": ["A3_2"],
+        "variants": ["derived"], "alpha_grid": [0.5], "p_grid": [3]})).application_checks
+    _same_record(application_check("A3_2", "derived", 1.0, 2.0, 0.5, 3), record)
+
+
+def test_a_search_record_is_the_library_call():
+    config = RunConfig.from_dict({"tasks": ["searches"], "search_p_theorems": ["ME2"],
+                                  "search_alpha_theorems": ["ME1"]})
+    exponent_search, alpha_search = run(config).searches
+    _same_record(best_exponent("ME2", _CORPUS["x^4"], Interval(*config.search_p_interval),
+                               config.search_p_range), exponent_search)
+    _same_record(worst_case_alpha("ME1", Interval(*config.search_alpha_interval),
+                                  config.search_alpha_range), alpha_search)
 
 
 def _bound_statuses(config):
@@ -209,4 +236,4 @@ def test_a_turning_point_rounded_onto_an_end_gives_no_verdict():
     for record in records.values():
         assert record["status"] == "non_converged"
         assert record["hypothesis"]["verdict"] == "unresolved"
-        assert record["note"] == runner.UNRESOLVED_NOTE
+        assert record["note"] == bounds.UNRESOLVED_NOTE

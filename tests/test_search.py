@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hhverify import search
 from hhverify.bounds import (RATIO_DEGENERATE_TOL, THEOREM_ORDER, THEOREMS, check_bound,
                              rhs_bound)
 from hhverify.corpus import builtin_corpus, make_power_family
-from hhverify.errors import ParameterError
+from hhverify.errors import OVERFLOW_NOTE, ParameterError
 from hhverify.numerics import Interval
-from hhverify.search import (EXPONENT_SEARCH_TAGS, best_exponent, tightness_ratio,
-                             worst_case_alpha)
+from hhverify.search import (EXPONENT_SEARCH_TAGS, RATIO_INFINITE_NOTE, best_exponent,
+                             tightness_ratio, worst_case_alpha)
 
 from conftest import poly_smooth, reflected, scaled
 
@@ -41,42 +42,42 @@ def test_ratio_zero_rhs_with_positive_lhs_is_infinite(unit):
     ratio = tightness_ratio("ME1", f, unit)
     assert math.isinf(ratio)
     report = check_bound("ME1", f, unit)
-    assert not report.passed
-    assert report.margin < 0
+    assert not report["pass"]
+    assert report["margin"] < 0
 
 
 def test_best_exponent_holder_constant(corpus, unit):
     r = best_exponent("ME2", corpus["x^4"], unit, (1.01, 50.0))
-    assert r.converged
+    assert r["converged"]
     at_two = rhs_bound("ME2", corpus["x^4"], unit, 2.0)
     assert at_two == pytest.approx(0.039841, abs=1e-6)
-    assert r.objective <= at_two
+    assert r["objective"] <= at_two
     # Minimum does not exceed the endpoints or random interior probes.
     for p in (1.01, 50.0):
-        assert r.objective <= rhs_bound("ME2", corpus["x^4"], unit, p) + 1e-15
+        assert r["objective"] <= rhs_bound("ME2", corpus["x^4"], unit, p) + 1e-15
     rng = np.random.default_rng(7)
     for p in rng.uniform(1.01, 50.0, size=5):
-        assert r.objective <= rhs_bound("ME2", corpus["x^4"], unit, float(p)) + 1e-15
+        assert r["objective"] <= rhs_bound("ME2", corpus["x^4"], unit, float(p)) + 1e-15
 
 
 def test_best_exponent_midpoint_family(corpus, unit):
     r = best_exponent("ME5", corpus["x^4"], unit, (1.01, 50.0))
     at_two = rhs_bound("ME5", corpus["x^4"], unit, 2.0)
     assert at_two == pytest.approx(0.144338, abs=1e-6)
-    assert r.objective <= at_two
+    assert r["objective"] <= at_two
 
 
 def test_best_exponent_objective_reevaluates(corpus, unit):
     r = best_exponent("ME2", corpus["x^4"], unit, (1.01, 50.0))
-    again = rhs_bound("ME2", corpus["x^4"], unit, r.parameters[0])
-    assert abs(r.objective - again) <= 1e-9
+    again = rhs_bound("ME2", corpus["x^4"], unit, r["parameters"][0])
+    assert abs(r["objective"] - again) <= 1e-9
 
 
 def test_best_exponent_degenerate_is_zero_at_the_left_end():
     # Mn = 0 makes every p an argmin; the left end is reported, with no note.
     quadratic = poly_smooth("x^2", [0, 0, 1])
     r = best_exponent("ME5", quadratic, Interval(0.0, 1.0), (1.01, 50.0))
-    assert (r.objective, r.parameters, r.note) == (0.0, (1.01,), "")
+    assert (r["objective"], r["parameters"], r["note"]) == (0.0, [1.01], "")
 
 
 @pytest.mark.parametrize("tag", EXPONENT_SEARCH_TAGS)
@@ -87,17 +88,17 @@ def test_best_exponent_is_the_minimum_over_a_dense_grid(corpus, tag, name, inter
     f = corpus[name]
     r = best_exponent(tag, f, interval, (1.01, 1000.0))
     values = [rhs_bound(tag, f, interval, float(p)) for p in np.geomspace(1.01, 1000.0, 2000)]
-    assert r.parameters == (1.01,)
-    assert r.objective == pytest.approx(min(values), rel=1e-14)
+    assert r["parameters"] == [1.01]
+    assert r["objective"] == pytest.approx(min(values), rel=1e-14)
 
 
 def test_best_exponent_me2_over_a_wide_range_keeps_a_positive_objective(corpus, unit):
     # B(2p+1, 2p+1) is 0 as a double from p = 268; a search that evaluated it
     # there found objective 0 at p = 267.57.
     r = best_exponent("ME2", corpus["x^4"], unit, (1.01, 1000.0))
-    assert r.parameters == (1.01,)
-    assert r.objective > 0.0
-    assert r.objective == rhs_bound("ME2", corpus["x^4"], unit, 1.01)
+    assert r["parameters"] == [1.01]
+    assert r["objective"] > 0.0
+    assert r["objective"] == rhs_bound("ME2", corpus["x^4"], unit, 1.01)
 
 
 @pytest.mark.parametrize("tag", EXPONENT_SEARCH_TAGS)
@@ -110,7 +111,7 @@ def test_best_exponent_evaluates_the_right_side_once(monkeypatch, corpus, unit, 
 
     monkeypatch.setattr(search, "rhs_bound", counting)
     r = best_exponent(tag, corpus["x^4"], unit, (1.01, 50.0))
-    assert len(calls) == r.iterations == 1
+    assert len(calls) == r["iterations"] == 1
 
 
 def test_best_exponent_validation(corpus, unit):
@@ -131,23 +132,23 @@ def test_holder_bound_is_continuous_in_p(corpus, unit):
 
 def test_worst_alpha_trapezoid_rule():
     r = worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0))
-    assert 0.0 < r.objective <= 1.0
+    assert 0.0 < r["objective"] <= 1.0
     for alpha in (0.25, 0.5, 0.75, 1.0):
         f = make_power_family(alpha, domain=Interval(1.0, 2.0))
         probe = tightness_ratio("ME1", f, Interval(1.0, 2.0))
-        assert r.objective >= probe - 1e-9
+        assert r["objective"] >= probe - 1e-9
 
 
 def test_worst_alpha_midpoint_rule_not_attained():
     r = worst_case_alpha("ME4", Interval(1.0, 2.0), (0.01, 1.0))
-    assert r.objective < 1.0
+    assert r["objective"] < 1.0
 
 
 def test_worst_alpha_objective_reevaluates():
     r = worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0))
-    f = make_power_family(r.parameters[0], domain=Interval(1.0, 2.0))
+    f = make_power_family(r["parameters"][0], domain=Interval(1.0, 2.0))
     again = tightness_ratio("ME1", f, Interval(1.0, 2.0))
-    assert abs(r.objective - again) <= 1e-9
+    assert abs(r["objective"] - again) <= 1e-9
 
 
 @pytest.mark.parametrize("tag", ["ME1", "ME4"])
@@ -163,9 +164,9 @@ def test_worst_alpha_evaluates_no_point_after_the_search(monkeypatch, tag):
 
     monkeypatch.setattr(search, "tightness_ratio", counting)
     r = worst_case_alpha(tag, Interval(1.0, 2.0), (0.01, 1.0))
-    assert len(calls) == r.iterations + 1
-    f = make_power_family(r.parameters[0], domain=Interval(1.0, 2.0))
-    assert r.objective == tightness_ratio(tag, f, Interval(1.0, 2.0))
+    assert len(calls) == r["iterations"] + 1
+    f = make_power_family(r["parameters"][0], domain=Interval(1.0, 2.0))
+    assert r["objective"] == tightness_ratio(tag, f, Interval(1.0, 2.0))
 
 
 @pytest.mark.parametrize("tag", ["ME1", "ME4"])
@@ -173,8 +174,37 @@ def test_worst_alpha_reports_a_degenerate_objective_at_the_midpoint(tag):
     # On [0.001, 0.002] both sides are far below the absolute ratio cut-off,
     # so every seed ratio reads 0 and no bracket is searched.
     r = worst_case_alpha(tag, Interval(0.001, 0.002), (0.01, 1.0))
-    assert r.note == "degenerate objective (identically zero)"
-    assert (r.objective, r.parameters, r.iterations, r.converged) == (0.0, (0.505,), 33, True)
+    assert r["note"] == "degenerate objective (identically zero)"
+    assert (r["objective"], r["parameters"], r["iterations"], r["converged"]) == \
+        (0.0, [0.505], 33, True)
+
+
+_NO_RESULT = {"objective": None, "parameters": [], "iterations": None, "converged": False,
+              "status": "non_converged"}
+
+
+def test_a_search_whose_objective_overflows_has_no_objective(corpus):
+    # The endpoint derivative 4x^3 of x^4 overflows at 1e300.
+    r = best_exponent("ME2", corpus["x^4"], Interval(0.0, 1e300), (1.01, 50.0))
+    assert r == {"kind": "search", "search": "best_exponent", "theorem": "ME2",
+                 "function": "x^4", "interval": [0.0, 1e300], "range": [1.01, 50.0],
+                 "exponent": None, **_NO_RESULT, "note": OVERFLOW_NOTE}
+
+
+def test_a_search_whose_integral_stalls_has_no_objective():
+    r = worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0), quad_tol=1e-300,
+                         quad_budget=15)
+    assert {key: r[key] for key in _NO_RESULT} == _NO_RESULT
+    assert re.fullmatch(r"integral of power_family\(\S+\) over \[1\.0, 2\.0\]: "
+                        r"quadrature budget exhausted \(.*\)", r["note"])
+
+
+def test_an_infinite_ratio_keeps_the_search_result():
+    # On [100, 100.001] the right side of ME1 falls below the degeneracy
+    # cut-off while the left side's rounding noise stays above the margin.
+    r = worst_case_alpha("ME1", Interval(100.0, 100.001), (0.01, 1.0))
+    assert (r["objective"], r["converged"], r["status"]) == (math.inf, True, "pass")
+    assert r["note"] == RATIO_INFINITE_NOTE
 
 
 def test_worst_alpha_validation():
