@@ -33,7 +33,7 @@ import math
 from typing import Iterator, Optional, Sequence
 
 from .bounds import (CORRECTION_DIVISOR, DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
-                     LHS_TRAPEZOID_CORRECTED, THEOREMS, rhs_bound, rule_scale,
+                     LHS_TRAPEZOID_CORRECTED, THEOREMS, endpoint_derivative_max, rule_scale,
                      validate_exponent)
 from .corpus import make_power_family
 from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status
@@ -128,13 +128,15 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
 
     Yields one application record per instance; a side that is not a
     finite double leaves it non-converged.  Instances vary fastest, then
-    alpha, then the interval.  P, the left sides and max(a^alpha, b^alpha)
-    are computed once per (a, b, alpha), as every instance there uses them;
-    each is the expression a lone instance evaluates, so a record is bit
-    for bit the one-instance one.
+    alpha, then the interval.  P, the left sides, max(a^alpha, b^alpha) and
+    the member's endpoint maximum of each derivative order are computed once
+    per (a, b, alpha), and each instance's rule scale once per (a, b), as
+    every instance or alpha there uses them; each is the expression a lone
+    instance evaluates, so a record is bit for bit the one-instance one.
     The derived right side is 12P or 24P times rhs_bound of the source rule
-    on the member.  The printed one divides by the printed divisor, and its
-    power-mean max terms collapse to max(a^alpha, b^alpha) since a, b > 0.
+    on the member: its rule scale times Mn, the member's endpoint maximum.
+    The printed one divides by the printed divisor, and its power-mean max
+    terms collapse to max(a^alpha, b^alpha) since a, b > 0.
     Arguments are validated before the first row.
     """
     for theorem, variant, _ in instances:
@@ -157,26 +159,29 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
         plan.append((theorem, variant, exponent, source,
                      "paper" if variant == "paper" else source.lhs_kind))
     lhs_keys = {key for _, _, _, _, key in plan}
+    orders = {source.derivative_order for _, _, _, source, key in plan if key != "paper"}
 
     for a, b in intervals:
         interval = Interval(a, b)
+        # Each instance's rule scale, with its printed divisor or its rule's D.
+        scales = [_or_none(rule_scale, source, b - a, exponent,
+                           _PRINTED_DIVISOR[theorem] if key == "paper" else source.divisor)
+                  for theorem, _, exponent, source, key in plan]
         for alpha, member in zip(alphas, members):
             pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
             lhs_of = {key: _or_none(_LHS[key], a, b, alpha) for key in lhs_keys}
             power_max = max(a ** alpha, b ** alpha)
-            for theorem, variant, exponent, source, key in plan:
+            endpoint_max = {n: _or_none(endpoint_derivative_max, member, interval, n)
+                            for n in orders}
+            for (theorem, variant, exponent, source, key), scale in zip(plan, scales):
                 lhs = lhs_of[key]
-                try:
-                    if lhs is None:  # the left side overflowed
-                        raise OverflowError
-                    if key == "paper":
-                        rhs = (rule_scale(source, b - a, exponent, _PRINTED_DIVISOR[theorem])
-                               * pprod * power_max)
-                    else:
-                        rhs = (CORRECTION_DIVISOR[key] * pprod
-                               * rhs_bound(source.tag, member, interval, exponent))
-                except OverflowError:
+                m = power_max if key == "paper" else endpoint_max[source.derivative_order]
+                if lhs is None or scale is None or m is None:  # a side overflowed
                     lhs = rhs = math.nan
+                elif key == "paper":
+                    rhs = scale * pprod * m
+                else:
+                    rhs = CORRECTION_DIVISOR[key] * pprod * (scale * m)
                 finite = math.isfinite(lhs) and math.isfinite(rhs)
                 passed = finite and lhs <= rhs + margin_tol
                 note = ""

@@ -4,15 +4,17 @@ JSON is the canonical format: UTF-8, fixed key order, and every float
 written with 17 significant digits so values round-trip exactly and
 repeated runs are byte-identical (the generated_at timestamp aside).
 Non-finite floats have no JSON representation and serialize as null.
-CSV output is one file per record kind; markdown renders summary tables.
+CSV output is one file per record kind, with LF line ends and a cell
+quoted only when it holds a comma, double quote, CR or LF, so its bytes
+too are the same on every Python; markdown renders summary tables.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from itertools import repeat
+import re
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -116,19 +118,44 @@ _NESTED = {"interval_a": ("interval", 0), "interval_b": ("interval", 1),
            "range_lo": ("range", 0), "range_hi": ("range", 1),
            "hypothesis_verdict": ("hypothesis", "verdict"),
            "hypothesis_max_violation": ("hypothesis", "max_violation")}
+# Columns that name a record's instance: each value recurs in every record
+# built on the same interval, alpha or exponent.
+_NAMING = ("interval_a", "interval_b", "range_lo", "range_hi", "a", "b", "alpha", "exponent")
+# A CSV cell holding one of these is quoted (RFC 4180 minimal quoting).
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
-def _column_cells(values: list) -> list[str]:
-    """_cell of each value; a column of finite floats is formatted in one map.
-    A sum of floats is finite only if each one is (an overflowing sum only
-    sends the column the general way)."""
-    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+def _column_cells(values: list, table: dict | None, quote: bool) -> list[str]:
+    """_cell of each value, with only the per-cell work the column's types need.
+
+    ``table`` (a naming column's, kept for the whole file) maps each value
+    seen to its text, so a column of floats and None formats each distinct
+    value once.  Zeros stay out of it, as 0.0 and -0.0 are equal keys that
+    print differently: a chunk holding a zero goes the general way.  A
+    column of finite floats is formatted in one map (a sum of floats is
+    finite only if each one is; an overflowing sum only sends the column
+    the general way).  With ``quote``, the cells of a text column are
+    quoted when some cell of it needs it.
+    """
+    types = set(map(type, values))
+    if types == {bool}:
+        return ["true" if v else "false" for v in values]
+    if table is not None and types <= {float, type(None)} and 0.0 not in (distinct := set(values)):
+        for value in distinct.difference(table):
+            table[value] = _cell(value)
+        return list(map(table.__getitem__, values))
+    if types == {float} and math.isfinite(sum(values)):
         return list(map(format, values, repeat(".17g")))
-    return list(map(_cell, values))
+    cells = values if types == {str} else list(map(_cell, values))
+    if quote and _NEEDS_QUOTES.search("".join(cells)):
+        return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
+    return cells
 
 
-def _csv_columns(chunk: list[dict], kind: str) -> list[list[str]]:
-    """The cells of records of the given kind, one list per CSV column.
+def _csv_columns(chunk: list[dict], kind: str, tables: dict[str, dict],
+                 quote: bool) -> list[list[str]]:
+    """The cells of records of the given kind, one list per CSV column;
+    ``tables`` holds the text table of each naming column.
 
     A cell from inside an interval, range or hypothesis that is null in
     the report is empty.
@@ -144,21 +171,25 @@ def _csv_columns(chunk: list[dict], kind: str) -> list[list[str]]:
             values = [None if (v := r.get(name)) is None else v[key] for r in chunk]
         else:
             values = [r.get(col) for r in chunk]
-        columns.append(_column_cells(values))
+        columns.append(_column_cells(values, tables.get(col), quote))
     return columns
 
 
-def _csv_rows(records: list[dict], kind: str) -> Iterator[tuple[str, ...]]:
-    """Each record's cells in CSV_COLUMNS order, flattened a chunk at a
-    time and a column at a time; markdown tables show the same cells."""
+def _csv_rows(records: list[dict], kind: str, quote: bool) -> Iterator[Iterator[tuple]]:
+    """The rows of each chunk of records: each record's cells in CSV_COLUMNS
+    order, flattened a column at a time, with one text table per naming
+    column for all chunks.  Markdown tables show the same cells unquoted."""
+    tables = {col: {} for col in _NAMING}
     for start in range(0, len(records), _CHUNK):
-        yield from zip(*_csv_columns(records[start:start + _CHUNK], kind))
+        yield zip(*_csv_columns(records[start:start + _CHUNK], kind, tables, quote))
 
 
 def _write_csv(out: TextIO, records: list[dict], kind: str) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS[kind])
-    writer.writerows(_csv_rows(records, kind))
+    """The header and one line per record, LF-terminated; a cell holding a
+    comma, double quote, CR or LF is quoted, with its quotes doubled."""
+    out.write(",".join(CSV_COLUMNS[kind]) + "\n")
+    for rows in _csv_rows(records, kind, quote=True):
+        out.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def render_csv(records: list[dict], kind: str) -> str:
@@ -196,7 +227,7 @@ def render_markdown(report: dict) -> str:
             continue
         lines += ["", f"## {title}", ""]
         lines += _md_table(list(CSV_COLUMNS[kind]),
-                           _csv_rows(records, kind))
+                           chain.from_iterable(_csv_rows(records, kind, quote=False)))
     lines.append("")
     return "\n".join(lines)
 

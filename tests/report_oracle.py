@@ -1,6 +1,7 @@
 """Test-only oracle: the report renderers as they were before each record
 was flattened once, kept verbatim (a row dict per column, DictWriter, one
-json.dumps per string).  tests/test_report.py asserts that the package's
+json.dumps per string) but for the CSV line terminator, which render_csv
+explains.  tests/test_report.py asserts that the package's
 renderers give the same bytes on any record this oracle accepts.
 """
 
@@ -98,12 +99,24 @@ def _csv_row(record: dict) -> dict[str, str]:
 
 
 def render_csv(records: list[dict], kind: str) -> str:
+    # Rows end in CRLF so that csv quotes a cell holding CR on every Python
+    # (before 3.13 it quotes only the characters of the line terminator);
+    # each row's own terminator is then written as LF.
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS[kind], lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS[kind], lineterminator="\r\n")
+    lines = []
+
+    def end_row() -> None:
+        lines.append(buf.getvalue()[:-2] + "\n")
+        buf.seek(0)
+        buf.truncate()
+
     writer.writeheader()
+    end_row()
     for record in records:
         writer.writerow(_csv_row(record))
-    return buf.getvalue()
+        end_row()
+    return "".join(lines)
 
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:

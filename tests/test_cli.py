@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -251,6 +252,24 @@ def test_report_reproduces_the_goldens(tmp_path, capsys):
         name = f"golden_{kind}.csv"
         assert (tmp_path / name).read_text(encoding="utf-8") == \
             (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def test_a_rerendered_csv_reads_back_cell_for_cell(tmp_path):
+    # A cell holding CR, LF, a comma or a quote is quoted, so csv reads back
+    # one row per record and the note as it was.
+    data = json.loads((GOLDEN_DIR / "golden.json").read_text(encoding="utf-8"))
+    notes = ["first line\rsecond line", "a\nb", "a,b", 'say "hi"', "\r\n", "\"", ""]
+    for i, record in enumerate(data["bound_checks"]):
+        record["note"] = notes[i % len(notes)]
+    saved = tmp_path / "r.json"
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", str(saved), "--format", "csv", "--out", str(tmp_path / "g.csv")]) == 0
+    with (tmp_path / "g_bound.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == len(data["bound_checks"]) + 1
+    assert [row[-1] for row in rows[1:]] == [r["note"] for r in data["bound_checks"]]
+    golden = (GOLDEN_DIR / "golden_bound.csv").read_text(encoding="utf-8").splitlines()
+    assert [row[:-1] for row in rows] == [line.split(",")[:-1] for line in golden]
 
 
 MUTANTS = (None, 5, "x", [], {}, [1], [1, 2, 3], math.nan)

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhverify import bounds
-from hhverify.bounds import THEOREMS, check_bound, rhs_bound, rule_scale
+from hhverify import means
+from hhverify.bounds import (CORRECTION_DIVISOR, THEOREMS, check_bound, rhs_bound,
+                             rule_scale)
 from hhverify.corpus import make_power_family
 from hhverify.errors import DomainError, ParameterError
 from hhverify.means import (_PRINTED_DIVISOR, APPLICATION_SOURCE, APPLICATION_TAGS,
-                            OVERFLOW_NOTE, application_check, arithmetic_mean,
+                            OVERFLOW_NOTE, application_check, application_rows, arithmetic_mean,
                             generalized_log_mean)
 from hhverify.numerics import Interval
 from hhverify.runner import RunConfig, run
@@ -165,6 +166,29 @@ def test_derived_rhs_is_bit_identical_to_member_on_the_interval(tag, variant, a,
     assert application_check(tag, variant, a, b, alpha, exponent)["rhs"] == expected
 
 
+def test_every_derived_rhs_of_a_batch_is_the_scaled_rule_bound():
+    # A batch shares each endpoint maximum across the instances of an alpha
+    # and each rule scale across the alphas of an interval; every derived
+    # side must still be CORRECTION_DIVISOR * P * rhs_bound, bit for bit.
+    intervals = [(0.25, 0.3), (0.5, 1.5), (1.0, 2.0), (2.0, 5.0), (3.7, 5.9)]
+    alphas = [0.1, 0.25, 0.5, 0.75, 1.0]
+    instances = [(tag, variant, exponent) for tag in APPLICATION_TAGS
+                 for variant in ("paper", "derived")
+                 for exponent in {"p": [1.5, 2.0, 3.0], "q": [1.0, 2.0]}.get(
+                     THEOREMS[APPLICATION_SOURCE[tag]].exponent_kind, [None])]
+    derived = [r for r in application_rows(instances, intervals, alphas)
+               if r["variant"] == "derived"]
+    assert len(derived) == len(intervals) * len(alphas) * 12
+    for r in derived:
+        source = THEOREMS[APPLICATION_SOURCE[r["theorem"]]]
+        alpha = r["alpha"]
+        pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
+        expected = (CORRECTION_DIVISOR[source.lhs_kind] * pprod
+                    * rhs_bound(source.tag, make_power_family(alpha),
+                                Interval(r["a"], r["b"]), r["exponent"]))
+        assert r["rhs"].hex() == expected.hex(), r
+
+
 def test_application_parameter_errors():
     with pytest.raises(ParameterError):
         application_check("A3_2", "derived", 1.0, 2.0, 1.0)  # missing p
@@ -189,8 +213,8 @@ def test_overflowing_side_is_reported_not_raised(variant):
 
 
 def test_infinite_side_never_passes(monkeypatch):
-    # The derived right side is 12P times rhs_bound, which reads this endpoint maximum.
-    monkeypatch.setattr(bounds, "endpoint_derivative_max", lambda *args: math.inf)
+    # The derived right side is 12P times the rule scale times this endpoint maximum.
+    monkeypatch.setattr(means, "endpoint_derivative_max", lambda *args: math.inf)
     v = application_check("A3_1", "derived", 1.0, 2.0, 1.0)
     assert v["lhs"] == 3.0 and v["rhs"] == math.inf
     assert not v["pass"]

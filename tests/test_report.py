@@ -4,7 +4,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import report_oracle
@@ -151,17 +151,23 @@ hypotheses = st.none() | st.fixed_dictionaries({
     "counterexample": st.none() | st.dictionaries(texts, scalars, max_size=3)})
 
 
-def _record(kind):
+def _record(kind, naming=None):
+    """Records of a kind; ``naming``, when given, draws the values of the
+    naming columns (a, b, alpha, exponent, and the interval and range ends)."""
     fields = {c: cells for c in CSV_COLUMNS[kind]}
     for key in ("interval_a", "interval_b", "range_lo", "range_hi",
                 "hypothesis_verdict", "hypothesis_max_violation"):
         fields.pop(key, None)
+    pair = pairs
+    if naming is not None:
+        fields.update({c: naming for c in ("a", "b", "alpha", "exponent") if c in fields})
+        pair = st.none() | st.lists(naming, min_size=2, max_size=2)
     if "interval_a" in CSV_COLUMNS[kind]:
-        fields["interval"] = pairs
+        fields["interval"] = pair
     if kind == "bound":
         fields["hypothesis"] = hypotheses
     if kind == "search":
-        fields["range"] = pairs
+        fields["range"] = pair
         fields["parameters"] = st.lists(scalars, max_size=3) | scalars
     return st.fixed_dictionaries({"kind": st.just(kind), **fields})
 
@@ -180,6 +186,36 @@ reports = st.fixed_dictionaries({
 def test_renderers_match_the_oracle_byte_for_byte(data):
     assert render_json(data) == report_oracle.render_json(data)
     # Chunks of two records, so a list of up to seven spans up to four of them.
+    with mock.patch.object(report_module, "_CHUNK", 2):
+        assert render_markdown(data) == report_oracle.render_markdown(data)
+        for key, kind in SECTIONS:
+            assert render_csv(data[key], kind) == report_oracle.render_csv(data[key], kind)
+
+
+# Values that a naming column's text table could confuse: zeros that are
+# equal but print differently, equal keys of other types (1, 1.0, True),
+# NaN, which is unequal to itself, the infinities and None.
+traps = st.sampled_from([0.0, -0.0, 1, 1.0, True, math.nan, math.inf, -math.inf, None,
+                         2.5, 1.0 / 3.0])
+TRAP_APPLICATIONS = [{"kind": "application", "theorem": "A3_1", "variant": "derived",
+                      "a": a, "b": 2.5, "alpha": alpha, "exponent": None, "lhs": 0.5,
+                      "rhs": 1.0, "pass": True, "status": "pass", "note": ""}
+                     for a, alpha in ((1.0, 2.5), (2.5, 1.0), (-0.0, 0.0), (0.0, -0.0),
+                                      (True, 1), (1, True), (math.nan, math.inf),
+                                      (-math.inf, None), (1.0, -0.0))]
+
+
+@settings(max_examples=150, deadline=None)
+@example(sections={"application_checks": TRAP_APPLICATIONS, "identity_checks": [],
+                   "bound_checks": [], "searches": []})
+@given(st.fixed_dictionaries({key: st.lists(_record(kind, naming=traps), max_size=9)
+                              for key, kind in SECTIONS}))
+def test_naming_columns_match_the_oracle_across_chunks(sections):
+    data = {"tool": "hhverify", "version": "0", "generated_at": "X",
+            "summary": dict.fromkeys(("total", "pass", "fail", "refuted_hypothesis",
+                                      "non_converged"), 0), **sections}
+    # Chunks of two records, so a value's text comes from the table filled
+    # by an earlier chunk.
     with mock.patch.object(report_module, "_CHUNK", 2):
         assert render_markdown(data) == report_oracle.render_markdown(data)
         for key, kind in SECTIONS:
@@ -211,9 +247,9 @@ def test_each_record_is_flattened_once(golden_report, monkeypatch):
     chunks = []
     flatten = report_module._csv_columns
 
-    def counting(chunk, kind):
+    def counting(chunk, *args):
         chunks.append(chunk)
-        return flatten(chunk, kind)
+        return flatten(chunk, *args)
 
     monkeypatch.setattr(report_module, "_csv_columns", counting)
     monkeypatch.setattr(report_module, "_CHUNK", 3)
