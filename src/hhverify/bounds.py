@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .corpus import SmoothFunction
-from .errors import (OVERFLOW_NOTE, ParameterError, QuadratureError, check_tolerance,
-                     failure_note, status)
+from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, integrate, nonconvergence_note)
 from .quasiconvex import DEFAULT_QC_TOL, QuasiConvexityCertificate, check_quasi_convex
@@ -133,21 +132,6 @@ def defect(kind: str, f: SmoothFunction, interval: Interval, avg: float) -> floa
     raise ParameterError(f"unknown defect kind {kind!r}")
 
 
-def rule_lhs(tag: str, f: SmoothFunction, interval: Interval,
-             quad_tol: float = DEFAULT_QUAD_TOL,
-             quad_budget: int = DEFAULT_QUAD_BUDGET,
-             integral: QuadratureResult | None = None) -> float:
-    """|defect| of the tag's rule; raises QuadratureError when the
-    average integral did not converge."""
-    if integral is None:
-        integral = integrate(f.func, interval, quad_tol, quad_budget)
-    if not integral.converged:
-        raise QuadratureError(f"integral of {f.name} over [{interval.a}, {interval.b}]: "
-                              f"{nonconvergence_note(integral, quad_budget)}")
-    return abs(defect(theorem_spec(tag).lhs_kind, f, interval,
-                      integral.value / interval.width))
-
-
 def validate_exponent(tag: str, exponent: Optional[float]) -> Optional[float]:
     """Enforce the exponent rule of a tag; returns the exponent unchanged."""
     kind = theorem_spec(tag).exponent_kind
@@ -166,8 +150,10 @@ def validate_exponent(tag: str, exponent: Optional[float]) -> Optional[float]:
 
 
 def endpoint_derivative_max(f: SmoothFunction, interval: Interval, order: int) -> float:
+    """max(|f^(n)(a)|, |f^(n)(b)|), NaN if either is: max(x, nan) is x."""
     d = f.deriv(order)
-    return max(abs(float(d(interval.a))), abs(float(d(interval.b))))
+    at_a, at_b = abs(float(d(interval.a))), abs(float(d(interval.b)))
+    return at_b if math.isnan(at_b) else max(at_a, at_b)
 
 
 def rhs_bound(tag: str, f: SmoothFunction, interval: Interval,
@@ -207,19 +193,6 @@ def certify_hypothesis(tag: str, f: SmoothFunction, interval: Interval,
                               f.turning_points(order, interval.a, interval.b), qc_tol)
 
 
-def bound_ratio(lhs: float, rhs: float, margin_tol: float = DEFAULT_MARGIN_TOL) -> float:
-    """lhs/rhs with the degenerate cases pinned down.
-
-    Both sides below the degeneracy tolerance count as 0 (a rule applied
-    to a polynomial of lower degree than its derivative order).  A zero
-    right side against a genuinely positive left side is the refutation
-    signal and maps to infinity.
-    """
-    if rhs <= RATIO_DEGENERATE_TOL:
-        return 0.0 if lhs <= rhs + margin_tol else math.inf
-    return lhs / rhs
-
-
 def _certificate_dict(cert: QuasiConvexityCertificate) -> dict:
     # The witness's fields, in CounterExample's order, are the report's keys
     # (vars keeps __init__'s order; dataclasses.asdict would deep-copy each float).
@@ -243,11 +216,14 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
                 hypothesis: QuasiConvexityCertificate | None = None) -> dict:
     """The bound record of one rule instance, ``exponent`` as given.
 
-    A refuted hypothesis does not abort the check: the inequality is still
-    evaluated and both facts are reported, with pass false.  An integral
-    that did not converge or a side that is not a finite double leaves a
-    record with no sides, non-converged, with a note why; so does a
-    certificate without a verdict, which keeps the sides.
+    The left side is |defect| of the tag's rule.  A refuted hypothesis
+    does not abort the check: the inequality is still evaluated and both
+    facts are reported, with pass false.  An integral that did not
+    converge or a side that is not a finite double leaves a record with
+    no sides, non-converged, with a note why; so does a certificate
+    without a verdict, which keeps the sides.  An f that is not finite
+    inside the interval raises the quadrature's DomainError naming the
+    abscissa.
     ``integral`` and ``hypothesis`` accept precomputed values so a run
     can share work; they must match (f, interval) when given.
     """
@@ -256,10 +232,16 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
     record = {"kind": "bound", "theorem": tag, "function": f.name,
               "interval": [interval.a, interval.b], "exponent": exponent}
     try:
-        lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget, integral)
+        if integral is None:
+            integral = integrate(f.func, interval, quad_tol, quad_budget)
+        if not integral.converged:
+            return {**record, **_NO_SIDES,
+                    "note": f"integral of {f.name} over [{interval.a}, {interval.b}]: "
+                            f"{nonconvergence_note(integral, quad_budget)}"}
+        lhs = abs(defect(THEOREMS[tag].lhs_kind, f, interval, integral.value / interval.width))
         rhs = rhs_bound(tag, f, interval, exponent)
-    except (QuadratureError, OverflowError) as err:
-        return {**record, **_NO_SIDES, "note": failure_note(err)}
+    except OverflowError:
+        lhs = rhs = math.nan
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         return {**record, **_NO_SIDES, "note": OVERFLOW_NOTE}
     if hypothesis is None:
@@ -268,7 +250,11 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
             "unresolved": UNRESOLVED_NOTE}.get(hypothesis.verdict, "")
     margin = rhs - lhs
     passed = bool(margin >= -margin_tol and hypothesis.certified)
-    return {**record, "lhs": lhs, "rhs": rhs, "margin": margin,
-            "ratio": bound_ratio(lhs, rhs, margin_tol), "pass": passed,
-            "hypothesis": _certificate_dict(hypothesis),
+    # Both sides below the degeneracy cut-off read 0 (a rule applied to a
+    # polynomial of lower degree than its derivative order); a right side
+    # below it against a larger left side is the refutation signal.
+    ratio = (lhs / rhs if rhs > RATIO_DEGENERATE_TOL
+             else 0.0 if lhs <= rhs + margin_tol else math.inf)
+    return {**record, "lhs": lhs, "rhs": rhs, "margin": margin, "ratio": ratio,
+            "pass": passed, "hypothesis": _certificate_dict(hypothesis),
             "status": status(not note, hypothesis.certified, passed), "note": note}

@@ -20,10 +20,6 @@ class ConfigError(ValueError):
     """A run configuration is invalid; the message names the offending field."""
 
 
-class QuadratureError(RuntimeError):
-    """An integral required by a check did not converge."""
-
-
 def status(decided: bool, certified: bool, passed: bool) -> str:
     """Every record's status: no verdict, then a refuted hypothesis, then pass or fail."""
     if not decided:

@@ -308,7 +308,7 @@ def run(config: RunConfig) -> RunReport:
                    for tag in config.search_p_theorems]
         records += [worst_case_alpha(tag, alpha_interval, config.search_alpha_range,
                                      _exponents_for(tag, config)[0], config.quad_tol,
-                                     config.quad_budget)
+                                     config.quad_budget, config.margin_tol)
                     for tag in config.search_alpha_theorems]
         report.searches = sorted(
             records, key=lambda r: (r["search"], r["theorem"], r["function"] or ""))

@@ -1,15 +1,17 @@
 """Tightness searches over rule instances.
 
-tightness_ratio measures how much of a bound is actually used
-(left side over right side, 1 meaning the inequality is attained).
 best_exponent minimizes a Holder-parameterized right-hand side over p,
 and worst_case_alpha maximizes the tightness ratio over the power
-family's parameter.  The right side's factor c(p) is nondecreasing in p
-(see bounds), so best_exponent's minimum is the range's left end, found
-by one evaluation.  worst_case_alpha scans a coarse seed grid and runs
-golden-section inside the bracket around its best point; an objective
-that vanishes on the whole seed grid is reported as degenerate.  Both
-searches return their report record.
+family's parameter: the ``ratio`` of check_bound's record on each member
+(left side over right side, 1 meaning the inequality is attained), under
+the caller's margin_tol.  The right side's factor c(p) is nondecreasing
+in p (see bounds), so best_exponent's minimum is the range's left end,
+found by one evaluation.  worst_case_alpha scans a coarse seed grid and
+runs golden-section inside the bracket around its best point; an
+objective that vanishes on the whole seed grid is reported as
+degenerate, and a member whose record has no sides ends the search
+without an objective, with that record's note.  Both searches return
+their report record.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, bound_ratio,
-                     rhs_bound, rule_lhs, validate_exponent)
+from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, check_bound, rhs_bound,
+                     validate_exponent)
 from .corpus import SmoothFunction, make_power_family
-from .errors import DomainError, ParameterError, QuadratureError, failure_note, status
+from .errors import DomainError, ParameterError, check_tolerance, failure_note, status
 from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval
 
 EXPONENT_SEARCH_TAGS = tuple(tag for tag, spec in THEOREMS.items()
@@ -31,18 +33,6 @@ _DEGENERATE_OBJECTIVE = 1e-14
 _SEED_POINTS = 33
 _PARAM_TOL = 1e-6
 RATIO_INFINITE_NOTE = "ratio infinite: the right side vanishes against a positive left side"
-
-
-def tightness_ratio(tag: str, f: SmoothFunction, interval: Interval,
-                    exponent: Optional[float] = None,
-                    quad_tol: float = DEFAULT_QUAD_TOL,
-                    quad_budget: int = DEFAULT_QUAD_BUDGET) -> float:
-    """lhs/rhs for one rule instance; 0 when both sides vanish, infinity
-    when only the right side does (a refutation signal, not an error)."""
-    exponent = validate_exponent(tag, exponent)
-    lhs = rule_lhs(tag, f, interval, quad_tol, quad_budget)
-    rhs = rhs_bound(tag, f, interval, exponent)
-    return bound_ratio(lhs, rhs, DEFAULT_MARGIN_TOL)
 
 
 def _argmin(values: list[float]) -> int:
@@ -75,9 +65,10 @@ def _search_record(search: str, tag: str, function: Optional[str], interval: Int
                    run_search: Callable[[], tuple]) -> dict:
     """The search record of ``run_search()``, which returns the objective,
     the parameters, the iterations and a note.  A search that raises or
-    whose objective overflowed is non-converged, with no objective.
+    whose objective overflowed is non-converged, with no objective; an
+    ArithmeticError carries the note of a bound record without sides.
     worst_case_alpha's objective is a tightness ratio, whose infinity is not
-    an overflow but bound_ratio's refutation signal: that record keeps its
+    an overflow but check_bound's refutation signal: that record keeps its
     result and says so."""
     converged = True
     try:
@@ -86,7 +77,7 @@ def _search_record(search: str, tag: str, function: Optional[str], interval: Int
             note = "; ".join(filter(None, (note, RATIO_INFINITE_NOTE)))
         elif not math.isfinite(objective):
             raise OverflowError
-    except (QuadratureError, OverflowError, DomainError) as err:
+    except (ArithmeticError, DomainError) as err:
         objective, parameters, iterations, converged = None, (), None, False
         note = failure_note(err)
     return {
@@ -129,9 +120,11 @@ def worst_case_alpha(tag: str, interval: Interval,
                      alpha_range: tuple[float, float],
                      exponent: Optional[float] = None,
                      quad_tol: float = DEFAULT_QUAD_TOL,
-                     quad_budget: int = DEFAULT_QUAD_BUDGET) -> dict:
+                     quad_budget: int = DEFAULT_QUAD_BUDGET,
+                     margin_tol: float = DEFAULT_MARGIN_TOL) -> dict:
     """The search record maximizing the tightness ratio of the tag over the
-    power family's parameter on a strictly positive interval."""
+    power family's parameter on a strictly positive interval: the ratio
+    of check_bound's record, ``margin_tol`` deciding its degenerate cases."""
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
     if not (0.0 < lo < hi <= 1.0):
         raise ParameterError(f"alpha range must satisfy 0 < lo < hi <= 1, got ({lo}, {hi})")
@@ -139,10 +132,14 @@ def worst_case_alpha(tag: str, interval: Interval,
         raise ParameterError(
             f"alpha search needs a strictly positive interval, got [{interval.a}, {interval.b}]")
     validate_exponent(tag, exponent)
+    check_tolerance("margin_tol", margin_tol)
 
     def neg_ratio(alpha: float) -> float:
-        f = make_power_family(alpha, domain=interval)
-        return -tightness_ratio(tag, f, interval, exponent, quad_tol, quad_budget)
+        record = check_bound(tag, make_power_family(alpha, domain=interval), interval,
+                             exponent, quad_tol, quad_budget, margin_tol)
+        if record["ratio"] is None:
+            raise ArithmeticError(record["note"])
+        return -record["ratio"]
 
     def search() -> tuple:
         step = (hi - lo) / (_SEED_POINTS - 1)

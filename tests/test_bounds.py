@@ -10,13 +10,14 @@ from hhverify.bounds import (EXP_NONE, LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID,
                              LHS_TRAPEZOID_CORRECTED, THEOREM_ORDER, THEOREMS,
                              check_bound, certify_hypothesis, defect, rhs_bound)
 from hhverify.corpus import (SmoothFunction, admissible_intervals, builtin_corpus,
-                             corpus_by_name, no_turning_points)
+                             corpus_by_name, make_power_family, no_turning_points)
 from hhverify.errors import OVERFLOW_NOTE, DomainError, ParameterError
 from hhverify.identities import check_identity
 from hhverify.means import application_check
 from hhverify.numerics import Interval, integrate, nonconvergence_note
 from hhverify.quasiconvex import check_quasi_convex
 from hhverify.runner import DEFAULT_INTERVALS
+from hhverify.search import best_exponent, worst_case_alpha
 
 from conftest import PLAIN_RULE, poly_smooth, scaled
 
@@ -258,6 +259,37 @@ def test_an_overflowing_side_gives_a_record_without_sides(corpus, unit):
                       "note": OVERFLOW_NOTE}
 
 
+def _nan_at(end):
+    """x^4 whose derivatives read NaN at ``end`` only."""
+    f = poly_smooth("x^4", [0, 0, 0, 0, 1])
+    return SmoothFunction(
+        name=f"nan_at({end})", domain=f.domain, func=f.func,
+        derivs=tuple((lambda x, d=d: math.nan if x == end else d(x)) for d in f.derivs),
+        turning_points=f.turning_points)
+
+
+@pytest.mark.parametrize("end", [1.0, 2.0])
+def test_a_nan_endpoint_derivative_leaves_no_right_side(end):
+    # max(x, nan) is x: a NaN at the right end was dropped, and ME2's
+    # search passed on the left end's derivative alone.
+    f, iv = _nan_at(end), Interval(1.0, 2.0)
+    assert math.isnan(rhs_bound("ME1", f, iv))
+    r = best_exponent("ME2", f, iv, (1.01, 50.0))
+    assert (r["objective"], r["status"], r["note"]) == (None, "non_converged", OVERFLOW_NOTE)
+    record = check_bound("ME1", f, iv)
+    assert (record["rhs"], record["status"]) == (None, "non_converged")
+
+
+@pytest.mark.parametrize("check", [lambda f, iv: check_bound("ME1", f, iv),
+                                   lambda f, iv: check_identity("L1", f, iv)],
+                         ids=["check_bound", "check_identity"])
+def test_an_f_that_is_not_finite_inside_the_interval_is_a_domain_error(check):
+    # x^(alpha+4) overflows inside [1, 1e300]; the quadrature names where.
+    iv = Interval(1.0, 1e300)
+    with pytest.raises(DomainError, match=r"^integrand returned a non-finite value at x=\d"):
+        check(make_power_family(0.5, domain=iv), iv)
+
+
 def test_the_record_keeps_the_exponent_as_given(corpus, unit):
     record = check_bound("ME2", corpus["x^4"], unit, 3)
     assert type(record["exponent"]) is int
@@ -277,6 +309,8 @@ def test_the_record_keeps_the_exponent_as_given(corpus, unit):
      "margin_tol"),
     (lambda tol: check_identity("L1", _BY_NAME["x^4"], Interval(0.0, 1.0), residual_tol=tol),
      "residual_tol"),
+    (lambda tol: worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0), margin_tol=tol),
+     "margin_tol"),
 ])
 def test_a_tolerance_that_is_not_a_finite_bound_is_a_domain_error(call, name, value):
     # A NaN or infinite tolerance would decide every comparison one way.

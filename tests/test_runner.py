@@ -82,10 +82,12 @@ def test_a_default_run_certifies_each_derivative_order_once(monkeypatch):
     count(identities, "integrate", key=lambda f, span, *_: span)
     run(RunConfig())
     # 80 (function, interval) pairs; one certificate per derivative order
-    # of each, whatever the tags and exponents: 8 functions x 4 orders.
+    # of each, whatever the tags and exponents: 8 functions x 4 orders.  Each
+    # alpha search also certifies the member of each of its 57 + 1 bound
+    # records (iterations, plus the golden-section point).
     assert {name: len(seen) for name, seen in calls.items()} == {
         "runner.integrate": 80, "runner.check_identity": 160,
-        "runner.certify_hypothesis": 320, "bounds.check_quasi_convex": 320,
+        "runner.certify_hypothesis": 320, "bounds.check_quasi_convex": 320 + 2 * (57 + 1),
         "identities.integrate": 160}
     assert len(set(calls["runner.certify_hypothesis"])) == 320
     # L1's kernel spans [0, 1] once per pair, L2's folded kernel [0, 1/2] once.

@@ -12,24 +12,26 @@ from hhverify.bounds import (RATIO_DEGENERATE_TOL, THEOREM_ORDER, THEOREMS, chec
 from hhverify.corpus import builtin_corpus, make_power_family
 from hhverify.errors import OVERFLOW_NOTE, ParameterError
 from hhverify.numerics import Interval
+from hhverify.runner import RunConfig, run
 from hhverify.search import (EXPONENT_SEARCH_TAGS, RATIO_INFINITE_NOTE, best_exponent,
-                             tightness_ratio, worst_case_alpha)
+                             worst_case_alpha)
 
 from conftest import poly_smooth, reflected, scaled
 
 
 def test_ratio_sharp_instance(corpus, unit):
-    assert tightness_ratio("ME1", corpus["x^4"], unit) == pytest.approx(1.0, abs=1e-12)
+    assert check_bound("ME1", corpus["x^4"], unit)["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ratio_midpoint_quartic(corpus, unit):
-    assert tightness_ratio("ME4", corpus["x^4"], unit) == pytest.approx(7.0 / 30.0, abs=1e-12)
+    ratio = check_bound("ME4", corpus["x^4"], unit)["ratio"]
+    assert ratio == pytest.approx(7.0 / 30.0, abs=1e-12)
 
 
 def test_ratio_degenerate_cubic(corpus):
     # The fourth derivative vanishes identically: both sides are zero.
     for iv in (Interval(0.0, 1.0), Interval(-5.0, 5.0)):
-        assert tightness_ratio("ME1", corpus["x^3"], iv) == 0.0
+        assert check_bound("ME1", corpus["x^3"], iv)["ratio"] == 0.0
 
 
 def test_ratio_zero_rhs_with_positive_lhs_is_infinite(unit):
@@ -39,9 +41,8 @@ def test_ratio_zero_rhs_with_positive_lhs_is_infinite(unit):
     assert f.deriv(4)(0.0) == pytest.approx(0.0, abs=1e-15)
     assert f.deriv(4)(1.0) == pytest.approx(0.0, abs=1e-15)
     assert f.deriv(4)(0.5) == pytest.approx(0.25, rel=1e-12)
-    ratio = tightness_ratio("ME1", f, unit)
-    assert math.isinf(ratio)
     report = check_bound("ME1", f, unit)
+    assert math.isinf(report["ratio"])
     assert not report["pass"]
     assert report["margin"] < 0
 
@@ -135,7 +136,7 @@ def test_worst_alpha_trapezoid_rule():
     assert 0.0 < r["objective"] <= 1.0
     for alpha in (0.25, 0.5, 0.75, 1.0):
         f = make_power_family(alpha, domain=Interval(1.0, 2.0))
-        probe = tightness_ratio("ME1", f, Interval(1.0, 2.0))
+        probe = check_bound("ME1", f, Interval(1.0, 2.0))["ratio"]
         assert r["objective"] >= probe - 1e-9
 
 
@@ -147,26 +148,27 @@ def test_worst_alpha_midpoint_rule_not_attained():
 def test_worst_alpha_objective_reevaluates():
     r = worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0))
     f = make_power_family(r["parameters"][0], domain=Interval(1.0, 2.0))
-    again = tightness_ratio("ME1", f, Interval(1.0, 2.0))
+    again = check_bound("ME1", f, Interval(1.0, 2.0))["ratio"]
     assert abs(r["objective"] - again) <= 1e-9
 
 
 @pytest.mark.parametrize("tag", ["ME1", "ME4"])
 def test_worst_alpha_evaluates_no_point_after_the_search(monkeypatch, tag):
-    # One ratio per iteration (seed points and golden-section steps) and one
-    # for the golden-section point; the range ends reuse their seed values,
-    # and the objective is the best candidate's ratio, not computed once more.
+    # One bound record per iteration (seed points and golden-section steps)
+    # and one for the golden-section point; the range ends reuse their seed
+    # values, and the objective is the best candidate's ratio, not computed
+    # once more.
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return tightness_ratio(*args, **kwargs)
+        return check_bound(*args, **kwargs)
 
-    monkeypatch.setattr(search, "tightness_ratio", counting)
+    monkeypatch.setattr(search, "check_bound", counting)
     r = worst_case_alpha(tag, Interval(1.0, 2.0), (0.01, 1.0))
     assert len(calls) == r["iterations"] + 1
     f = make_power_family(r["parameters"][0], domain=Interval(1.0, 2.0))
-    assert r["objective"] == tightness_ratio(tag, f, Interval(1.0, 2.0))
+    assert r["objective"] == check_bound(tag, f, Interval(1.0, 2.0))["ratio"]
 
 
 @pytest.mark.parametrize("tag", ["ME1", "ME4"])
@@ -205,6 +207,26 @@ def test_an_infinite_ratio_keeps_the_search_result():
     r = worst_case_alpha("ME1", Interval(100.0, 100.001), (0.01, 1.0))
     assert (r["objective"], r["converged"], r["status"]) == (math.inf, True, "pass")
     assert r["note"] == RATIO_INFINITE_NOTE
+
+
+def test_the_search_reads_the_ratio_under_the_callers_margin():
+    # margin_tol 1.0 covers the left side's rounding noise on [100, 100.001],
+    # so the bound record reads ratio 0 there, and so must the search.
+    r = worst_case_alpha("ME1", Interval(100.0, 100.001), (0.01, 1.0), margin_tol=1.0)
+    assert (r["objective"], r["converged"], r["status"]) == (0.0, True, "pass")
+    assert RATIO_INFINITE_NOTE not in r["note"]
+
+
+@pytest.mark.parametrize("margin_tol, objective", [(1e-9, math.inf), (1.0, 0.0)])
+def test_a_run_searches_under_its_margin_tol(margin_tol, objective):
+    iv = Interval(100.0, 100.001)
+    config = RunConfig(tasks=("searches",), search_p_theorems=(),
+                       search_alpha_theorems=("ME1",), search_alpha_interval=(iv.a, iv.b),
+                       margin_tol=margin_tol)
+    (r,) = run(config).searches
+    f = make_power_family(r["parameters"][0], domain=iv)
+    assert r["objective"] == check_bound("ME1", f, iv, margin_tol=margin_tol)["ratio"] \
+        == objective
 
 
 def test_worst_alpha_validation():
@@ -249,8 +271,8 @@ def _assert_same_ratio(ratio, expected, f, iv, rhs):
 @given(rule_instances())
 def test_ratio_is_invariant_under_reflection(instance):
     tag, f, iv, exponent = instance
-    _assert_same_ratio(tightness_ratio(tag, reflected(f, iv), iv, exponent),
-                       tightness_ratio(tag, f, iv, exponent),
+    _assert_same_ratio(check_bound(tag, reflected(f, iv), iv, exponent)["ratio"],
+                       check_bound(tag, f, iv, exponent)["ratio"],
                        f, iv, rhs_bound(tag, f, iv, exponent))
 
 
@@ -262,5 +284,5 @@ def test_ratio_is_invariant_under_positive_scaling(instance, c):
     # The degeneracy cut-off is absolute: a right side that scaling moves
     # across it switches the ratio between lhs/rhs and its 0 or inf limit.
     assume((rhs > RATIO_DEGENERATE_TOL) == (c * rhs > RATIO_DEGENERATE_TOL))
-    _assert_same_ratio(tightness_ratio(tag, scaled(f, c), iv, exponent),
-                       tightness_ratio(tag, f, iv, exponent), f, iv, rhs)
+    _assert_same_ratio(check_bound(tag, scaled(f, c), iv, exponent)["ratio"],
+                       check_bound(tag, f, iv, exponent)["ratio"], f, iv, rhs)
