@@ -11,12 +11,12 @@ from .numerics import Interval, QuadratureResult, integrate
 from .quasiconvex import QuasiConvexityCertificate, check_quasi_convex
 from .bounds import THEOREMS, check_bound, defect, rhs_bound
 from .search import best_exponent, worst_case_alpha
-from .runner import RunConfig, RunReport, run
+from .runner import RunConfig, run
 
 __all__ = [
     "__version__",
     "ConfigError", "DomainError", "Interval", "ParameterError",
-    "QuadratureResult", "QuasiConvexityCertificate", "RunConfig", "RunReport",
+    "QuadratureResult", "QuasiConvexityCertificate", "RunConfig",
     "SmoothFunction", "THEOREMS", "application_check",
     "arithmetic_mean", "best_exponent", "builtin_corpus",
     "check_bound", "check_identity", "check_quasi_convex",

@@ -179,6 +179,12 @@ def rule_scale(spec: TheoremSpec, width: float, exponent: Optional[float],
     return scale
 
 
+def within_margin(lhs: float, rhs: float, margin_tol: float) -> bool:
+    """The one pass rule of a bound or application record on its sides:
+    rhs - lhs >= -margin_tol, the record's margin against the tolerance."""
+    return rhs - lhs >= -margin_tol
+
+
 def hypothesis_function(f: SmoothFunction, order: int) -> Callable:
     d = f.deriv(order)
     return lambda x: abs(d(x))
@@ -248,13 +254,12 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
         hypothesis = certify_hypothesis(tag, f, interval, qc_tol)
     note = {"non_finite": f"hypothesis: non-finite sample at x={hypothesis.bad_abscissa!r}",
             "unresolved": UNRESOLVED_NOTE}.get(hypothesis.verdict, "")
-    margin = rhs - lhs
-    passed = bool(margin >= -margin_tol and hypothesis.certified)
+    within = within_margin(lhs, rhs, margin_tol)
+    passed = bool(within and hypothesis.certified)
     # Both sides below the degeneracy cut-off read 0 (a rule applied to a
     # polynomial of lower degree than its derivative order); a right side
     # below it against a larger left side is the refutation signal.
-    ratio = (lhs / rhs if rhs > RATIO_DEGENERATE_TOL
-             else 0.0 if lhs <= rhs + margin_tol else math.inf)
-    return {**record, "lhs": lhs, "rhs": rhs, "margin": margin, "ratio": ratio,
+    ratio = lhs / rhs if rhs > RATIO_DEGENERATE_TOL else 0.0 if within else math.inf
+    return {**record, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "ratio": ratio,
             "pass": passed, "hypothesis": _certificate_dict(hypothesis),
             "status": status(not note, hypothesis.certified, passed), "note": note}

@@ -2,9 +2,10 @@
 
 Subcommands map to the checker families: verify-identity, verify-bound,
 verify-application, tightness, scan (everything), and report (re-render a
-saved JSON report).  Exit codes: 0 all checks pass, 1 usage/configuration
-error, 2 at least one inequality failure or refuted hypothesis, 3
-numerical non-convergence.
+saved JSON report).  A task subcommand emits the report that run returns
+and exits with errors.exit_code of its summary: 0 all checks pass, 2 at
+least one inequality failure or refuted hypothesis, 3 numerical
+non-convergence; 1 is a usage/configuration error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, exit_code
 from .numerics import DEFAULT_QUAD_TOL
 from .report import FORMATS, check_destination, check_pairs, emit
 from .runner import ALL_TASKS, RunConfig, run
@@ -115,16 +116,15 @@ def _execute_with(tasks, **options) -> int:
     check_destination(options["fmt"], options["out"])
     config = _build_config(tasks, options)
     report = run(config)
-    data = report.to_dict()
-    rendered = emit(data, options["fmt"], options["out"])
+    rendered = emit(report, options["fmt"], options["out"])
     if rendered is not None:
         click.echo(rendered, nl=False)
-    summary = data["summary"]
+    summary = report["summary"]
     click.echo(
         f"checks: {summary['total']}  pass: {summary['pass']}  "
         f"fail: {summary['fail']}  refuted: {summary['refuted_hypothesis']}  "
         f"non-converged: {summary['non_converged']}", err=True)
-    return report.exit_code(summary)
+    return exit_code(summary)
 
 
 @click.group(name="hhverify")

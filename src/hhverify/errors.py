@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the status vocabulary of
-a report record: every check module builds its records from these."""
+a report record: the checks build their records from it, a run's summary
+counts them and the exit code reads that summary."""
 
 import math
+from collections import Counter
 
 OVERFLOW_NOTE = "overflow: a side is not a finite double at this instance"
 
@@ -27,6 +29,21 @@ def status(decided: bool, certified: bool, passed: bool) -> str:
     if not certified:
         return "refuted_hypothesis"
     return "pass" if passed else "fail"
+
+
+def summary(records) -> dict:
+    """A report's summary: the number of records in each status."""
+    counts = Counter(record["status"] for record in records)
+    return {"total": sum(counts.values()), **{s: counts[s] for s in STATUSES}}
+
+
+def exit_code(summary: dict) -> int:
+    """0 all pass; 2 any fail or refuted hypothesis; 3 any non-convergence."""
+    if summary["fail"] or summary["refuted_hypothesis"]:
+        return 2
+    if summary["non_converged"]:
+        return 3
+    return 0
 
 
 def failure_note(err: Exception) -> str:

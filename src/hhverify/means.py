@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Sequence
 
 from .bounds import (CORRECTION_DIVISOR, DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
                      LHS_TRAPEZOID_CORRECTED, THEOREMS, endpoint_derivative_max, rule_scale,
-                     validate_exponent)
+                     validate_exponent, within_margin)
 from .corpus import make_power_family
 from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status
 # integrate is not called here; perfbench's tracer patches it under this name.
@@ -145,9 +145,11 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                 f"unknown application tag {theorem!r}, expected one of {', '.join(APPLICATION_TAGS)}")
         if variant not in APPLICATION_VARIANTS:
             raise ParameterError(f"variant must be 'paper' or 'derived', got {variant!r}")
+    grid = []
     for a, b in intervals:
         if not 0.0 < a < b:
             raise DomainError(f"means require 0 < a < b, got ({a}, {b})")
+        grid.append(Interval(a, b))
     check_tolerance("margin_tol", margin_tol)
     # One member per alpha: the right sides read its derivatives at the ends, never its domain.
     members = [make_power_family(alpha) for alpha in alphas]
@@ -161,8 +163,7 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     lhs_keys = {key for _, _, _, _, key in plan}
     orders = {source.derivative_order for _, _, _, source, key in plan if key != "paper"}
 
-    for a, b in intervals:
-        interval = Interval(a, b)
+    for (a, b), interval in zip(intervals, grid):
         # Each instance's rule scale, with its printed divisor or its rule's D.
         scales = [_or_none(rule_scale, source, b - a, exponent,
                            _PRINTED_DIVISOR[theorem] if key == "paper" else source.divisor)
@@ -183,7 +184,7 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                 else:
                     rhs = CORRECTION_DIVISOR[key] * pprod * (scale * m)
                 finite = math.isfinite(lhs) and math.isfinite(rhs)
-                passed = finite and lhs <= rhs + margin_tol
+                passed = finite and within_margin(lhs, rhs, margin_tol)
                 note = ""
                 if not finite:
                     note = OVERFLOW_NOTE

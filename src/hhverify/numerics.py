@@ -178,11 +178,18 @@ def nonconvergence_note(result: QuadratureResult, max_evaluations: int) -> str:
             f"{result.evaluations} evaluations)")
 
 
+def check_budget(name: str, budget: int) -> None:
+    """Raise DomainError naming ``name`` unless budget is finite and covers
+    one GK15 panel: a NaN budget stops at once, an infinite one never."""
+    if not (math.isfinite(budget) and budget >= _EVALS_PER_PANEL):
+        raise DomainError(f"{name} must be a finite budget of at least one panel "
+                          f"({_EVALS_PER_PANEL}), got {budget}")
+
+
 def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_QUAD_TOL,
               max_evaluations: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
     """Adaptively integrate f over the interval to absolute tolerance tol
     (deterministic for fixed inputs)."""
     check_tolerance("tol", tol, positive=True)
-    if max_evaluations < _EVALS_PER_PANEL:
-        raise DomainError(f"evaluation budget below one panel ({_EVALS_PER_PANEL}), got {max_evaluations}")
+    check_budget("max_evaluations", max_evaluations)
     return _integrate(f, float(interval.a), float(interval.b), tol, max_evaluations)

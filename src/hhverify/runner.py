@@ -1,11 +1,12 @@
-"""Batch runner: executes configured checks and assembles a report.
+"""Batch runner: executes configured checks and returns their report.
 
 Each check returns its record, a JSON-shaped dict with a fixed field
-order; the runner sorts the records by a deterministic key, so two runs
-with the same configuration yield byte-identical output (the
-generated_at timestamp aside).  Shared work (the average integral per
-function/interval pair and each distinct quasi-convexity certificate)
-is computed once and reused.
+order; the runner sorts the records by a deterministic key and returns
+the report dict that render_json writes and ``hhverify report`` loads,
+so two runs with the same configuration yield byte-identical output
+(the generated_at timestamp aside).  Shared work (the average integral
+per function/interval pair and each distinct quasi-convexity
+certificate) is computed once and reused.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -23,7 +23,7 @@ from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDE
                      THEOREMS, check_bound, certify_hypothesis, theorem_spec)
 from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, admissible_intervals,
                      builtin_corpus, corpus_by_name)
-from .errors import STATUSES, ConfigError
+from .errors import ConfigError, summary
 from .identities import DEFAULT_RESIDUAL_TOL, IDENTITY_IDS, check_identity
 # application_check: uncalled, kept for perfbench's tracer.
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
@@ -189,56 +189,15 @@ class RunConfig:
         return config
 
 
-@dataclass
-class RunReport:
-    config: RunConfig
-    identity_checks: list[dict] = field(default_factory=list)
-    bound_checks: list[dict] = field(default_factory=list)
-    application_checks: list[dict] = field(default_factory=list)
-    searches: list[dict] = field(default_factory=list)
-    generated_at: str = ""
-
-    @property
-    def records(self) -> list[dict]:
-        return (self.identity_checks + self.bound_checks
-                + self.application_checks + self.searches)
-
-    def summary(self) -> dict:
-        counts = Counter(record["status"] for record in self.records)
-        return {"total": sum(counts.values()), **{s: counts[s] for s in STATUSES}}
-
-    def exit_code(self, summary: Optional[dict] = None) -> int:
-        """0 all pass; 2 any fail or refuted hypothesis; 3 any non-convergence.
-        ``summary``, if given, is this report's, counted once by the caller."""
-        s = summary or self.summary()
-        if s["fail"] or s["refuted_hypothesis"]:
-            return 2
-        if s["non_converged"]:
-            return 3
-        return 0
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "hhverify",
-            "version": __version__,
-            "generated_at": self.generated_at,
-            "config": self.config.to_dict(),
-            "summary": self.summary(),
-            "identity_checks": self.identity_checks,
-            "bound_checks": self.bound_checks,
-            "application_checks": self.application_checks,
-            "searches": self.searches,
-        }
-
-
 def _exponents_for(tag: str, config: RunConfig) -> list[Optional[float]]:
     """The configured exponent grid of the tag's kind, or [None]."""
     grids = {EXP_HOLDER_P: config.p_grid, EXP_POWER_Q: config.q_grid}
     return list(grids.get(theorem_spec(tag).exponent_kind, (None,)))
 
 
-def run(config: RunConfig) -> RunReport:
-    """Execute every configured check and return the assembled report."""
+def run(config: RunConfig) -> dict:
+    """Execute every configured check and return the report dict: tool,
+    version, generated_at, config, summary, then the four record lists."""
     config.validate()
     corpus = builtin_corpus(alpha_grid=config.alpha_grid,
                             sin_domain=Interval(*config.sin_domain))
@@ -254,10 +213,7 @@ def run(config: RunConfig) -> RunReport:
             f"search_p_function: unknown function {config.search_p_function!r}")
     grid = [Interval(a, b) for a, b in config.intervals]
 
-    report = RunReport(config=config,
-                       generated_at=datetime.now(timezone.utc).isoformat())
-
-    identity_records, bound_records = [], []
+    identity_checks, bound_checks = [], []
     # One tag per derivative order: |f^(n)|'s certificate decides every tag of order n.
     order_tags = {THEOREMS[tag].derivative_order: tag for tag in config.theorems}
     for f in (corpus if "identities" in config.tasks or "bounds" in config.tasks else []):
@@ -268,7 +224,7 @@ def run(config: RunConfig) -> RunReport:
         integrals = [integrate(f.func, iv, config.quad_tol, config.quad_budget)
                      for iv in intervals]
         if "identities" in config.tasks:
-            identity_records.extend(
+            identity_checks.extend(
                 check_identity(ident, f, iv, config.quad_tol, config.quad_budget, integral,
                                config.residual_tol)
                 for ident in config.identities for iv, integral in zip(intervals, integrals))
@@ -276,26 +232,25 @@ def run(config: RunConfig) -> RunReport:
             certificates = {order: [certify_hypothesis(tag, f, iv, config.qc_tol)
                                     for iv in intervals]
                             for order, tag in order_tags.items()}
-            bound_records.extend(
+            bound_checks.extend(
                 check_bound(tag, f, iv, exponent, config.quad_tol, config.quad_budget,
                             config.margin_tol, config.qc_tol, integral, certificate)
                 for tag in config.theorems for exponent in _exponents_for(tag, config)
                 for iv, integral, certificate in zip(
                     intervals, integrals, certificates[THEOREMS[tag].derivative_order]))
 
-    report.identity_checks = sorted(
-        identity_records, key=lambda r: (r["id"], r["function"], r["interval"]))
+    identity_checks.sort(key=lambda r: (r["id"], r["function"], r["interval"]))
     order = {tag: i for i, tag in enumerate(THEOREM_ORDER)}
-    report.bound_checks = sorted(
-        bound_records, key=lambda r: (order[r["theorem"]], r["function"], r["interval"],
-                                      -1.0 if r["exponent"] is None else r["exponent"]))
+    bound_checks.sort(key=lambda r: (order[r["theorem"]], r["function"], r["interval"],
+                                     -1.0 if r["exponent"] is None else r["exponent"]))
 
+    application_checks, searches = [], []
     if "applications" in config.tasks:
         instances = [(tag, variant, exponent)
                      for tag in config.applications for variant in config.variants
                      for exponent in _exponents_for(APPLICATION_SOURCE[tag], config)]
         positive = [(iv.a, iv.b) for iv in grid if iv.a > 0.0]
-        report.application_checks = sorted(
+        application_checks = sorted(
             application_rows(instances, positive, config.alpha_grid, config.margin_tol),
             key=lambda r: (r["theorem"], r["variant"], r["a"], r["b"], r["alpha"],
                            -1.0 if r["exponent"] is None else r["exponent"]))
@@ -310,7 +265,12 @@ def run(config: RunConfig) -> RunReport:
                                      _exponents_for(tag, config)[0], config.quad_tol,
                                      config.quad_budget, config.margin_tol)
                     for tag in config.search_alpha_theorems]
-        report.searches = sorted(
+        searches = sorted(
             records, key=lambda r: (r["search"], r["theorem"], r["function"] or ""))
 
-    return report
+    return {"tool": "hhverify", "version": __version__,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "config": config.to_dict(),
+            "summary": summary(identity_checks + bound_checks + application_checks + searches),
+            "identity_checks": identity_checks, "bound_checks": bound_checks,
+            "application_checks": application_checks, "searches": searches}

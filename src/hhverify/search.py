@@ -23,7 +23,7 @@ from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, check_bound, rh
                      validate_exponent)
 from .corpus import SmoothFunction, make_power_family
 from .errors import DomainError, ParameterError, check_tolerance, failure_note, status
-from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval
+from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, check_budget
 
 EXPONENT_SEARCH_TAGS = tuple(tag for tag, spec in THEOREMS.items()
                              if spec.exponent_kind == EXP_HOLDER_P)
@@ -124,7 +124,9 @@ def worst_case_alpha(tag: str, interval: Interval,
                      margin_tol: float = DEFAULT_MARGIN_TOL) -> dict:
     """The search record maximizing the tightness ratio of the tag over the
     power family's parameter on a strictly positive interval: the ratio
-    of check_bound's record, ``margin_tol`` deciding its degenerate cases."""
+    of check_bound's record, ``margin_tol`` deciding its degenerate cases.
+    A tolerance or budget no quadrature admits raises DomainError naming it
+    before the first evaluation."""
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
     if not (0.0 < lo < hi <= 1.0):
         raise ParameterError(f"alpha range must satisfy 0 < lo < hi <= 1, got ({lo}, {hi})")
@@ -133,6 +135,8 @@ def worst_case_alpha(tag: str, interval: Interval,
             f"alpha search needs a strictly positive interval, got [{interval.a}, {interval.b}]")
     validate_exponent(tag, exponent)
     check_tolerance("margin_tol", margin_tol)
+    check_tolerance("quad_tol", quad_tol, positive=True)
+    check_budget("quad_budget", quad_budget)
 
     def neg_ratio(alpha: float) -> float:
         record = check_bound(tag, make_power_family(alpha, domain=interval), interval,

@@ -49,7 +49,7 @@ def test_criterion_1_trapezoid_identity(corpus, identity_report):
     ok = (abs(r["lhs"] - 1.0 / 30.0) <= 1e-10
           and abs(r["rhs"] - 1.0 / 30.0) <= 1e-10
           and r["residual"] <= 1e-10)
-    records = [x for x in identity_report.identity_checks if x["id"] == "L1"]
+    records = [x for x in identity_report["identity_checks"] if x["id"] == "L1"]
     corpus_ok = (len(records) >= 30
                  and all(x["converged"] and x["residual"] <= 1e-8 for x in records))
     _criterion(1, "identity L1: quartic closed form 1/30 and corpus-wide residuals",
@@ -70,7 +70,7 @@ def test_criterion_2_midpoint_identity(corpus, identity_report):
           and r["residual"] <= 1e-10
           and abs(side_a.value - 11.0 / 10.0) <= 1e-10
           and abs(side_b.value - 2.0 / 5.0) <= 1e-10)
-    records = [x for x in identity_report.identity_checks if x["id"] == "L2"]
+    records = [x for x in identity_report["identity_checks"] if x["id"] == "L2"]
     corpus_ok = (len(records) >= 30
                  and all(x["converged"] and x["residual"] <= 1e-8 for x in records))
     _criterion(2, "identity L2: quartic closed form 7/240 with side integrals 11/10, 2/5",
@@ -93,7 +93,7 @@ def test_criterion_3_kernel_constants():
 
 
 def test_criterion_4_bound_dominance(bounds_report):
-    records = bounds_report.bound_checks
+    records = bounds_report["bound_checks"]
     intervals = {tuple(r["interval"]) for r in records}
     theorems = {r["theorem"] for r in records}
     certified = [r for r in records
@@ -175,7 +175,7 @@ def test_criterion_9_quasiconvexity_certifier(corpus, bounds_report):
         check_quasi_convex(lambda x, a=alpha: np.abs(x) ** a, iv, ()).certified
         for alpha in (0.25, 0.5, 1.0)
         for iv in (Interval(0.1, 4.0), Interval(1.0, 2.0), Interval(0.25, 3.0)))
-    midpoint_rules = [r for r in bounds_report.bound_checks
+    midpoint_rules = [r for r in bounds_report["bound_checks"]
                       if r["theorem"] in ("ME4", "ME5", "ME6")]
     third_deriv_ok = (midpoint_rules
                       and all(r["hypothesis"]["verdict"] == "certified"

@@ -14,7 +14,7 @@ from hhverify.corpus import (SmoothFunction, admissible_intervals, builtin_corpu
 from hhverify.errors import OVERFLOW_NOTE, DomainError, ParameterError
 from hhverify.identities import check_identity
 from hhverify.means import application_check
-from hhverify.numerics import Interval, integrate, nonconvergence_note
+from hhverify.numerics import Interval, QuadratureResult, integrate, nonconvergence_note
 from hhverify.quasiconvex import check_quasi_convex
 from hhverify.runner import DEFAULT_INTERVALS
 from hhverify.search import best_exponent, worst_case_alpha
@@ -156,6 +156,23 @@ def test_dominance_on_certified_instances():
                     assert r["margin"] >= -1e-9, (tag, f.name, iv)
                     assert r["pass"]
                     assert 0.0 <= r["ratio"] <= 1.0 + 1e-9
+
+
+def test_pass_and_ratio_read_one_margin_rule():
+    # f = 0 with a constant slope: T1_2's right side is 9.012e-10, below the
+    # degeneracy cut-off, against a left side of 1.9012e-9.  Their margin is
+    # -1.0000000000000003e-09, short of -margin_tol, though lhs <= rhs +
+    # margin_tol rounds true: the record fails, so its ratio is the
+    # refutation signal, not the "both sides degenerate" 0.
+    slope = 4 * 9.012077974969471e-10
+    flat = SmoothFunction(name="flat", domain=Interval(0.0, 1.0), func=lambda x: 0.0,
+                          derivs=(lambda x: slope, lambda x: 0.0, lambda x: 0.0,
+                                  lambda x: 0.0),
+                          turning_points=no_turning_points)
+    r = check_bound("T1_2", flat, Interval(0.0, 1.0),
+                    integral=QuadratureResult(-1.9012077974969473e-09, 0.0, 15, True))
+    assert r["margin"] < -1e-9
+    assert (r["pass"], r["status"], r["ratio"]) == (False, "fail", math.inf)
 
 
 def test_ratio_is_scale_invariant(corpus):
@@ -311,6 +328,12 @@ def test_the_record_keeps_the_exponent_as_given(corpus, unit):
      "residual_tol"),
     (lambda tol: worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0), margin_tol=tol),
      "margin_tol"),
+    (lambda tol: worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0), quad_tol=tol),
+     "quad_tol"),
+    (lambda budget: worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0),
+                                     quad_budget=budget), "quad_budget"),
+    (lambda budget: integrate(math.exp, Interval(0.0, 1.0), max_evaluations=budget),
+     "max_evaluations"),
 ])
 def test_a_tolerance_that_is_not_a_finite_bound_is_a_domain_error(call, name, value):
     # A NaN or infinite tolerance would decide every comparison one way.

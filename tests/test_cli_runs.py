@@ -18,7 +18,8 @@ import pytest
 import report_oracle
 from hhverify.cli import main
 from hhverify.report import SECTIONS
-from hhverify.runner import RunConfig, RunReport, run
+from hhverify import runner
+from hhverify.runner import RunConfig, run
 from hhverify.search import RATIO_INFINITE_NOTE
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
@@ -46,13 +47,13 @@ def test_a_bad_pair_in_a_saved_report_names_the_field_and_the_file(
 
 def test_statuses_are_counted_once_per_run(tmp_path, capsys, monkeypatch):
     calls = []
-    summary = RunReport.summary
+    summary = runner.summary
 
-    def counted(self):
+    def counted(records):
         calls.append(1)
-        return summary(self)
+        return summary(records)
 
-    monkeypatch.setattr(RunReport, "summary", counted)
+    monkeypatch.setattr(runner, "summary", counted)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"corpus": ["x^4", "sin"], "intervals": [[0.5, 3.0]],
                                   "sin_domain": [0.0, 6.3], "qc_grid": 11}),
@@ -237,7 +238,7 @@ def test_a_seeded_sweep_writes_the_same_csv_bytes_twice(tmp_path):
         runs.append({kind: (tmp_path / name / f"r_{kind}.csv").read_bytes()
                      for _, _, kind in SECTIONS})
     assert runs[0] == runs[1]
-    report = run(RunConfig.from_dict(config)).to_dict()
+    report = run(RunConfig.from_dict(config))
     assert len(report["application_checks"]) == 40 * 5 * 12
     for key, _, kind in SECTIONS:
         assert runs[0][kind] == report_oracle.render_csv(report[key], kind).encode("utf-8")

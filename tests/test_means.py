@@ -204,6 +204,21 @@ def test_application_parameter_errors():
         application_check("A3_1", "derived", -1.0, 2.0, 1.0)
 
 
+def test_every_interval_is_validated_before_the_first_row():
+    rows = application_rows([("A3_1", "derived", None)], [(1.0, 2.0), (1.0, math.inf)], [1.0])
+    with pytest.raises(DomainError, match="endpoints must be finite"):
+        next(rows)
+
+
+def test_an_application_passes_by_the_bound_records_margin_rule():
+    # margin_tol one ulp below lhs - rhs = 3949.21875: rhs + margin_tol rounds
+    # up to lhs, but the margin rhs - lhs is still short of -margin_tol.
+    tol = 3949.2187499999995
+    v = application_check("A3_1", "paper", 0.5, 3.0, 1.0, margin_tol=tol)
+    assert v["rhs"] - v["lhs"] < -tol
+    assert (v["pass"], v["status"]) == (False, "fail")
+
+
 @pytest.mark.parametrize("variant", ["paper", "derived"])
 def test_overflowing_side_is_reported_not_raised(variant):
     v = application_check("A3_4", variant, 1e-300, 1e300, 1.0)
@@ -230,7 +245,7 @@ def test_a_run_equals_its_instances_checked_one_at_a_time():
     exponents = {"p": [2, 3], "q": [1, 2]}
     records = run(RunConfig.from_dict({
         "tasks": ["applications"], "intervals": intervals, "alpha_grid": alphas,
-        "p_grid": exponents["p"], "q_grid": exponents["q"]})).application_checks
+        "p_grid": exponents["p"], "q_grid": exponents["q"]}))["application_checks"]
 
     expected = []
     for tag in APPLICATION_TAGS:

@@ -137,12 +137,12 @@ def test_nodes_collapsed_onto_the_ends_are_not_converged():
 
 def _assert_non_converged_notes(config, cause):
     report = run(RunConfig.from_dict({"tasks": ["identities", "bounds"], **config}))
-    assert len(report.identity_checks) == 2 and len(report.bound_checks) == 12
-    for record in report.identity_checks:
+    assert len(report["identity_checks"]) == 2 and len(report["bound_checks"]) == 12
+    for record in report["identity_checks"]:
         assert record["status"] == "non_converged"
         assert record["note"] == cause
     (a, b), = config["intervals"]
-    for record in report.bound_checks:
+    for record in report["bound_checks"]:
         assert record["status"] == "non_converged" and record["lhs"] is None
         assert record["note"] == f"integral of {config['corpus'][0]} over [{a!r}, {b!r}]: {cause}"
 

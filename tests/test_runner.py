@@ -3,11 +3,11 @@ import pytest
 from hhverify import bounds, identities, runner
 from hhverify.bounds import THEOREMS, certify_hypothesis, check_bound
 from hhverify.corpus import builtin_corpus, corpus_by_name
-from hhverify.errors import ConfigError
+from hhverify.errors import ConfigError, exit_code, summary
 from hhverify.identities import check_identity
 from hhverify.means import application_check
 from hhverify.numerics import Interval
-from hhverify.runner import DEFAULT_INTERVALS, RunConfig, RunReport, run
+from hhverify.runner import DEFAULT_INTERVALS, RunConfig, run
 from hhverify.search import best_exponent, worst_case_alpha
 
 _CORPUS = corpus_by_name(builtin_corpus())
@@ -17,22 +17,23 @@ def test_me1_on_two_quartics_example():
     cfg = RunConfig.from_dict({"tasks": ["bounds"], "corpus": ["x^4", "x^5"],
                                "intervals": [[0.0, 1.0]], "theorems": ["ME1"]})
     report = run(cfg)
-    assert len(report.bound_checks) == 2
-    assert all(r["pass"] for r in report.bound_checks)
-    ratios = sorted(r["ratio"] for r in report.bound_checks)
+    assert len(report["bound_checks"]) == 2
+    assert all(r["pass"] for r in report["bound_checks"])
+    ratios = sorted(r["ratio"] for r in report["bound_checks"])
     assert ratios[1] == pytest.approx(1.0, abs=1e-9)
-    assert report.exit_code() == 0
+    assert exit_code(report["summary"]) == 0
 
 
 def test_summary_counts_equal_record_tallies():
     cfg = RunConfig.from_dict({"tasks": ["applications"], "intervals": [[1.0, 2.0]],
                                "applications": ["A3_1"], "alpha_grid": [1.0]})
     report = run(cfg)
-    summary = report.summary()
-    assert summary["total"] == len(report.records)
-    assert summary["pass"] + summary["fail"] == summary["total"]
-    assert summary["fail"] >= 1  # the printed-coefficient variant
-    assert report.exit_code() == 2
+    counts = report["summary"]
+    assert counts["total"] == sum(len(report[key]) for key in (
+        "identity_checks", "bound_checks", "application_checks", "searches"))
+    assert counts["pass"] + counts["fail"] == counts["total"]
+    assert counts["fail"] >= 1  # the printed-coefficient variant
+    assert exit_code(counts) == 2
 
 
 def test_interval_grid_is_filtered_by_domain():
@@ -40,7 +41,7 @@ def test_interval_grid_is_filtered_by_domain():
                                "intervals": [[0.0, 1.0], [0.25, 0.75]]})
     report = run(cfg)
     # sin's default domain is [0.2, 1.3]; [0.0, 1.0] falls outside it.
-    assert {tuple(r["interval"]) for r in report.identity_checks} == {(0.25, 0.75)}
+    assert {tuple(r["interval"]) for r in report["identity_checks"]} == {(0.25, 0.75)}
 
 
 def test_unknown_corpus_name_names_field():
@@ -100,7 +101,7 @@ def test_me2_passes_at_a_holder_exponent_beyond_the_beta_underflow():
     cfg = RunConfig.from_dict({"tasks": ["bounds"], "corpus": ["x^4"],
                                "intervals": [[0.0, 1.0]], "theorems": ["ME2"],
                                "p_grid": [2, 300]})
-    records = run(cfg).bound_checks
+    records = run(cfg)["bound_checks"]
     assert [r["exponent"] for r in records] == [2.0, 300.0]
     assert [r["status"] for r in records] == ["pass", "pass"]
     assert records[1]["rhs"] == pytest.approx(0.0618, abs=1e-4)
@@ -128,13 +129,9 @@ def test_default_interval_grid_is_wide_enough():
 
 
 def test_exit_code_precedence():
-    report = RunReport(config=RunConfig(), generated_at="X")
-    report.bound_checks = [{"status": "fail"}, {"status": "non_converged"}]
-    assert report.exit_code() == 2
-    report.bound_checks = [{"status": "non_converged"}, {"status": "pass"}]
-    assert report.exit_code() == 3
-    report.bound_checks = [{"status": "pass"}]
-    assert report.exit_code() == 0
+    assert exit_code(summary([{"status": "fail"}, {"status": "non_converged"}])) == 2
+    assert exit_code(summary([{"status": "non_converged"}, {"status": "pass"}])) == 3
+    assert exit_code(summary([{"status": "pass"}])) == 0
 
 
 def _same_record(library, record):
@@ -145,7 +142,7 @@ def _same_record(library, record):
 def test_an_identity_record_is_the_library_call():
     (record,) = run(RunConfig.from_dict({
         "tasks": ["identities"], "corpus": ["exp"], "intervals": [[0.25, 1.25]],
-        "identities": ["L2"]})).identity_checks
+        "identities": ["L2"]}))["identity_checks"]
     _same_record(check_identity("L2", _CORPUS["exp"], Interval(0.25, 1.25)), record)
 
 
@@ -157,7 +154,7 @@ def test_a_bound_record_is_the_library_call(tag, name, interval, exponent):
     (record,) = run(RunConfig.from_dict({
         "tasks": ["bounds"], "corpus": [name], "sin_domain": [0.0, 6.3],
         "intervals": [interval], "theorems": [tag],
-        "p_grid": [2.0 if exponent is None else exponent]})).bound_checks
+        "p_grid": [2.0 if exponent is None else exponent]}))["bound_checks"]
     f = corpus_by_name(builtin_corpus(sin_domain=Interval(0.0, 6.3)))[name]
     _same_record(check_bound(tag, f, Interval(*interval), exponent), record)
 
@@ -165,14 +162,14 @@ def test_a_bound_record_is_the_library_call(tag, name, interval, exponent):
 def test_an_application_record_is_the_library_call():
     (record,) = run(RunConfig.from_dict({
         "tasks": ["applications"], "intervals": [[1.0, 2.0]], "applications": ["A3_2"],
-        "variants": ["derived"], "alpha_grid": [0.5], "p_grid": [3]})).application_checks
+        "variants": ["derived"], "alpha_grid": [0.5], "p_grid": [3]}))["application_checks"]
     _same_record(application_check("A3_2", "derived", 1.0, 2.0, 0.5, 3), record)
 
 
 def test_a_search_record_is_the_library_call():
     config = RunConfig.from_dict({"tasks": ["searches"], "search_p_theorems": ["ME2"],
                                   "search_alpha_theorems": ["ME1"]})
-    exponent_search, alpha_search = run(config).searches
+    exponent_search, alpha_search = run(config)["searches"]
     _same_record(best_exponent("ME2", _CORPUS["x^4"], Interval(*config.search_p_interval),
                                config.search_p_range), exponent_search)
     _same_record(worst_case_alpha("ME1", Interval(*config.search_alpha_interval),
@@ -180,7 +177,7 @@ def test_a_search_record_is_the_library_call():
 
 
 def _bound_statuses(config):
-    records = run(RunConfig.from_dict(dict(config, tasks=["bounds"]))).bound_checks
+    records = run(RunConfig.from_dict(dict(config, tasks=["bounds"])))["bound_checks"]
     return {(r["theorem"], tuple(r["interval"])): r for r in records}
 
 

@@ -223,7 +223,7 @@ def test_a_run_searches_under_its_margin_tol(margin_tol, objective):
     config = RunConfig(tasks=("searches",), search_p_theorems=(),
                        search_alpha_theorems=("ME1",), search_alpha_interval=(iv.a, iv.b),
                        margin_tol=margin_tol)
-    (r,) = run(config).searches
+    (r,) = run(config)["searches"]
     f = make_power_family(r["parameters"][0], domain=iv)
     assert r["objective"] == check_bound("ME1", f, iv, margin_tol=margin_tol)["ratio"] \
         == objective
