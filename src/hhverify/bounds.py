@@ -18,10 +18,10 @@ The three defects are
 
 where avg(f) is the average of f over [a, b].  The THEOREMS table holds,
 per tag: the derivative order n, the defect kind, the exponent parameter
-the rule takes (none, a Holder exponent p > 1, or a power-mean exponent
-q >= 1), the width power k, the divisor D, and the factor c(p), which is
-absent, the Holder root (1/(p+1))^(1/p) or the Beta root
-B(2p+1, 2p+1)^(1/p).  rhs_bound reads the table and nothing else.
+the rule takes (none, a finite Holder exponent p > 1, or a finite
+power-mean exponent q >= 1), the width power k, the divisor D, and the
+factor c(p), which is absent, the Holder root (1/(p+1))^(1/p) or the Beta
+root B(2p+1, 2p+1)^(1/p).  rhs_bound reads the table and nothing else.
 
 The Beta root is computed in log space, exp((2 lgamma(2p+1) -
 lgamma(4p+2)) / p), since B(2p+1, 2p+1) is 0 as a double from p = 268.
@@ -44,7 +44,7 @@ from typing import Callable, Optional
 from .corpus import SmoothFunction
 from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, integrate, nonconvergence_note)
+                       QuadratureResult, check_budget, integrate, nonconvergence_note)
 from .quasiconvex import DEFAULT_QC_TOL, QuasiConvexityCertificate, check_quasi_convex
 
 DEFAULT_MARGIN_TOL = 1e-9
@@ -57,8 +57,13 @@ _NO_SIDES = {"lhs": None, "rhs": None, "margin": None, "ratio": None, "pass": Fa
 
 # Exponent parameter kinds.
 EXP_NONE = "none"
-EXP_HOLDER_P = "p"      # requires p > 1
-EXP_POWER_Q = "q"       # requires q >= 1
+EXP_HOLDER_P = "p"
+EXP_POWER_Q = "q"
+# What an exponent of each kind must satisfy, and that rule as an error states it.
+EXPONENT_RULES = {
+    EXP_HOLDER_P: (lambda p: 1.0 < p < math.inf, "finite p > 1"),
+    EXP_POWER_Q: (lambda q: 1.0 <= q < math.inf, "finite q >= 1"),
+}
 
 # Defect kinds, the rules' left sides.
 LHS_TRAPEZOID = "trapezoid"
@@ -139,13 +144,11 @@ def validate_exponent(tag: str, exponent: Optional[float]) -> Optional[float]:
         if exponent is not None:
             raise ParameterError(f"{tag} takes no exponent parameter, got {exponent}")
         return None
+    admits, rule = EXPONENT_RULES[kind]
     if exponent is None:
-        need = "p > 1" if kind == EXP_HOLDER_P else "q >= 1"
-        raise ParameterError(f"{tag} requires an exponent {need}")
-    if kind == EXP_HOLDER_P and not exponent > 1.0:
-        raise ParameterError(f"{tag} requires p > 1, got {exponent}")
-    if kind == EXP_POWER_Q and not exponent >= 1.0:
-        raise ParameterError(f"{tag} requires q >= 1, got {exponent}")
+        raise ParameterError(f"{tag} requires an exponent: {rule}")
+    if not admits(exponent):
+        raise ParameterError(f"{tag} requires {rule}, got {exponent}")
     return float(exponent)
 
 
@@ -229,12 +232,15 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
     no sides, non-converged, with a note why; so does a certificate
     without a verdict, which keeps the sides.  An f that is not finite
     inside the interval raises the quadrature's DomainError naming the
-    abscissa.
+    abscissa; a tolerance or budget no quadrature admits raises one naming
+    it before any integral.
     ``integral`` and ``hypothesis`` accept precomputed values so a run
     can share work; they must match (f, interval) when given.
     """
     validate_exponent(tag, exponent)
     check_tolerance("margin_tol", margin_tol)
+    check_tolerance("quad_tol", quad_tol, positive=True)
+    check_budget("quad_budget", quad_budget)
     record = {"kind": "bound", "theorem": tag, "function": f.name,
               "interval": [interval.a, interval.b], "exponent": exponent}
     try:

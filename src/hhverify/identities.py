@@ -31,7 +31,7 @@ from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
 from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
-                       QuadratureResult, integrate, nonconvergence_note)
+                       QuadratureResult, check_budget, integrate, nonconvergence_note)
 
 # Per identity: the defect kind and sign of the left side, the derivative
 # order n (scale w^n/24), the kernel integrand at t in span (its weight
@@ -61,12 +61,16 @@ def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
     estimate is scale times that integral's.  The note says why the first
     integral that did not converge stopped.  A side that is not a finite
     double counts as not converged, as in the applications.  A converged
-    record passes when the residual is at most ``residual_tol``.
+    record passes when the residual is at most ``residual_tol``.  A
+    tolerance or budget no quadrature admits raises DomainError naming it
+    before any integral.
     """
     if identity_id not in _IDENTITIES:
         raise ParameterError(f"unknown identity id {identity_id!r}, "
                              f"expected one of {', '.join(IDENTITY_IDS)}")
     check_tolerance("residual_tol", residual_tol)
+    check_tolerance("quad_tol", quad_tol, positive=True)
+    check_budget("quad_budget", quad_budget)
     kind, sign, order, kernel, span = _IDENTITIES[identity_id]
     if integral is None:
         integral = integrate(f.func, interval, quad_tol, quad_budget)

@@ -1,7 +1,7 @@
 """Special-means applications of the bound rules.
 
 For positive a < b the arithmetic mean is A(a,b) = (a+b)/2 and the
-generalized logarithmic mean is the three-case expression
+paper's generalized logarithmic mean is the three-case expression
 
     L_p(a,b) = (b^(p+1) - a^(p+1)) / ((p+1)(b-a))     p != -1, 0
              = (b - a) / (ln b - ln a)                p == -1
@@ -9,6 +9,8 @@ generalized logarithmic mean is the three-case expression
 
 The main branch carries no 1/p-th root: L_p(a,b) is then exactly the
 average of x^p over [a,b], which is what the mean identities below need.
+The sides need only L_(alpha+2) and L_(alpha+4), so the code evaluates
+the main branch alone, at p > 1.
 
 Applying each bound rule to the power-family member f with
 f''''(x) = x^alpha and clearing denominators rewrites the rule as a mean
@@ -51,7 +53,6 @@ APPLICATION_VARIANTS = ("paper", "derived")
 _PRINTED_DIVISOR = {"A3_1": 60.0, "A3_2": 2.0, "A3_3": 60.0,
                     "A3_4": 16.0, "A3_5": 8.0, "A3_6": 16.0}
 
-_SPECIAL_CASE_TOL = 1e-12
 REFUTED_NOTE = "printed coefficient refuted at this instance"
 
 
@@ -59,26 +60,8 @@ def arithmetic_mean(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def generalized_log_mean(a: float, b: float, p: float) -> float:
-    """The three-case generalized logarithmic mean of 0 < a < b.
-
-    Exponents within 1e-12 of the removable points route to the special
-    cases; p exactly 1 returns (a+b)/2, the algebraically identical but
-    numerically stable form of the main branch.
-    """
-    if not 0.0 < a < b:
-        raise DomainError(f"means require 0 < a < b, got ({a}, {b})")
-    return _lp(a, b, p)
-
-
 def _lp(a: float, b: float, p: float) -> float:
-    """generalized_log_mean on arguments the caller has validated."""
-    if abs(p + 1.0) <= _SPECIAL_CASE_TOL:
-        return (b - a) / (math.log(b) - math.log(a))
-    if abs(p) <= _SPECIAL_CASE_TOL:
-        return math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
-    if p == 1.0:
-        return arithmetic_mean(a, b)
+    """L_p(a, b) by its main branch: the average of x^p over [a, b], 0 < a < b."""
     return (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
 
 
@@ -128,15 +111,16 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
 
     Yields one application record per instance; a side that is not a
     finite double leaves it non-converged.  Instances vary fastest, then
-    alpha, then the interval.  P, the left sides, max(a^alpha, b^alpha) and
-    the member's endpoint maximum of each derivative order are computed once
-    per (a, b, alpha), and each instance's rule scale once per (a, b), as
-    every instance or alpha there uses them; each is the expression a lone
-    instance evaluates, so a record is bit for bit the one-instance one.
+    alpha, then the interval.  P, the left sides and the member's endpoint
+    maximum of each derivative order are computed once per (a, b, alpha),
+    and each instance's rule scale once per (a, b), as every instance or
+    alpha there uses them; each is the expression a lone instance evaluates,
+    so a record is bit for bit the one-instance one.
     The derived right side is 12P or 24P times rhs_bound of the source rule
     on the member: its rule scale times Mn, the member's endpoint maximum.
     The printed one divides by the printed divisor, and its power-mean max
-    terms collapse to max(a^alpha, b^alpha) since a, b > 0.
+    terms collapse to max(a^alpha, b^alpha) since a, b > 0: the member's
+    endpoint maximum of order 4, whatever the source rule's order.
     Arguments are validated before the first row.
     """
     for theorem, variant, _ in instances:
@@ -153,30 +137,30 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     check_tolerance("margin_tol", margin_tol)
     # One member per alpha: the right sides read its derivatives at the ends, never its domain.
     members = [make_power_family(alpha) for alpha in alphas]
-    # Per instance: its fields, its source rule and its left side's key.
+    # Per instance: its fields, its source rule, its left side's key and its Mn's order.
     plan = []
     for theorem, variant, exponent in instances:
         source = THEOREMS[APPLICATION_SOURCE[theorem]]
         exponent = validate_exponent(source.tag, exponent)
-        plan.append((theorem, variant, exponent, source,
-                     "paper" if variant == "paper" else source.lhs_kind))
-    lhs_keys = {key for _, _, _, _, key in plan}
-    orders = {source.derivative_order for _, _, _, source, key in plan if key != "paper"}
+        paper = variant == "paper"
+        plan.append((theorem, variant, exponent, source, "paper" if paper else source.lhs_kind,
+                     4 if paper else source.derivative_order))
+    lhs_keys = {key for _, _, _, _, key, _ in plan}
+    orders = {order for *_, order in plan}
 
     for (a, b), interval in zip(intervals, grid):
         # Each instance's rule scale, with its printed divisor or its rule's D.
         scales = [_or_none(rule_scale, source, b - a, exponent,
                            _PRINTED_DIVISOR[theorem] if key == "paper" else source.divisor)
-                  for theorem, _, exponent, source, key in plan]
+                  for theorem, _, exponent, source, key, _ in plan]
         for alpha, member in zip(alphas, members):
             pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
             lhs_of = {key: _or_none(_LHS[key], a, b, alpha) for key in lhs_keys}
-            power_max = max(a ** alpha, b ** alpha)
             endpoint_max = {n: _or_none(endpoint_derivative_max, member, interval, n)
                             for n in orders}
-            for (theorem, variant, exponent, source, key), scale in zip(plan, scales):
+            for (theorem, variant, exponent, source, key, order), scale in zip(plan, scales):
                 lhs = lhs_of[key]
-                m = power_max if key == "paper" else endpoint_max[source.derivative_order]
+                m = endpoint_max[order]
                 if lhs is None or scale is None or m is None:  # a side overflowed
                     lhs = rhs = math.nan
                 elif key == "paper":

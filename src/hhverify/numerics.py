@@ -22,7 +22,8 @@ DEFAULT_QUAD_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed segment [a, b] with finite endpoints and a < b strictly."""
+    """A closed segment [a, b] with finite endpoints, a < b strictly and a
+    finite width b - a."""
 
     a: float
     b: float
@@ -30,8 +31,9 @@ class Interval:
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
-        if not self.a < self.b:
-            raise DomainError(f"interval requires a < b strictly, got [{self.a}, {self.b}]")
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise DomainError(f"interval requires a < b strictly and a finite width b - a, "
+                              f"got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

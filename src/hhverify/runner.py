@@ -19,8 +19,8 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDER,
-                     THEOREMS, check_bound, certify_hypothesis, theorem_spec)
+from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, EXPONENT_RULES,
+                     THEOREM_ORDER, THEOREMS, check_bound, certify_hypothesis, theorem_spec)
 from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, admissible_intervals,
                      builtin_corpus, corpus_by_name)
 from .errors import ConfigError, summary
@@ -91,8 +91,8 @@ _NAMES = {
 }
 # What each grid's entries must satisfy, and that rule as an error states it.
 _GRID_RANGES = {
-    "p_grid": (lambda p: 1.0 < p < math.inf, "finite p > 1"),
-    "q_grid": (lambda q: 1.0 <= q < math.inf, "finite q >= 1"),
+    "p_grid": EXPONENT_RULES[EXP_HOLDER_P],
+    "q_grid": EXPONENT_RULES[EXP_POWER_Q],
     "alpha_grid": (lambda alpha: 0.0 < alpha <= 1.0, "0 < alpha <= 1"),
 }
 

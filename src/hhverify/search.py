@@ -110,8 +110,8 @@ def best_exponent(tag: str, f: SmoothFunction, interval: Interval,
         raise ParameterError(
             f"exponent search applies to {', '.join(EXPONENT_SEARCH_TAGS)}, got {tag!r}")
     lo, hi = float(p_range[0]), float(p_range[1])
-    if not (1.0 < lo < hi):
-        raise ParameterError(f"p range must satisfy 1 < lo < hi, got ({lo}, {hi})")
+    if not (1.0 < lo < hi < math.inf):
+        raise ParameterError(f"p_range must satisfy finite 1 < lo < hi, got ({lo}, {hi})")
     return _search_record("best_exponent", tag, f.name, interval, p_range, None,
                           lambda: (rhs_bound(tag, f, interval, lo), (lo,), 1, ""))
 

@@ -107,6 +107,11 @@ def test_exponent_parameter_rules(corpus, unit):
         rhs_bound("ME3", f, unit, 0.5)
     with pytest.raises(ParameterError):
         rhs_bound("ME9", f, unit)
+    # A report writes inf as null, the value that means "no exponent".
+    with pytest.raises(ParameterError, match="^T1_3 requires finite p > 1, got inf$"):
+        check_bound("T1_3", f, Interval(0.5, 1.0), math.inf)
+    with pytest.raises(ParameterError, match="^ME3 requires finite q >= 1, got inf$"):
+        check_bound("ME3", f, unit, math.inf)
 
 
 def test_check_bound_sharpness_on_quartic(corpus, unit):
@@ -334,6 +339,17 @@ def test_the_record_keeps_the_exponent_as_given(corpus, unit):
                                      quad_budget=budget), "quad_budget"),
     (lambda budget: integrate(math.exp, Interval(0.0, 1.0), max_evaluations=budget),
      "max_evaluations"),
+    pytest.param(lambda tol: check_bound("ME1", _BY_NAME["x^4"], Interval(0.0, 1.0),
+                                         quad_tol=tol), "quad_tol", id="check_bound-quad_tol"),
+    pytest.param(lambda budget: check_bound("ME1", _BY_NAME["x^4"], Interval(0.0, 1.0),
+                                            quad_budget=budget), "quad_budget",
+                 id="check_bound-quad_budget"),
+    pytest.param(lambda tol: check_identity("L1", _BY_NAME["x^4"], Interval(0.0, 1.0),
+                                            quad_tol=tol), "quad_tol",
+                 id="check_identity-quad_tol"),
+    pytest.param(lambda budget: check_identity("L1", _BY_NAME["x^4"], Interval(0.0, 1.0),
+                                               quad_budget=budget), "quad_budget",
+                 id="check_identity-quad_budget"),
 ])
 def test_a_tolerance_that_is_not_a_finite_bound_is_a_domain_error(call, name, value):
     # A NaN or infinite tolerance would decide every comparison one way.

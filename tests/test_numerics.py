@@ -20,6 +20,10 @@ def test_interval_rejects_degenerate_and_nonfinite():
         Interval(2.0, 1.0)
     with pytest.raises(DomainError):
         Interval(0.0, math.inf)
+    # Both ends are finite doubles, but b - a overflows.
+    with pytest.raises(DomainError, match=r"^interval requires a < b strictly and a finite "
+                                          r"width b - a, got \[-1e\+308, 1e\+308\]$"):
+        Interval(-1e308, 1e308)
 
 
 def test_quartic_kernel_integral_is_one_thirtieth():

@@ -100,6 +100,14 @@ def test_golden_markdown(golden_report):
     assert render_markdown(golden_report) == expected
 
 
+def test_default_application_records_match_their_golden():
+    # Every application record of the default run, bit for bit: 12 (tag,
+    # variant) pairs x 27 (interval, alpha), as verify-application writes them.
+    records = run(RunConfig(tasks=("applications",)))["application_checks"]
+    expected = (GOLDEN_DIR / "golden_default_application.csv").read_text(encoding="utf-8")
+    assert render_csv(records, "application") == expected
+
+
 def test_emit_csv_writes_one_file_per_kind(golden_report, tmp_path):
     emit(golden_report, "csv", tmp_path / "out.csv")
     for kind in ("identity", "bound", "application", "search"):

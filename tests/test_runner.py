@@ -116,6 +116,11 @@ def test_validation_names_offending_field():
         RunConfig.from_dict({"qc_tol": float("inf")})
     with pytest.raises(ConfigError, match="p_grid"):
         RunConfig.from_dict({"p_grid": [0.5]})
+    # The grids state the library's exponent rules, word for word.
+    with pytest.raises(ConfigError, match="^p_grid: requires finite p > 1, got inf$"):
+        RunConfig.from_dict({"p_grid": [float("inf")]})
+    with pytest.raises(ConfigError, match="^q_grid: requires finite q >= 1, got inf$"):
+        RunConfig.from_dict({"q_grid": [float("inf")]})
     with pytest.raises(ConfigError, match="intervals"):
         RunConfig.from_dict({"intervals": [[2.0, 1.0]]})
     with pytest.raises(ConfigError, match="format"):

@@ -120,6 +120,10 @@ def test_best_exponent_validation(corpus, unit):
         best_exponent("ME1", corpus["x^4"], unit, (1.01, 50.0))
     with pytest.raises(ParameterError):
         best_exponent("ME2", corpus["x^4"], unit, (0.5, 50.0))
+    # A report writes inf as null, so [2.0, inf] would read [2.0, null].
+    with pytest.raises(ParameterError,
+                       match=r"^p_range must satisfy finite 1 < lo < hi, got \(2\.0, inf\)$"):
+        best_exponent("ME2", corpus["x^4"], unit, (2.0, math.inf))
 
 
 def test_holder_bound_is_continuous_in_p(corpus, unit):
