@@ -215,6 +215,32 @@ def _certificate_dict(cert: QuasiConvexityCertificate) -> dict:
     }
 
 
+def _sides(tag: str, f: SmoothFunction, interval: Interval, exponent: Optional[float],
+           quad_tol: float, quad_budget: int, margin_tol: float,
+           integral: QuadratureResult | None = None) -> dict:
+    """lhs, rhs, margin and ratio of a rule instance whose arguments the
+    caller checked; or the fields of a record without sides, with a note why."""
+    try:
+        if integral is None:
+            integral = integrate(f.func, interval, quad_tol, quad_budget)
+        if not integral.converged:
+            return {**_NO_SIDES,
+                    "note": f"integral of {f.name} over [{interval.a}, {interval.b}]: "
+                            f"{nonconvergence_note(integral, quad_budget)}"}
+        lhs = abs(defect(THEOREMS[tag].lhs_kind, f, interval, integral.value / interval.width))
+        rhs = rhs_bound(tag, f, interval, exponent)
+    except OverflowError:
+        lhs = rhs = math.nan
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        return {**_NO_SIDES, "note": OVERFLOW_NOTE}
+    # Both sides below the degeneracy cut-off read 0 (a rule applied to a
+    # polynomial of lower degree than its derivative order); a right side
+    # below it against a larger left side is the refutation signal.
+    ratio = (lhs / rhs if rhs > RATIO_DEGENERATE_TOL
+             else 0.0 if within_margin(lhs, rhs, margin_tol) else math.inf)
+    return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "ratio": ratio}
+
+
 def check_bound(tag: str, f: SmoothFunction, interval: Interval,
                 exponent: Optional[float] = None,
                 quad_tol: float = DEFAULT_QUAD_TOL,
@@ -242,30 +268,15 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
     check_tolerance("quad_tol", quad_tol, positive=True)
     check_budget("quad_budget", quad_budget)
     record = {"kind": "bound", "theorem": tag, "function": f.name,
-              "interval": [interval.a, interval.b], "exponent": exponent}
-    try:
-        if integral is None:
-            integral = integrate(f.func, interval, quad_tol, quad_budget)
-        if not integral.converged:
-            return {**record, **_NO_SIDES,
-                    "note": f"integral of {f.name} over [{interval.a}, {interval.b}]: "
-                            f"{nonconvergence_note(integral, quad_budget)}"}
-        lhs = abs(defect(THEOREMS[tag].lhs_kind, f, interval, integral.value / interval.width))
-        rhs = rhs_bound(tag, f, interval, exponent)
-    except OverflowError:
-        lhs = rhs = math.nan
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        return {**record, **_NO_SIDES, "note": OVERFLOW_NOTE}
+              "interval": [interval.a, interval.b], "exponent": exponent,
+              **_sides(tag, f, interval, exponent, quad_tol, quad_budget, margin_tol, integral)}
+    if record["ratio"] is None:
+        return record
     if hypothesis is None:
         hypothesis = certify_hypothesis(tag, f, interval, qc_tol)
     note = {"non_finite": f"hypothesis: non-finite sample at x={hypothesis.bad_abscissa!r}",
             "unresolved": UNRESOLVED_NOTE}.get(hypothesis.verdict, "")
-    within = within_margin(lhs, rhs, margin_tol)
-    passed = bool(within and hypothesis.certified)
-    # Both sides below the degeneracy cut-off read 0 (a rule applied to a
-    # polynomial of lower degree than its derivative order); a right side
-    # below it against a larger left side is the refutation signal.
-    ratio = lhs / rhs if rhs > RATIO_DEGENERATE_TOL else 0.0 if within else math.inf
-    return {**record, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "ratio": ratio,
-            "pass": passed, "hypothesis": _certificate_dict(hypothesis),
+    passed = bool(within_margin(record["lhs"], record["rhs"], margin_tol)
+                  and hypothesis.certified)
+    return {**record, "pass": passed, "hypothesis": _certificate_dict(hypothesis),
             "status": status(not note, hypothesis.certified, passed), "note": note}

@@ -46,8 +46,6 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"alpha-grid: expected start:stop:n, got {text!r}") from None
-    if n < 1:
-        raise ConfigError(f"alpha-grid: n must be at least 1, got {n}")
     if n > MAX_ALPHA_POINTS:
         raise ConfigError(f"alpha-grid: n must be at most {MAX_ALPHA_POINTS}, got {n}")
     if n == 1:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .numerics import Interval
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0)
@@ -115,8 +115,9 @@ def _monomial(n: int) -> SmoothFunction:
 def builtin_corpus(alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
                    sin_domain: Interval = DEFAULT_SIN_DOMAIN) -> list[SmoothFunction]:
     """The built-in test functions: monomials x^3..x^5, exp, sin, and the
-    power family on an alpha grid, whose alphas must not print alike under
-    %g.  sin's domain is configurable; the default keeps all four
+    power family on an alpha grid.  Two alphas that print alike under %g
+    would name one member: a DomainError, which a config reports under
+    alpha_grid.  sin's domain is configurable; the default keeps all four
     derivative magnitudes monotone there.
     """
     corpus = [
@@ -137,7 +138,7 @@ def builtin_corpus(alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
     for alpha in map(float, alpha_grid):
         f = make_power_family(alpha)
         if f.name in named:
-            raise ConfigError(f"alpha_grid: {named[f.name]!r} and {alpha!r} both name {f.name}")
+            raise DomainError(f"{named[f.name]!r} and {alpha!r} both name {f.name}")
         named[f.name] = alpha
         corpus.append(f)
     return corpus

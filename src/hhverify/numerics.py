@@ -181,9 +181,9 @@ def nonconvergence_note(result: QuadratureResult, max_evaluations: int) -> str:
 
 
 def check_budget(name: str, budget: int) -> None:
-    """Raise DomainError naming ``name`` unless budget is finite and covers
-    one GK15 panel: a NaN budget stops at once, an infinite one never."""
-    if not (math.isfinite(budget) and budget >= _EVALS_PER_PANEL):
+    """Raise DomainError naming ``name`` unless budget is finite (an int of any
+    size is) and covers one GK15 panel: a NaN budget stops at once, an infinite one never."""
+    if not _EVALS_PER_PANEL <= budget < math.inf:
         raise DomainError(f"{name} must be a finite budget of at least one panel "
                           f"({_EVALS_PER_PANEL}), got {budget}")
 

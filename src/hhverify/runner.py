@@ -6,12 +6,14 @@ the report dict that render_json writes and ``hhverify report`` loads,
 so two runs with the same configuration yield byte-identical output
 (the generated_at timestamp aside).  Shared work (the average integral
 per function/interval pair and each distinct quasi-convexity
-certificate) is computed once and reused.
+certificate) is computed once and reused.  RunConfig.validate checks
+each value with the library code that reads it and raises that code's
+error as a ConfigError naming the field; only the config layer, RunConfig
+and the CLI, raises ConfigError.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
@@ -21,16 +23,16 @@ from typing import Optional
 from . import __version__
 from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, EXPONENT_RULES,
                      THEOREM_ORDER, THEOREMS, check_bound, certify_hypothesis, theorem_spec)
-from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, admissible_intervals,
-                     builtin_corpus, corpus_by_name)
-from .errors import ConfigError, summary
+from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
+                     admissible_intervals, builtin_corpus, corpus_by_name)
+from .errors import ConfigError, DomainError, ParameterError, check_tolerance, summary
 from .identities import DEFAULT_RESIDUAL_TOL, IDENTITY_IDS, check_identity
 # application_check: uncalled, kept for perfbench's tracer.
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
                     application_check, application_rows)
-from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, integrate
+from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, check_budget, integrate
 from .quasiconvex import DEFAULT_QC_TOL
-from .search import EXPONENT_SEARCH_TAGS, best_exponent, worst_case_alpha
+from .search import EXPONENT_SEARCH_TAGS, RANGE_RULES, best_exponent, worst_case_alpha
 
 ALL_TASKS = ("identities", "bounds", "applications", "searches")
 
@@ -89,12 +91,6 @@ _NAMES = {
     "search_p_theorems": (EXPONENT_SEARCH_TAGS, "exponent-search tag"),
     "search_alpha_theorems": (THEOREMS, "tag"),
 }
-# What each grid's entries must satisfy, and that rule as an error states it.
-_GRID_RANGES = {
-    "p_grid": EXPONENT_RULES[EXP_HOLDER_P],
-    "q_grid": EXPONENT_RULES[EXP_POWER_Q],
-    "alpha_grid": (lambda alpha: 0.0 < alpha <= 1.0, "0 < alpha <= 1"),
-}
 
 
 @dataclass
@@ -127,8 +123,20 @@ class RunConfig:
     search_alpha_interval: tuple[float, float] = (1.0, 2.0)
     search_alpha_range: tuple[float, float] = (0.01, 1.0)
 
-    def validate(self) -> None:
-        """Raise ConfigError naming the first offending field."""
+    @staticmethod
+    def _checked(name: str, check, *args, **kwargs):
+        """check(*args, **kwargs), the library code that owns the rule of the
+        field ``name``; its DomainError or ParameterError becomes a ConfigError
+        that says the name once."""
+        try:
+            return check(*args, **kwargs)
+        except (DomainError, ParameterError) as err:
+            raise ConfigError(f"{name}: {str(err).removeprefix(name + ' ')}") from None
+
+    def validate(self) -> dict[str, SmoothFunction]:
+        """Raise ConfigError naming the first offending field.  Past its type,
+        a value is checked by the library code that reads it.  Returns the
+        built-in functions by name, against which the names were checked."""
         for f in fields(self):
             value = getattr(self, f.name)
             optional = f.type.startswith("Optional[")
@@ -145,35 +153,39 @@ class RunConfig:
             for item in getattr(self, name):
                 if item not in known:
                     raise ConfigError(f"{name}: unknown {what} {item!r}")
-        for name, (admits, rule) in _GRID_RANGES.items():
+        for name, kind in (("p_grid", EXP_HOLDER_P), ("q_grid", EXP_POWER_Q)):
+            admits, rule = EXPONENT_RULES[kind]
             for value in getattr(self, name):
                 if not admits(value):
                     raise ConfigError(f"{name}: requires {rule}, got {value}")
         for name in ("quad_tol", "residual_tol", "margin_tol", "qc_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name}: must be positive and finite")
-        if self.quad_budget < 15:
-            raise ConfigError(f"quad_budget: below one quadrature panel, got {self.quad_budget}")
+            self._checked(name, check_tolerance, name, getattr(self, name), positive=True)
+        self._checked("quad_budget", check_budget, "quad_budget", self.quad_budget)
         if self.qc_grid < 3:
             raise ConfigError(f"qc_grid: must be at least 3, got {self.qc_grid}")
         if self.qc_grid > MAX_QC_GRID:
             raise ConfigError(f"qc_grid: must be at most {MAX_QC_GRID}, got {self.qc_grid}")
-        lo, hi = self.search_p_range
-        if not (1.0 < lo < hi < math.inf):
-            raise ConfigError(f"search_p_range: requires finite 1 < lo < hi, got ({lo}, {hi})")
-        lo, hi = self.search_alpha_range
-        if not (0.0 < lo < hi <= 1.0):
-            raise ConfigError(f"search_alpha_range: requires 0 < lo < hi <= 1, got ({lo}, {hi})")
         pairs = [("intervals", iv) for iv in self.intervals] + [
             (name, getattr(self, name))
             for name in ("sin_domain", "search_p_interval", "search_alpha_interval")]
         for name, (a, b) in pairs:
-            if not (math.isfinite(b - a) and a < b):  # b - a is finite only if a and b are
-                raise ConfigError(f"{name}: invalid interval [{a}, {b}]")
-        a, b = self.search_alpha_interval
-        if not a > 0.0:
-            raise ConfigError(f"search_alpha_interval: the power family needs a > 0, "
-                              f"got [{a}, {b}]")
+            self._checked(name, Interval, a, b)
+        for name, rule in (("search_p_range", "p_range"), ("search_alpha_range", "alpha_range"),
+                           ("search_alpha_interval", "interval")):
+            admits, text = RANGE_RULES[rule]
+            lo, hi = getattr(self, name)
+            if not admits(lo, hi):
+                raise ConfigError(f"{name}: requires {text}, got ({lo}, {hi})")
+        by_name = corpus_by_name(self._checked("alpha_grid", builtin_corpus, self.alpha_grid,
+                                               Interval(*self.sin_domain)))
+        for name in self.corpus or ():
+            if name not in by_name:
+                raise ConfigError(
+                    f"corpus: unknown function {name!r}; available: {', '.join(by_name)}")
+        if "searches" in self.tasks and self.search_p_function not in by_name:
+            raise ConfigError(
+                f"search_p_function: unknown function {self.search_p_function!r}")
+        return by_name
 
     def to_dict(self) -> dict:
         return {f.name: _nested(getattr(self, f.name), list) for f in fields(self)}
@@ -198,19 +210,8 @@ def _exponents_for(tag: str, config: RunConfig) -> list[Optional[float]]:
 def run(config: RunConfig) -> dict:
     """Execute every configured check and return the report dict: tool,
     version, generated_at, config, summary, then the four record lists."""
-    config.validate()
-    corpus = builtin_corpus(alpha_grid=config.alpha_grid,
-                            sin_domain=Interval(*config.sin_domain))
-    by_name = corpus_by_name(corpus)
-    if config.corpus is not None:
-        for name in config.corpus:
-            if name not in by_name:
-                raise ConfigError(
-                    f"corpus: unknown function {name!r}; available: {', '.join(by_name)}")
-        corpus = [by_name[name] for name in config.corpus]
-    if "searches" in config.tasks and config.search_p_function not in by_name:
-        raise ConfigError(
-            f"search_p_function: unknown function {config.search_p_function!r}")
+    by_name = config.validate()
+    corpus = [by_name[name] for name in config.corpus or by_name]
     grid = [Interval(a, b) for a, b in config.intervals]
 
     identity_checks, bound_checks = [], []

@@ -4,14 +4,16 @@ best_exponent minimizes a Holder-parameterized right-hand side over p,
 and worst_case_alpha maximizes the tightness ratio over the power
 family's parameter: the ``ratio`` of check_bound's record on each member
 (left side over right side, 1 meaning the inequality is attained), under
-the caller's margin_tol.  The right side's factor c(p) is nondecreasing
-in p (see bounds), so best_exponent's minimum is the range's left end,
-found by one evaluation.  worst_case_alpha scans a coarse seed grid and
-runs golden-section inside the bracket around its best point; an
-objective that vanishes on the whole seed grid is reported as
-degenerate, and a member whose record has no sides ends the search
-without an objective, with that record's note.  Both searches return
-their report record.
+the caller's margin_tol, read without certifying the member.  The right
+side's factor c(p) is nondecreasing in p (see bounds), so
+best_exponent's minimum is the range's left end, found by one
+evaluation.  worst_case_alpha scans a coarse seed grid and runs
+golden-section inside the bracket around its best point; an objective
+that vanishes on the whole seed grid is reported as degenerate, and a
+member whose record has no sides ends the search without an objective,
+with that record's note.  Both searches return their report record.
+RANGE_RULES holds the rules on their ranges and on worst_case_alpha's
+interval; a run's config is checked against them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, check_bound, rhs_bound,
+from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, _sides, rhs_bound,
                      validate_exponent)
 from .corpus import SmoothFunction, make_power_family
 from .errors import DomainError, ParameterError, check_tolerance, failure_note, status
@@ -33,6 +35,18 @@ _DEGENERATE_OBJECTIVE = 1e-14
 _SEED_POINTS = 33
 _PARAM_TOL = 1e-6
 RATIO_INFINITE_NOTE = "ratio infinite: the right side vanishes against a positive left side"
+# The rule each search range and worst_case_alpha's interval (a, b) meet, as errors state it.
+RANGE_RULES = {
+    "p_range": (lambda lo, hi: 1.0 < lo < hi < math.inf, "finite 1 < lo < hi"),
+    "alpha_range": (lambda lo, hi: 0.0 < lo < hi <= 1.0, "0 < lo < hi <= 1"),
+    "interval": (lambda a, b: a > 0.0, "a > 0"),
+}
+
+
+def _check_range(name: str, lo: float, hi: float) -> None:
+    admits, rule = RANGE_RULES[name]
+    if not admits(lo, hi):
+        raise ParameterError(f"{name} must satisfy {rule}, got ({lo}, {hi})")
 
 
 def _argmin(values: list[float]) -> int:
@@ -110,8 +124,7 @@ def best_exponent(tag: str, f: SmoothFunction, interval: Interval,
         raise ParameterError(
             f"exponent search applies to {', '.join(EXPONENT_SEARCH_TAGS)}, got {tag!r}")
     lo, hi = float(p_range[0]), float(p_range[1])
-    if not (1.0 < lo < hi < math.inf):
-        raise ParameterError(f"p_range must satisfy finite 1 < lo < hi, got ({lo}, {hi})")
+    _check_range("p_range", lo, hi)
     return _search_record("best_exponent", tag, f.name, interval, p_range, None,
                           lambda: (rhs_bound(tag, f, interval, lo), (lo,), 1, ""))
 
@@ -128,22 +141,19 @@ def worst_case_alpha(tag: str, interval: Interval,
     A tolerance or budget no quadrature admits raises DomainError naming it
     before the first evaluation."""
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
-    if not (0.0 < lo < hi <= 1.0):
-        raise ParameterError(f"alpha range must satisfy 0 < lo < hi <= 1, got ({lo}, {hi})")
-    if not interval.a > 0.0:
-        raise ParameterError(
-            f"alpha search needs a strictly positive interval, got [{interval.a}, {interval.b}]")
+    _check_range("alpha_range", lo, hi)
+    _check_range("interval", interval.a, interval.b)
     validate_exponent(tag, exponent)
     check_tolerance("margin_tol", margin_tol)
     check_tolerance("quad_tol", quad_tol, positive=True)
     check_budget("quad_budget", quad_budget)
 
     def neg_ratio(alpha: float) -> float:
-        record = check_bound(tag, make_power_family(alpha, domain=interval), interval,
-                             exponent, quad_tol, quad_budget, margin_tol)
-        if record["ratio"] is None:
-            raise ArithmeticError(record["note"])
-        return -record["ratio"]
+        sides = _sides(tag, make_power_family(alpha, domain=interval), interval,
+                       exponent, quad_tol, quad_budget, margin_tol)
+        if sides["ratio"] is None:
+            raise ArithmeticError(sides["note"])
+        return -sides["ratio"]
 
     def search() -> tuple:
         step = (hi - lo) / (_SEED_POINTS - 1)

@@ -357,6 +357,20 @@ def test_a_tolerance_that_is_not_a_finite_bound_is_a_domain_error(call, name, va
         call(value)
 
 
+@pytest.mark.parametrize("call", [
+    lambda budget: integrate(math.exp, Interval(0.0, 1.0), max_evaluations=budget).converged,
+    lambda budget: check_bound("ME1", _BY_NAME["x^4"], Interval(0.0, 1.0),
+                               quad_budget=budget)["status"] == "pass",
+    lambda budget: check_identity("L1", _BY_NAME["x^4"], Interval(0.0, 1.0),
+                                  quad_budget=budget)["status"] == "pass",
+    lambda budget: worst_case_alpha("ME1", Interval(1.0, 2.0), (0.01, 1.0),
+                                    quad_budget=budget)["converged"],
+], ids=["integrate", "check_bound", "check_identity", "worst_case_alpha"])
+def test_a_budget_beyond_double_range_is_a_finite_budget(call):
+    # An int compares with inf exactly; math.isfinite would overflow on it.
+    assert call(10 ** 400)
+
+
 def test_certify_hypothesis_matches_direct_scan(corpus, unit):
     d4 = corpus["x^5"].deriv(4)
     direct = check_quasi_convex(lambda x: np.abs(d4(x)), unit, ())

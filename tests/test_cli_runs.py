@@ -2,10 +2,10 @@
 an exit code 3 with a mathematical cause, checks that fail by raising
 (quadrature, overflow, an integrand beyond the doubles) recorded as
 non-converged, an infinite tightness ratio recorded as such, integers
-beyond double range rejected by name, settings the command line alone
-makes rejected in a config file, alpha grids whose members would share a
-name rejected, report bytes that do not depend on where the report goes,
-and CSV bytes that repeat across runs."""
+beyond double range rejected by name (a quadrature budget excepted),
+settings the command line alone makes rejected in a config file, alpha
+grids whose members would share a name rejected, report bytes that do not
+depend on where the report goes, and CSV bytes that repeat across runs."""
 
 import json
 import random
@@ -156,6 +156,15 @@ def test_an_integer_beyond_double_range_is_rejected_by_name(tmp_path, capsys, na
     assert main(["scan", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}: must be ") and len(err.splitlines()) == 1
+
+
+def test_a_budget_beyond_double_range_runs(tmp_path, capsys):
+    # JSON reads 10**400 as an int, which is no double but is a finite budget.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"quad_budget": 10 ** 400, "corpus": ["x^4"]}), encoding="utf-8")
+    assert main(["verify-bound", "--config", str(path), "--theorems", "ME1",
+                 "--interval", "0:1", "--out", str(tmp_path / "r.json")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("tasks", ["bounds"]), ("format", "csv"),

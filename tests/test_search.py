@@ -158,17 +158,18 @@ def test_worst_alpha_objective_reevaluates():
 
 @pytest.mark.parametrize("tag", ["ME1", "ME4"])
 def test_worst_alpha_evaluates_no_point_after_the_search(monkeypatch, tag):
-    # One bound record per iteration (seed points and golden-section steps)
-    # and one for the golden-section point; the range ends reuse their seed
-    # values, and the objective is the best candidate's ratio, not computed
-    # once more.
+    # One evaluation of the sides per iteration (seed points and golden-section
+    # steps) and one for the golden-section point; the range ends reuse their
+    # seed values, and the objective is the best candidate's ratio, not
+    # computed once more.
     calls = []
+    sides = search._sides
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return check_bound(*args, **kwargs)
+        return sides(*args, **kwargs)
 
-    monkeypatch.setattr(search, "check_bound", counting)
+    monkeypatch.setattr(search, "_sides", counting)
     r = worst_case_alpha(tag, Interval(1.0, 2.0), (0.01, 1.0))
     assert len(calls) == r["iterations"] + 1
     f = make_power_family(r["parameters"][0], domain=Interval(1.0, 2.0))
@@ -234,11 +235,13 @@ def test_a_run_searches_under_its_margin_tol(margin_tol, objective):
 
 
 def test_worst_alpha_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^interval must satisfy a > 0, got \(-1\.0, 2\.0\)$"):
         worst_case_alpha("ME1", Interval(-1.0, 2.0), (0.01, 1.0))
     with pytest.raises(ParameterError):
         worst_case_alpha("ME1", Interval(1.0, 2.0), (0.0, 1.0))
-    with pytest.raises(ParameterError):
+    # The error names the argument, alpha_range.
+    with pytest.raises(ParameterError,
+                       match=r"^alpha_range must satisfy 0 < lo < hi <= 1, got \(0\.2, 1\.5\)$"):
         worst_case_alpha("ME1", Interval(1.0, 2.0), (0.2, 1.5))
 
 
