@@ -10,18 +10,13 @@ interval, e being 1, p/(p-1) or q by the rule.  s -> s^e is increasing
 on [0, inf), so that holds exactly when |f^(n)| is quasi-convex: the
 certificate is taken on |f^(n)| and serves every exponent, exactly: it is
 the valley test on the interval's ends and the turning points f supplies.
-The three defects are
-
-  trapezoid            (f(a)+f(b))/2 - avg(f)
-  trapezoid_corrected  (f(a)+f(b))/2 - avg(f) - (w/12)*(f'(b)-f'(a))
-  midpoint_corrected   f((a+b)/2) - avg(f) + (w/24)*(f'(b)-f'(a))
-
-where avg(f) is the average of f over [a, b].  The THEOREMS table holds,
-per tag: the derivative order n, the defect kind, the exponent parameter
-the rule takes (none, a finite Holder exponent p > 1, or a finite
-power-mean exponent q >= 1), the width power k, the divisor D, and the
-factor c(p), which is absent, the Holder root (1/(p+1))^(1/p) or the Beta
-root B(2p+1, 2p+1)^(1/p).  rhs_bound reads the table and nothing else.
+The table DEFECTS states each defect kind and its Peano kernels.  The
+THEOREMS table holds, per tag: the derivative order n, the defect kind,
+the exponent parameter the rule takes (none, a finite Holder exponent
+p > 1, or a finite power-mean exponent q >= 1), the width power k, the
+divisor D, and the factor c(p), which is absent, the Holder root
+(1/(p+1))^(1/p) or the Beta root B(2p+1, 2p+1)^(1/p).  rhs_bound reads
+the table and nothing else.
 
 The Beta root is computed in log space, exp((2 lgamma(2p+1) -
 lgamma(4p+2)) / p), since B(2p+1, 2p+1) is 0 as a double from p = 268.
@@ -69,8 +64,22 @@ EXPONENT_RULES = {
 LHS_TRAPEZOID = "trapezoid"
 LHS_TRAPEZOID_CORRECTED = "trapezoid_corrected"
 LHS_MIDPOINT_CORRECTED = "midpoint_corrected"
-# The divisor of each corrected defect's derivative term; a mean inequality clears it.
-CORRECTION_DIVISOR = {LHS_TRAPEZOID_CORRECTED: 12.0, LHS_MIDPOINT_CORRECTED: 24.0}
+# Per defect kind: (midpoint, D, kernels).  With avg(f) the average of f
+# over [a, b], the defect is S - avg(f) + (w/D)(f'(b) - f'(a)), S being
+# f((a+b)/2) if midpoint, else (f(a)+f(b))/2; D None drops the derivative
+# term, and a mean inequality clears |D|.  kernels maps each derivative
+# order n a run reads to its Peano kernel (sign, K, span, fold):
+#   sign * defect = (w^n/24) * integral over span of K(t) g(t) dt,
+# g(t) = f^(n)(a*t + (1-t)*b), minus f^(n)(t*b + (1-t)*a) when folded.
+# K has only integer literals: a double in gives a double, a sympy symbol
+# an exact form.
+DEFECTS = {
+    LHS_TRAPEZOID: (False, None, {}),
+    LHS_TRAPEZOID_CORRECTED: (False, -12.0, {
+        4: (-1, lambda t: (t * (1 - t)) ** 2, Interval(0.0, 1.0), False)}),
+    LHS_MIDPOINT_CORRECTED: (True, 24.0, {
+        3: (1, lambda t: t * (1 - 2 * t) * (1 + 2 * t), Interval(0.0, 0.5), True)}),
+}
 
 
 def _holder_root(p: float) -> float:
@@ -123,18 +132,18 @@ def theorem_spec(tag: str) -> TheoremSpec:
 
 def defect(kind: str, f: SmoothFunction, interval: Interval, avg: float) -> float:
     """Signed defect of the rule ``kind`` given avg, the average of f over
-    the interval; the three kinds are defined in the module docstring."""
-    a, b, w = interval.a, interval.b, interval.width
-    if kind == LHS_TRAPEZOID:
-        return 0.5 * (float(f(a)) + float(f(b))) - avg
+    the interval, as its DEFECTS entry states it."""
+    try:
+        midpoint, divisor, _ = DEFECTS[kind]
+    except KeyError:
+        raise ParameterError(f"unknown defect kind {kind!r}") from None
+    a, b = interval.a, interval.b
+    value = (float(f(interval.midpoint)) if midpoint
+             else 0.5 * (float(f(a)) + float(f(b)))) - avg
+    if divisor is None:
+        return value
     d1 = f.deriv(1)
-    if kind == LHS_TRAPEZOID_CORRECTED:
-        return (0.5 * (float(f(a)) + float(f(b))) - avg
-                - (w / CORRECTION_DIVISOR[kind]) * (float(d1(b)) - float(d1(a))))
-    if kind == LHS_MIDPOINT_CORRECTED:
-        return (float(f(interval.midpoint)) - avg
-                + (w / CORRECTION_DIVISOR[kind]) * (float(d1(b)) - float(d1(a))))
-    raise ParameterError(f"unknown defect kind {kind!r}")
+    return value + (interval.width / divisor) * (float(d1(b)) - float(d1(a)))
 
 
 def validate_exponent(tag: str, exponent: Optional[float]) -> Optional[float]:

@@ -1,50 +1,29 @@
 """Residual verification of the two exact integral identities.
 
-Both identities express a quadrature-rule defect through a weighted
-integral of a higher derivative:
-
-  L1 (trapezoid defect):
-      avg(f) + (w/12)*(f'(b) - f'(a)) - (f(a)+f(b))/2
-        = (w^4/24) * I[0,1]( (t(1-t))^2 * f''''(a*t + (1-t)*b) )
-
-  L2 (midpoint defect):
-      f((a+b)/2) - avg(f) + (w/24)*(f'(b) - f'(a))
-        = (w^3/24) * ( I[0,1/2](K(t) f'''(t*a+(1-t)*b))
-                     - I[0,1/2](K(t) f'''(t*b+(1-t)*a)) )
-      with kernel K(t) = t(1-2t)(1+2t)
-
-where avg(f) = (1/w) * integral of f over [a, b] and w = b - a.  By
-linearity L2's right side is evaluated as one integral over [0, 1/2] of
-K(t) * (f'''(t*a+(1-t)*b) - f'''(t*b+(1-t)*a)).  The left sides are
-bounds.defect of the corrected rules: L1's is minus the corrected-trapezoid
-defect, L2's the corrected-midpoint defect.  Each side is computed
-independently by quadrature and the residual |lhs - rhs| is reported; the
-identities hold exactly, so the residual is pure numerical error.
+Each identity states a defect of bounds.DEFECTS through its Peano kernel,
+an integral of a higher derivative: L1 minus the corrected-trapezoid
+defect through the order-4 kernel over [0, 1], L2 the corrected-midpoint
+defect through the order-3 kernel over [0, 1/2].  L2's two kernel
+integrals, one per orientation of the interval, are folded by linearity
+into one integral of the kernel times the difference of the two third
+derivatives.  Each side is computed independently by quadrature and the
+residual |lhs - rhs| is reported; the identities hold exactly, so the
+residual is pure numerical error.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
-from .bounds import LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
+from .bounds import DEFECTS, LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
 from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, check_budget, integrate, nonconvergence_note)
 
-# Per identity: the defect kind and sign of the left side, the derivative
-# order n (scale w^n/24), the kernel integrand at t in span (its weight
-# times the derivative d read between a and b), and span.
-_IDENTITIES = {
-    "L1": (LHS_TRAPEZOID_CORRECTED, -1.0, 4,
-           lambda d, a, b, t: (t * (1.0 - t)) ** 2 * d(a * t + (1.0 - t) * b),
-           Interval(0.0, 1.0)),
-    "L2": (LHS_MIDPOINT_CORRECTED, 1.0, 3,
-           lambda d, a, b, t: (t * (1.0 - 2.0 * t) * (1.0 + 2.0 * t)
-                               * (d(t * a + (1.0 - t) * b) - d(t * b + (1.0 - t) * a))),
-           Interval(0.0, 0.5)),
-}
+# Per identity: the defect kind of its left side and the derivative order
+# of the DEFECTS kernel that gives its right side.
+_IDENTITIES = {"L1": (LHS_TRAPEZOID_CORRECTED, 4), "L2": (LHS_MIDPOINT_CORRECTED, 3)}
 IDENTITY_IDS = tuple(_IDENTITIES)
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -71,11 +50,17 @@ def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
     check_tolerance("residual_tol", residual_tol)
     check_tolerance("quad_tol", quad_tol, positive=True)
     check_budget("quad_budget", quad_budget)
-    kind, sign, order, kernel, span = _IDENTITIES[identity_id]
+    kind, order = _IDENTITIES[identity_id]
+    sign, weight, span, fold = DEFECTS[kind][2][order]
+    d, a, b = f.deriv(order), interval.a, interval.b
+
+    def kernel(t):
+        g = d(a * t + (1.0 - t) * b)
+        return weight(t) * (g - d(t * b + (1.0 - t) * a) if fold else g)
+
     if integral is None:
         integral = integrate(f.func, interval, quad_tol, quad_budget)
-    kernel_integral = integrate(partial(kernel, f.deriv(order), interval.a, interval.b),
-                                span, quad_tol, quad_budget)
+    kernel_integral = integrate(kernel, span, quad_tol, quad_budget)
     try:
         lhs = sign * defect(kind, f, interval, integral.value / interval.width)
     except OverflowError:

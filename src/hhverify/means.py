@@ -16,11 +16,11 @@ Applying each bound rule to the power-family member f with
 f''''(x) = x^alpha and clearing denominators rewrites the rule as a mean
 inequality (tags A3_1..A3_6).  Two variants are evaluated per tag:
 
-  * "derived": the source bound rule multiplied through by 12*P
-    (trapezoid side) or 24*P (midpoint side) with
-    P = (alpha+1)...(alpha+4).  The right side is that factor times
-    rhs_bound of the source rule on the family member; the left side is
-    the cleared defect in mean form;
+  * "derived": the source bound rule multiplied through by |D|*P, D the
+    divisor of its defect's derivative term in bounds.DEFECTS (12 on the
+    trapezoid side, 24 on the midpoint side), P = (alpha+1)...(alpha+4).
+    The right side is that factor times rhs_bound of the source rule on
+    the family member; the left side is the cleared defect in mean form;
   * "paper":   the coefficients exactly as printed in the source
     inequalities, transcribed verbatim, typos included.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .bounds import (CORRECTION_DIVISOR, DEFAULT_MARGIN_TOL, LHS_MIDPOINT_CORRECTED,
+from .bounds import (DEFAULT_MARGIN_TOL, DEFECTS, LHS_MIDPOINT_CORRECTED,
                      LHS_TRAPEZOID_CORRECTED, THEOREMS, endpoint_derivative_max, rule_scale,
                      validate_exponent, within_margin)
 from .corpus import make_power_family
@@ -166,7 +166,7 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                 elif key == "paper":
                     rhs = scale * pprod * m
                 else:
-                    rhs = CORRECTION_DIVISOR[key] * pprod * (scale * m)
+                    rhs = abs(DEFECTS[key][1]) * pprod * (scale * m)
                 finite = math.isfinite(lhs) and math.isfinite(rhs)
                 passed = finite and within_margin(lhs, rhs, margin_tol)
                 note = ""

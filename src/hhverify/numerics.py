@@ -31,7 +31,7 @@ class Interval:
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
-        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+        if not (self.a < self.b and math.isfinite(float(self.b) - float(self.a))):
             raise DomainError(f"interval requires a < b strictly and a finite width b - a, "
                               f"got [{self.a}, {self.b}]")
 

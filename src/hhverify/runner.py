@@ -158,8 +158,10 @@ class RunConfig:
             for value in getattr(self, name):
                 if not admits(value):
                     raise ConfigError(f"{name}: requires {rule}, got {value}")
+        # integrate needs a positive quad_tol; the owners of the other three accept 0.
         for name in ("quad_tol", "residual_tol", "margin_tol", "qc_tol"):
-            self._checked(name, check_tolerance, name, getattr(self, name), positive=True)
+            self._checked(name, check_tolerance, name, getattr(self, name),
+                          positive=name == "quad_tol")
         self._checked("quad_budget", check_budget, "quad_budget", self.quad_budget)
         if self.qc_grid < 3:
             raise ConfigError(f"qc_grid: must be at least 3, got {self.qc_grid}")

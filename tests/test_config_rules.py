@@ -9,17 +9,20 @@ from itertools import product
 
 import pytest
 
-from hhverify.bounds import validate_exponent
+from hhverify.bounds import certify_hypothesis, check_bound, validate_exponent
 from hhverify.corpus import builtin_corpus
-from hhverify.errors import ConfigError, DomainError, ParameterError, check_tolerance
+from hhverify.errors import ConfigError, DomainError, ParameterError
+from hhverify.identities import check_identity
 from hhverify.numerics import Interval, check_budget
 from hhverify.runner import _TYPE_CHECKS, RunConfig
 from hhverify.search import best_exponent, worst_case_alpha
 
 VALUES = (0, 14, 15, 1, 1.0000001, 5e-324, 1e308, math.inf, -math.inf, math.nan,
           10 ** 18, 10 ** 400)
-PAIRS = tuple(product(VALUES, repeat=2))  # reversed and equal pairs among them
+# Reversed and equal pairs among them, and integers whose difference is beyond double range.
+PAIRS = tuple(product(VALUES, repeat=2)) + ((-10 ** 308, 10 ** 308),)
 X4 = {f.name: f for f in builtin_corpus()}["x^4"]
+UNIT = Interval(0.0, 1.0)
 TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -34,13 +37,13 @@ def _alpha_search(**arguments):
             raise
 
 
-def _tolerance(name):
-    return VALUES, lambda value: check_tolerance(name, value, positive=True)
-
-
 # Field -> (its boundary values, the owning check, which raises to reject).
+# quad_tol must be positive; residual_tol, margin_tol and qc_tol may be 0.
 OWNERS = {
-    **{name: _tolerance(name) for name in ("quad_tol", "residual_tol", "margin_tol", "qc_tol")},
+    "quad_tol": (VALUES, lambda tol: check_bound("ME1", X4, UNIT, quad_tol=tol, quad_budget=15)),
+    "residual_tol": (VALUES, lambda tol: check_identity("L1", X4, UNIT, residual_tol=tol)),
+    "margin_tol": (VALUES, lambda tol: check_bound("ME1", X4, UNIT, margin_tol=tol)),
+    "qc_tol": (VALUES, lambda tol: certify_hypothesis("ME1", X4, UNIT, tol)),
     "quad_budget": (VALUES, lambda budget: check_budget("quad_budget", budget)),
     "p_grid": ([(v,) for v in VALUES], lambda grid: [validate_exponent("ME2", p) for p in grid]),
     "q_grid": ([(v,) for v in VALUES], lambda grid: [validate_exponent("ME3", q) for q in grid]),

@@ -4,7 +4,9 @@ sympy derives, without the package's help: the mean form of the cleared
 defects of the power-family member f = x^(alpha+4)/P, the constants of
 ME1..ME4 and ME6 from the kernels of the identities L1 and L2, and the
 p -> 1 limits of the four Holder rules.  The tests compare
-application_check and the theorem table with those derivations.
+application_check and the theorem table with those derivations.  The
+kernels are bounds.DEFECTS's own callables applied to a sympy symbol, and
+each is proven to give its signed defect on a generic polynomial.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import mpmath
 import pytest
 import sympy as sp
 
-from hhverify.bounds import THEOREMS
+from hhverify.bounds import DEFECTS, THEOREMS
 from hhverify.means import application_check
 
 from conftest import PLAIN_RULE
@@ -21,10 +23,16 @@ from conftest import PLAIN_RULE
 x, t = sp.symbols("x t", real=True)
 A, B, ALPHA = sp.symbols("a b alpha", positive=True)
 HALF = sp.Rational(1, 2)
+# A generic polynomial of degree 8, with symbolic coefficients.
+POLY = sum(c * x ** i for i, c in enumerate(sp.symbols("c0:9")))
 
-# Kernels of L1 on [0, 1] and L2 on [0, 1/2], with their prefactors w^k/24.
-L1_KERNEL = (t * (1 - t)) ** 2
-L2_KERNEL = t * (1 - 2 * t) * (1 + 2 * t)
+# The Peano kernels of DEFECTS, by (defect kind, derivative order).
+KERNELS = {(kind, order): entry for kind, (_, _, kernels) in DEFECTS.items()
+           for order, entry in kernels.items()}
+# Kernels of L1 on [0, 1] and L2 on [0, 1/2], with their prefactors w^k/24:
+# the table's own callables, applied to the symbol t.
+L1_KERNEL = KERNELS["trapezoid_corrected", 4][1](t)
+L2_KERNEL = KERNELS["midpoint_corrected", 3][1](t)
 
 # A3_n: (source rule, clearing factor, exponent).
 APPLICATIONS = {"A3_1": ("ME1", 12, None), "A3_2": ("ME2", 12, 2), "A3_3": ("ME3", 12, 2),
@@ -52,6 +60,39 @@ def _exact_defect(trapezoid_side, f, a, b, corrected=True):
     if trapezoid_side:
         return (f.subs(x, a) + f.subs(x, b)) / 2 - avg - gap / 12
     return f.subs(x, (a + b) / 2) - avg + gap / 24
+
+
+def _tabled_defect(kind, f, a, b):
+    """The defect of f on [a, b] as its DEFECTS entry states it:
+    S - avg(f) + (w/D)(f'(b) - f'(a)), exactly."""
+    midpoint, divisor, _ = DEFECTS[kind]
+    sample = f.subs(x, (a + b) / 2) if midpoint else (f.subs(x, a) + f.subs(x, b)) / 2
+    value = sample - sp.integrate(f, (x, a, b)) / (b - a)
+    if divisor is None:
+        return value
+    fp = sp.diff(f, x)
+    return value + (b - a) / sp.nsimplify(divisor) * (fp.subs(x, b) - fp.subs(x, a))
+
+
+@pytest.mark.parametrize("kind", sorted(DEFECTS))
+def test_each_tabled_defect_is_its_rule(kind):
+    exact = _exact_defect(kind != "midpoint_corrected", POLY, A, B,
+                          corrected=kind != "trapezoid")
+    assert sp.cancel(_tabled_defect(kind, POLY, A, B) - exact) == 0
+
+
+@pytest.mark.parametrize("kind,order", sorted(KERNELS))
+def test_each_tabled_kernel_gives_its_signed_defect(kind, order):
+    # sign * defect = (w^n/24) * integral over span of K(t) g(t), with K the
+    # callable the identities integrate, here applied to the symbol t.
+    sign, weight, span, fold = KERNELS[kind, order]
+    d = sp.diff(POLY, x, order)
+    g = d.subs(x, A * t + (1 - t) * B)
+    if fold:
+        g -= d.subs(x, t * B + (1 - t) * A)
+    lo, hi = sp.nsimplify(span.a), sp.nsimplify(span.b)
+    kernel_side = (B - A) ** order / 24 * sp.integrate(weight(t) * g, (t, lo, hi))
+    assert sp.cancel(sign * _tabled_defect(kind, POLY, A, B) - kernel_side) == 0
 
 
 def _log_mean(p, a, b):
@@ -184,11 +225,9 @@ def _abs_integral(kernel):
 
 @pytest.mark.parametrize("kind,order", sorted(PEANO))
 def test_each_peano_kernel_gives_its_defect(kind, order):
-    coeffs = sp.symbols("c0:9")
-    f = sum(c * x ** i for i, c in enumerate(coeffs))
     kernel_side = (B - A) ** order * sp.integrate(
-        PEANO[kind, order] * sp.diff(f, x, order).subs(x, t * A + (1 - t) * B), (t, 0, 1))
-    defect = _exact_defect(True, f, A, B, corrected=kind == "trapezoid_corrected")
+        PEANO[kind, order] * sp.diff(POLY, x, order).subs(x, t * A + (1 - t) * B), (t, 0, 1))
+    defect = _exact_defect(True, POLY, A, B, corrected=kind == "trapezoid_corrected")
     assert sp.cancel(defect - kernel_side) == 0
 
 

@@ -39,7 +39,7 @@ NUMBERS = st.sampled_from([0, 1, 2, 3, 15, 0.5, 1.0000001, 2.0, 1e-300, 5e-324, 
 WRONG = st.sampled_from([None, True, "x", [], {}, [1.0], [[0.0, 1.0]], [0.0, "1"]])
 PAIRS = st.lists(NUMBERS, min_size=2, max_size=2) | st.sampled_from(
     [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0], [2.0, 1.0], [0.0, 1e300], [-1e308, 1e308],
-     [0.0, 5e-324], [1.01, 1e308]])
+     [0.0, 5e-324], [1.01, 1e308], [-10 ** 308, 10 ** 308]])
 NAMES = {"tasks": ALL_TASKS, "corpus": FUNCTIONS, "theorems": THEOREM_ORDER,
          "identities": IDENTITY_IDS, "applications": APPLICATION_TAGS,
          "variants": APPLICATION_VARIANTS, "search_p_theorems": THEOREM_ORDER,

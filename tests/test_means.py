@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify import means
-from hhverify.bounds import (CORRECTION_DIVISOR, THEOREMS, check_bound, rhs_bound,
-                             rule_scale)
+from hhverify.bounds import DEFECTS, THEOREMS, check_bound, rhs_bound, rule_scale
 from hhverify.corpus import make_power_family
 from hhverify.errors import DomainError, ParameterError
 from hhverify.means import (_PRINTED_DIVISOR, APPLICATION_SOURCE, APPLICATION_TAGS,
@@ -131,7 +130,7 @@ def test_derived_rhs_is_bit_identical_to_member_on_the_interval(tag, variant, a,
 def test_every_derived_rhs_of_a_batch_is_the_scaled_rule_bound():
     # A batch shares each endpoint maximum across the instances of an alpha
     # and each rule scale across the alphas of an interval; every derived
-    # side must still be CORRECTION_DIVISOR * P * rhs_bound, bit for bit.
+    # side must still be |D| * P * rhs_bound, D its defect's DEFECTS divisor, bit for bit.
     intervals = [(0.25, 0.3), (0.5, 1.5), (1.0, 2.0), (2.0, 5.0), (3.7, 5.9)]
     alphas = [0.1, 0.25, 0.5, 0.75, 1.0]
     instances = [(tag, variant, exponent) for tag in APPLICATION_TAGS
@@ -145,7 +144,7 @@ def test_every_derived_rhs_of_a_batch_is_the_scaled_rule_bound():
         source = THEOREMS[APPLICATION_SOURCE[r["theorem"]]]
         alpha = r["alpha"]
         pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
-        expected = (CORRECTION_DIVISOR[source.lhs_kind] * pprod
+        expected = (abs(DEFECTS[source.lhs_kind][1]) * pprod
                     * rhs_bound(source.tag, make_power_family(alpha),
                                 Interval(r["a"], r["b"]), r["exponent"]))
         assert r["rhs"].hex() == expected.hex(), r
