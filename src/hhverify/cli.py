@@ -20,7 +20,7 @@ import click
 from . import __version__
 from .errors import ConfigError, exit_code
 from .numerics import DEFAULT_QUAD_TOL
-from .report import FORMATS, check_destination, check_pairs, emit
+from .report import FORMATS, SECTIONS, check_destination, emit
 from .runner import ALL_TASKS, RunConfig, run
 
 # Most points --alpha-grid expands to; each alpha adds a corpus member.
@@ -62,6 +62,19 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{what}: cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{what}: invalid JSON in {path}: {err}") from None
+
+
+def _check_records(report: dict) -> None:
+    """Raise TypeError naming a record that sits under another kind's
+    section, or a record's ``interval`` or ``range`` that is no pair."""
+    for key, _, kind in SECTIONS:
+        for record in report.get(key, []):
+            if record["kind"] != kind:
+                raise TypeError(f"{key}: expected a {kind!r} record, got kind {record['kind']!r}")
+            for name in ("interval", "range"):
+                value = record.get(name)
+                if value is not None and not (isinstance(value, list) and len(value) == 2):
+                    raise TypeError(f"{name}: expected a pair [a, b], got {value!r}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -160,7 +173,7 @@ def report_command(input_path, fmt, out):
     """Re-render a saved JSON report in another format."""
     data = _read_json(input_path, "report")
     try:
-        check_pairs(data)
+        _check_records(data)
         rendered = emit(data, fmt, out)
     except (KeyError, TypeError, AttributeError) as err:
         raise ConfigError(f"report: {input_path} is not an hhverify report "

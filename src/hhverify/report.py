@@ -87,16 +87,6 @@ def render_json(report: dict) -> str:
     return _json(report, "") + "\n"
 
 
-def check_pairs(report: dict) -> None:
-    """Raise TypeError naming a record's ``interval`` or ``range`` that is no pair."""
-    for key, _, _ in SECTIONS:
-        for record in report.get(key, []):
-            for name in ("interval", "range"):
-                value = record.get(name)
-                if value is not None and not (isinstance(value, list) and len(value) == 2):
-                    raise TypeError(f"{name}: expected a pair [a, b], got {value!r}")
-
-
 def _cell(value: Any) -> str:
     if isinstance(value, float):
         return format(value, ".17g") if math.isfinite(value) else ""
@@ -241,12 +231,20 @@ def _write_file(path: Path, write: Callable[[TextIO], Any]) -> None:
 
 
 def check_destination(format: str, path: str | Path | None) -> None:
-    """Raise ValueError if a report cannot be emitted in format to path;
-    the CLI calls it before a run, so a bad destination costs no work."""
+    """Raise ValueError if a report cannot be emitted in format to path, or
+    _write_file's OSError if the path's directory is missing or a json or
+    markdown path is a directory; the CLI calls it before a run, so a bad
+    destination costs no work."""
     if format not in FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
     if format == "csv" and path is None:
         raise ValueError("csv output requires an output path")
+    if path is not None:
+        path = Path(path)
+        if not path.parent.is_dir():
+            raise OSError(f"cannot write report to {path}: no directory {path.parent}")
+        if format != "csv" and path.is_dir():
+            raise OSError(f"cannot write report to {path}: it is a directory")
 
 
 def emit(report: dict, format: str, path: str | Path | None) -> str | None:

@@ -1,9 +1,10 @@
 """Batch runner: executes configured checks and returns their report.
 
 Each check returns its record, a JSON-shaped dict with a fixed field
-order; the runner sorts the records by a deterministic key and returns
-the report dict that render_json writes and ``hhverify report`` loads,
-so two runs with the same configuration yield byte-identical output
+order; the runner sorts each record list in place, in one stable pass
+per key field so that no key tuple is built per record, and returns the
+report dict that render_json writes and ``hhverify report`` loads, so
+two runs with the same configuration yield byte-identical output
 (the generated_at timestamp aside).  Shared work (the average integral
 per function/interval pair and each distinct quasi-convexity
 certificate) is computed once and reused.  RunConfig.validate checks
@@ -18,6 +19,8 @@ import numbers
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from . import __version__
@@ -209,6 +212,20 @@ def _exponents_for(tag: str, config: RunConfig) -> list[Optional[float]]:
     return list(grids.get(theorem_spec(tag).exponent_kind, (None,)))
 
 
+def _exponent(record: dict) -> float:
+    """A record's exponent as a sort key; -1.0, below every exponent, when it has none."""
+    exponent = record["exponent"]
+    return -1.0 if exponent is None else exponent
+
+
+def _sort(records: list[dict], *keys) -> None:
+    """Sort records in place by the keys (a field name or a function of the
+    record), the first most significant: one stable pass per key, the last
+    first, so ties keep run order and no key tuple is built per record."""
+    for key in reversed(keys):
+        records.sort(key=itemgetter(key) if isinstance(key, str) else key)
+
+
 def run(config: RunConfig) -> dict:
     """Execute every configured check and return the report dict: tool,
     version, generated_at, config, summary, then the four record lists."""
@@ -242,10 +259,9 @@ def run(config: RunConfig) -> dict:
                 for iv, integral, certificate in zip(
                     intervals, integrals, certificates[THEOREMS[tag].derivative_order]))
 
-    identity_checks.sort(key=lambda r: (r["id"], r["function"], r["interval"]))
+    _sort(identity_checks, "id", "function", "interval")
     order = {tag: i for i, tag in enumerate(THEOREM_ORDER)}
-    bound_checks.sort(key=lambda r: (order[r["theorem"]], r["function"], r["interval"],
-                                     -1.0 if r["exponent"] is None else r["exponent"]))
+    _sort(bound_checks, lambda r: order[r["theorem"]], "function", "interval", _exponent)
 
     application_checks, searches = [], []
     if "applications" in config.tasks:
@@ -253,27 +269,25 @@ def run(config: RunConfig) -> dict:
                      for tag in config.applications for variant in config.variants
                      for exponent in _exponents_for(APPLICATION_SOURCE[tag], config)]
         positive = [(iv.a, iv.b) for iv in grid if iv.a > 0.0]
-        application_checks = sorted(
-            application_rows(instances, positive, config.alpha_grid, config.margin_tol),
-            key=lambda r: (r["theorem"], r["variant"], r["a"], r["b"], r["alpha"],
-                           -1.0 if r["exponent"] is None else r["exponent"]))
+        application_checks = list(
+            application_rows(instances, positive, config.alpha_grid, config.margin_tol))
+        _sort(application_checks, "theorem", "variant", "a", "b", "alpha", _exponent)
 
     if "searches" in config.tasks:
         p_interval = Interval(*config.search_p_interval)
         p_function = by_name[config.search_p_function]
         alpha_interval = Interval(*config.search_alpha_interval)
-        records = [best_exponent(tag, p_function, p_interval, config.search_p_range)
-                   for tag in config.search_p_theorems]
-        records += [worst_case_alpha(tag, alpha_interval, config.search_alpha_range,
-                                     _exponents_for(tag, config)[0], config.quad_tol,
-                                     config.quad_budget, config.margin_tol)
-                    for tag in config.search_alpha_theorems]
-        searches = sorted(
-            records, key=lambda r: (r["search"], r["theorem"], r["function"] or ""))
+        searches = [best_exponent(tag, p_function, p_interval, config.search_p_range)
+                    for tag in config.search_p_theorems]
+        searches += [worst_case_alpha(tag, alpha_interval, config.search_alpha_range,
+                                      _exponents_for(tag, config)[0], config.quad_tol,
+                                      config.quad_budget, config.margin_tol)
+                     for tag in config.search_alpha_theorems]
+        _sort(searches, "search", "theorem", lambda r: r["function"] or "")
 
     return {"tool": "hhverify", "version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "config": config.to_dict(),
-            "summary": summary(identity_checks + bound_checks + application_checks + searches),
+            "summary": summary(chain(identity_checks, bound_checks, application_checks, searches)),
             "identity_checks": identity_checks, "bound_checks": bound_checks,
             "application_checks": application_checks, "searches": searches}

@@ -202,6 +202,37 @@ def test_csv_without_out_is_refused_before_the_run(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: csv output requires an output path\n"
 
 
+@pytest.mark.parametrize("fmt, out", [("json", "missing/r.json"), ("csv", "missing/r.csv"),
+                                      ("markdown", "missing/r.md"), ("json", "."),
+                                      ("markdown", ".")])
+def test_an_unwritable_out_is_refused_before_the_run(monkeypatch, capsys, tmp_path, fmt, out):
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", never)
+    target = str(tmp_path / out)
+    assert main(["scan", "--format", fmt, "--out", target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report to {target}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+def test_a_record_under_another_kinds_section_names_the_file(tmp_path, capsys, fmt):
+    data = json.loads((GOLDEN_DIR / "golden.json").read_text(encoding="utf-8"))
+    data["bound_checks"].insert(1, data["identity_checks"][0])
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "r" / f"r.{fmt}"
+    out.parent.mkdir()
+    assert main(["report", str(path), "--format", fmt, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: report: {path} is not an hhverify report (TypeError: bound_checks: "
+                   "expected a 'bound' record, got kind 'identity')\n")
+    assert list(out.parent.iterdir()) == []
+
+
 def test_version_flag():
     assert main(["--version"]) == 0
 

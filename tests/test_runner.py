@@ -1,3 +1,9 @@
+import gc
+import json
+import random
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from hhverify import bounds, identities, runner
@@ -7,6 +13,7 @@ from hhverify.errors import ConfigError, exit_code, summary
 from hhverify.identities import check_identity
 from hhverify.means import application_check
 from hhverify.numerics import Interval
+from hhverify.report import render_json
 from hhverify.runner import DEFAULT_INTERVALS, RunConfig, run
 from hhverify.search import best_exponent, worst_case_alpha
 
@@ -34,6 +41,40 @@ def test_summary_counts_equal_record_tallies():
     assert counts["pass"] + counts["fail"] == counts["total"]
     assert counts["fail"] >= 1  # the printed-coefficient variant
     assert exit_code(counts) == 2
+
+
+def _without_timestamp(text):
+    return "".join(line for line in text.splitlines(True) if '"generated_at"' not in line)
+
+
+def test_records_keep_the_pinned_order_ties_included():
+    # The pinned report's config repeats and disorders its inputs: [1.0, 2.0]
+    # and [1, 2] are equal intervals, and theorems, variants and exponents
+    # recur, so equal sort keys must keep the order the run made them in.
+    text = (Path(__file__).parent / "golden" / "golden_order.json").read_text(encoding="utf-8")
+    report = run(RunConfig.from_dict(json.loads(text)["config"]))
+    assert _without_timestamp(render_json(report)) == _without_timestamp(text)
+
+
+def test_a_run_allocates_little_beyond_the_records_it_returns():
+    # 3,600 application records; a key tuple or a sorted copy per record
+    # would cost tens of bytes each above the report the run returns.
+    rng = random.Random(27)
+    starts = [rng.uniform(0.1, 3.0) for _ in range(60)]
+    config = RunConfig(tasks=("applications",),
+                       intervals=tuple((a, a + rng.uniform(0.1, 2.0)) for a in starts),
+                       alpha_grid=(0.2, 0.4, 0.6, 0.8, 1.0))
+    run(config)  # fills the caches the measured run reuses
+    tracemalloc.start()
+    try:
+        report = run(config)
+        gc.collect()  # empties the free lists, so what is traced is what the run returns
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    records = len(report["application_checks"])
+    assert records == 3600
+    assert (peak - retained) / records < 30
 
 
 def test_interval_grid_is_filtered_by_domain():
