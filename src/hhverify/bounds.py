@@ -2,21 +2,22 @@
 
 Every rule has one shape: the defect of a quadrature rule is bounded by
 
-    |defect(kind)| <= (w^k / D) * c(p) * Mn
+    |defect(kind)| <= (w^n / D) * c(p) * Mn
 
-with w = b - a and Mn the larger endpoint magnitude of the n-th
-derivative, under the hypothesis that |f^(n)|^e is quasi-convex on the
-interval, e being 1, p/(p-1) or q by the rule.  s -> s^e is increasing
-on [0, inf), so that holds exactly when |f^(n)| is quasi-convex: the
-certificate is taken on |f^(n)| and serves every exponent, exactly: it is
-the valley test on the interval's ends and the turning points f supplies.
+with w = b - a, n the derivative order, which is also the width power,
+and Mn the larger endpoint magnitude of the n-th derivative, under the
+hypothesis that |f^(n)|^e is quasi-convex on the interval, e being 1,
+p/(p-1) or q by the rule.  s -> s^e is increasing on [0, inf), so that
+holds exactly when |f^(n)| is quasi-convex: the certificate is taken on
+|f^(n)| and serves every exponent, exactly: it is the valley test on the
+interval's ends and the turning points f supplies.
 The table DEFECTS states each defect kind and its Peano kernels.  The
 THEOREMS table holds, per tag: the derivative order n, the defect kind,
 the exponent parameter the rule takes (none, a finite Holder exponent
-p > 1, or a finite power-mean exponent q >= 1), the width power k, the
-divisor D, and the factor c(p), which is absent, the Holder root
-(1/(p+1))^(1/p) or the Beta root B(2p+1, 2p+1)^(1/p).  rhs_bound reads
-the table and nothing else.
+p > 1, or a finite power-mean exponent q >= 1), the divisor D, and the
+factor c(p), which is absent, the Holder root (1/(p+1))^(1/p) or the
+Beta root B(2p+1, 2p+1)^(1/p).  rhs_bound reads the table and nothing
+else; the special-means applications read both tables.
 
 The Beta root is computed in log space, exp((2 lgamma(2p+1) -
 lgamma(4p+2)) / p), since B(2p+1, 2p+1) is 0 as a double from p = 268.
@@ -96,25 +97,24 @@ class TheoremSpec:
     derivative_order: int
     lhs_kind: str
     exponent_kind: str
-    width_power: int
     divisor: float
     factor: Optional[Callable[[float], float]] = None
 
 
 THEOREMS: dict[str, TheoremSpec] = {
     spec.tag: spec for spec in (
-        TheoremSpec("T1_2", 1, LHS_TRAPEZOID, EXP_NONE, 1, 4.0),
-        TheoremSpec("T1_3", 1, LHS_TRAPEZOID, EXP_HOLDER_P, 1, 2.0, _holder_root),
-        TheoremSpec("T1_4", 2, LHS_TRAPEZOID, EXP_NONE, 2, 12.0),
-        TheoremSpec("T1_5", 3, LHS_TRAPEZOID_CORRECTED, EXP_NONE, 3, 192.0),
-        TheoremSpec("T1_6", 3, LHS_TRAPEZOID_CORRECTED, EXP_HOLDER_P, 3, 96.0, _holder_root),
-        TheoremSpec("T1_7", 3, LHS_TRAPEZOID_CORRECTED, EXP_POWER_Q, 3, 192.0),
-        TheoremSpec("ME1", 4, LHS_TRAPEZOID_CORRECTED, EXP_NONE, 4, 720.0),
-        TheoremSpec("ME2", 4, LHS_TRAPEZOID_CORRECTED, EXP_HOLDER_P, 4, 24.0, _beta_root),
-        TheoremSpec("ME3", 4, LHS_TRAPEZOID_CORRECTED, EXP_POWER_Q, 4, 720.0),
-        TheoremSpec("ME4", 3, LHS_MIDPOINT_CORRECTED, EXP_NONE, 3, 192.0),
-        TheoremSpec("ME5", 3, LHS_MIDPOINT_CORRECTED, EXP_HOLDER_P, 3, 96.0, _holder_root),
-        TheoremSpec("ME6", 3, LHS_MIDPOINT_CORRECTED, EXP_POWER_Q, 3, 192.0),
+        TheoremSpec("T1_2", 1, LHS_TRAPEZOID, EXP_NONE, 4.0),
+        TheoremSpec("T1_3", 1, LHS_TRAPEZOID, EXP_HOLDER_P, 2.0, _holder_root),
+        TheoremSpec("T1_4", 2, LHS_TRAPEZOID, EXP_NONE, 12.0),
+        TheoremSpec("T1_5", 3, LHS_TRAPEZOID_CORRECTED, EXP_NONE, 192.0),
+        TheoremSpec("T1_6", 3, LHS_TRAPEZOID_CORRECTED, EXP_HOLDER_P, 96.0, _holder_root),
+        TheoremSpec("T1_7", 3, LHS_TRAPEZOID_CORRECTED, EXP_POWER_Q, 192.0),
+        TheoremSpec("ME1", 4, LHS_TRAPEZOID_CORRECTED, EXP_NONE, 720.0),
+        TheoremSpec("ME2", 4, LHS_TRAPEZOID_CORRECTED, EXP_HOLDER_P, 24.0, _beta_root),
+        TheoremSpec("ME3", 4, LHS_TRAPEZOID_CORRECTED, EXP_POWER_Q, 720.0),
+        TheoremSpec("ME4", 3, LHS_MIDPOINT_CORRECTED, EXP_NONE, 192.0),
+        TheoremSpec("ME5", 3, LHS_MIDPOINT_CORRECTED, EXP_HOLDER_P, 96.0, _holder_root),
+        TheoremSpec("ME6", 3, LHS_MIDPOINT_CORRECTED, EXP_POWER_Q, 192.0),
     )
 }
 
@@ -183,9 +183,10 @@ def rhs_bound(tag: str, f: SmoothFunction, interval: Interval,
 
 def rule_scale(spec: TheoremSpec, width: float, exponent: Optional[float],
                divisor: float) -> float:
-    """(w^k / divisor) * c(p) of the rule: its right side per unit of Mn.
-    rhs_bound divides by the table's D, the printed applications by theirs."""
-    scale = width ** spec.width_power / divisor
+    """(w^n / divisor) * c(p) of the rule, n its derivative order: its right
+    side per unit of Mn.  rhs_bound divides by the table's D, the printed
+    applications by theirs."""
+    scale = width ** spec.derivative_order / divisor
     if spec.factor is not None:
         scale *= spec.factor(exponent)
     return scale

@@ -17,12 +17,16 @@ f''''(x) = x^alpha and clearing denominators rewrites the rule as a mean
 inequality (tags A3_1..A3_6).  Two variants are evaluated per tag:
 
   * "derived": the source bound rule multiplied through by |D|*P, D the
-    divisor of its defect's derivative term in bounds.DEFECTS (12 on the
-    trapezoid side, 24 on the midpoint side), P = (alpha+1)...(alpha+4).
+    signed divisor of its defect's derivative term in bounds.DEFECTS (-12
+    on the trapezoid side, +24 on the midpoint side), P = (alpha+1)...(alpha+4).
     The right side is that factor times rhs_bound of the source rule on
-    the family member; the left side is the cleared defect in mean form;
+    the family member; the left side is the cleared defect in mean form,
+    read off the same DEFECTS entry (where it samples f, |D| and the sign
+    of D), with the middle coefficient (alpha+3)(alpha+4);
   * "paper":   the coefficients exactly as printed in the source
-    inequalities, transcribed verbatim, typos included.
+    inequalities, transcribed verbatim, typos included: every tag's left
+    side is the cleared corrected trapezoid with the middle coefficient
+    (alpha+3)(alpha+4)(alpha+4).
 
 A refuted printed coefficient is surfaced in the verdict note rather than
 silently corrected.  A side that overflows a double is never compared:
@@ -34,9 +38,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .bounds import (DEFAULT_MARGIN_TOL, DEFECTS, LHS_MIDPOINT_CORRECTED,
-                     LHS_TRAPEZOID_CORRECTED, THEOREMS, endpoint_derivative_max, rule_scale,
-                     validate_exponent, within_margin)
+from .bounds import (DEFAULT_MARGIN_TOL, DEFECTS, LHS_TRAPEZOID_CORRECTED, THEOREMS,
+                     endpoint_derivative_max, rule_scale, validate_exponent, within_margin)
 from .corpus import make_power_family
 from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status
 # integrate is not called here; perfbench's tracer patches it under this name.
@@ -65,22 +68,16 @@ def _lp(a: float, b: float, p: float) -> float:
     return (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
 
 
-def _trapezoid_side_lhs(a: float, b: float, alpha: float, middle_coeff: float) -> float:
-    """|12*A(a^(alpha+4), b^(alpha+4)) - 12*L_(alpha+4) - (b-a)^2 * middle_coeff * L_(alpha+2)|."""
-    return abs(
-        12.0 * arithmetic_mean(a ** (alpha + 4.0), b ** (alpha + 4.0))
-        - 12.0 * _lp(a, b, alpha + 4.0)
-        - (b - a) ** 2 * middle_coeff * _lp(a, b, alpha + 2.0)
-    )
-
-
-def _midpoint_side_lhs_derived(a: float, b: float, alpha: float) -> float:
-    """|24*A(a,b)^(alpha+4) - 24*L_(alpha+4) + (b-a)^2*(alpha+3)(alpha+4)*L_(alpha+2)|."""
-    return abs(
-        24.0 * arithmetic_mean(a, b) ** (alpha + 4.0)
-        - 24.0 * _lp(a, b, alpha + 4.0)
-        + (b - a) ** 2 * (alpha + 3.0) * (alpha + 4.0) * _lp(a, b, alpha + 2.0)
-    )
+def _cleared_lhs(kind: str, middle: float, a: float, b: float, alpha: float) -> float:
+    """|D|*S - |D|*L_(alpha+4) + sign(D)*(b-a)^2*middle*L_(alpha+2): the defect
+    ``kind`` of bounds.DEFECTS on the member, cleared by its |D| and P, with
+    S = A(a,b)^(alpha+4) if it samples the midpoint, else A(a^(alpha+4), b^(alpha+4))."""
+    midpoint, divisor, _ = DEFECTS[kind]
+    cleared = abs(divisor)
+    s = (arithmetic_mean(a, b) ** (alpha + 4.0) if midpoint
+         else arithmetic_mean(a ** (alpha + 4.0), b ** (alpha + 4.0)))
+    return abs(cleared * s - cleared * _lp(a, b, alpha + 4.0)
+               + divisor / cleared * ((b - a) ** 2 * middle * _lp(a, b, alpha + 2.0)))
 
 
 def _or_none(side, *args) -> Optional[float]:
@@ -89,19 +86,6 @@ def _or_none(side, *args) -> Optional[float]:
         return side(*args)
     except OverflowError:
         return None
-
-
-# The left sides by key: the derived one of each source defect, and the
-# printed one, which every tag shares.  The printed middle term carries
-# (alpha+3)(alpha+4)(alpha+4), and the midpoint-side tags keep the leading
-# 12 and the minus sign: transcribed verbatim, typos included.
-_LHS = {
-    LHS_TRAPEZOID_CORRECTED: lambda a, b, alpha: _trapezoid_side_lhs(
-        a, b, alpha, (alpha + 3.0) * (alpha + 4.0)),
-    LHS_MIDPOINT_CORRECTED: _midpoint_side_lhs_derived,
-    "paper": lambda a, b, alpha: _trapezoid_side_lhs(
-        a, b, alpha, (alpha + 3.0) * (alpha + 4.0) * (alpha + 4.0)),
-}
 
 
 def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
@@ -137,13 +121,15 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     check_tolerance("margin_tol", margin_tol)
     # One member per alpha: the right sides read its derivatives at the ends, never its domain.
     members = [make_power_family(alpha) for alpha in alphas]
-    # Per instance: its fields, its source rule, its left side's key and its Mn's order.
+    # Per instance: its fields, its source rule, its left side's key (the
+    # defect it clears, and whether printed) and its Mn's order.
     plan = []
     for theorem, variant, exponent in instances:
         source = THEOREMS[APPLICATION_SOURCE[theorem]]
         exponent = validate_exponent(source.tag, exponent)
         paper = variant == "paper"
-        plan.append((theorem, variant, exponent, source, "paper" if paper else source.lhs_kind,
+        plan.append((theorem, variant, exponent, source,
+                     (LHS_TRAPEZOID_CORRECTED if paper else source.lhs_kind, paper),
                      4 if paper else source.derivative_order))
     lhs_keys = {key for _, _, _, _, key, _ in plan}
     orders = {order for *_, order in plan}
@@ -151,29 +137,34 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     for (a, b), interval in zip(intervals, grid):
         # Each instance's rule scale, with its printed divisor or its rule's D.
         scales = [_or_none(rule_scale, source, b - a, exponent,
-                           _PRINTED_DIVISOR[theorem] if key == "paper" else source.divisor)
-                  for theorem, _, exponent, source, key, _ in plan]
+                           _PRINTED_DIVISOR[theorem] if paper else source.divisor)
+                  for theorem, _, exponent, source, (_, paper), _ in plan]
         for alpha, member in zip(alphas, members):
             pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
-            lhs_of = {key: _or_none(_LHS[key], a, b, alpha) for key in lhs_keys}
+            middle = (alpha + 3.0) * (alpha + 4.0)
+            lhs_of = {(kind, paper): _or_none(_cleared_lhs, kind,
+                                              middle * (alpha + 4.0) if paper else middle,
+                                              a, b, alpha)
+                      for kind, paper in lhs_keys}
             endpoint_max = {n: _or_none(endpoint_derivative_max, member, interval, n)
                             for n in orders}
             for (theorem, variant, exponent, source, key, order), scale in zip(plan, scales):
+                kind, paper = key
                 lhs = lhs_of[key]
                 m = endpoint_max[order]
                 if lhs is None or scale is None or m is None:  # a side overflowed
                     lhs = rhs = math.nan
-                elif key == "paper":
+                elif paper:
                     rhs = scale * pprod * m
                 else:
-                    rhs = abs(DEFECTS[key][1]) * pprod * (scale * m)
+                    rhs = abs(DEFECTS[kind][1]) * pprod * (scale * m)
                 finite = math.isfinite(lhs) and math.isfinite(rhs)
                 passed = finite and within_margin(lhs, rhs, margin_tol)
                 note = ""
                 if not finite:
                     note = OVERFLOW_NOTE
                 elif not passed:
-                    note = REFUTED_NOTE if key == "paper" else "derived inequality violated"
+                    note = REFUTED_NOTE if paper else "derived inequality violated"
                 yield {"kind": "application", "theorem": theorem, "variant": variant,
                        "a": a, "b": b, "alpha": alpha, "exponent": exponent,
                        "lhs": lhs, "rhs": rhs, "pass": passed,

@@ -232,19 +232,23 @@ def _write_file(path: Path, write: Callable[[TextIO], Any]) -> None:
 
 def check_destination(format: str, path: str | Path | None) -> None:
     """Raise ValueError if a report cannot be emitted in format to path, or
-    _write_file's OSError if the path's directory is missing or a json or
-    markdown path is a directory; the CLI calls it before a run, so a bad
-    destination costs no work."""
+    _write_file's OSError if the path's directory is missing, a json or
+    markdown path is a directory, or the filesystem refuses to look the
+    path up; the CLI calls it before a run, so a bad destination costs no
+    work."""
     if format not in FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
     if format == "csv" and path is None:
         raise ValueError("csv output requires an output path")
     if path is not None:
         path = Path(path)
-        if not path.parent.is_dir():
-            raise OSError(f"cannot write report to {path}: no directory {path.parent}")
-        if format != "csv" and path.is_dir():
-            raise OSError(f"cannot write report to {path}: it is a directory")
+        try:  # before 3.14 a probe raises on a name the filesystem refuses
+            if not path.parent.is_dir():
+                raise OSError(f"no directory {path.parent}")
+            if format != "csv" and path.is_dir():
+                raise OSError("it is a directory")
+        except OSError as err:
+            raise OSError(f"cannot write report to {path}: {err}") from None
 
 
 def emit(report: dict, format: str, path: str | Path | None) -> str | None:

@@ -116,9 +116,9 @@ def best_exponent(tag: str, f: SmoothFunction, interval: Interval,
     """The search record minimizing the Holder-parameterized right-hand
     side of the tag over p.
 
-    The right side is (w^k / D) c(p) Mn with c(p) nondecreasing in p, so
-    p_range[0] is an exact argmin (also when Mn = 0): one closed-form
-    evaluation, no quadrature.
+    The right side is (w^n / D) c(p) Mn, n the derivative order, with c(p)
+    nondecreasing in p, so p_range[0] is an exact argmin (also when
+    Mn = 0): one closed-form evaluation, no quadrature.
     """
     if tag not in EXPONENT_SEARCH_TAGS:
         raise ParameterError(

@@ -283,6 +283,16 @@ def test_an_overflowing_side_gives_a_record_without_sides(corpus, unit):
                       "note": OVERFLOW_NOTE}
 
 
+def test_a_width_whose_power_overflows_gives_a_record_without_sides(corpus):
+    # The integral of exp over [-1e100, 0] converges, but w**4 = 1e400
+    # raises OverflowError in the right side.
+    record = check_bound("ME1", corpus["exp"], Interval(-1e100, 0.0))
+    assert record == {"kind": "bound", "theorem": "ME1", "function": "exp",
+                      "interval": [-1e100, 0.0], "exponent": None, **_NO_SIDES,
+                      "note": OVERFLOW_NOTE}
+    assert record["status"] == "non_converged"
+
+
 def _nan_at(end):
     """x^4 whose derivatives read NaN at ``end`` only."""
     f = poly_smooth("x^4", [0, 0, 0, 0, 1])

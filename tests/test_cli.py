@@ -202,9 +202,16 @@ def test_csv_without_out_is_refused_before_the_run(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: csv output requires an output path\n"
 
 
+# A file name longer than any filesystem's 255-byte limit: before 3.14,
+# probing it raises OSError instead of answering.
+TOO_LONG = "x" * 300
+
+
 @pytest.mark.parametrize("fmt, out", [("json", "missing/r.json"), ("csv", "missing/r.csv"),
                                       ("markdown", "missing/r.md"), ("json", "."),
-                                      ("markdown", ".")])
+                                      ("markdown", "."),
+                                      pytest.param("json", TOO_LONG + ".json", id="json-too-long"),
+                                      pytest.param("markdown", TOO_LONG + ".md", id="md-too-long")])
 def test_an_unwritable_out_is_refused_before_the_run(monkeypatch, capsys, tmp_path, fmt, out):
     def never(config):
         raise AssertionError("the run started")
@@ -260,6 +267,24 @@ def test_wrongly_typed_config_is_one_line_usage_error(tmp_path, capsys, data, fi
     assert "Traceback" not in err
     assert err.startswith(f"error: {field}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, command, line", [
+    ("{", "scan", "error: config: invalid JSON in {path}: "),
+    ("[]", "scan", "error: config: top level must be an object, got list\n"),
+    ('{"corpus": []}', "scan", "error: corpus: must not be empty when given\n"),
+    ("{", "report", "error: report: invalid JSON in {path}: "),
+])
+def test_a_malformed_config_or_report_is_one_error_line(tmp_path, capsys, text, command, line):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    argv = (["scan", "--config", str(path), "--out", str(tmp_path / "r.json")]
+            if command == "scan" else ["report", str(path)])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(line.format(path=path))
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_report_without_summary_is_one_line_usage_error(tmp_path, capsys):

@@ -142,11 +142,11 @@ def test_kernel_constants_are_the_tabled_ones():
     assert _l2_constant() == sp.Rational(1, 192)
     for tag in ("ME1", "ME3"):
         spec = THEOREMS[tag]
-        assert (spec.width_power, spec.factor) == (4, None)
+        assert (spec.derivative_order, spec.factor) == (4, None)
         assert sp.Rational(1) / sp.nsimplify(spec.divisor) == _l1_constant()
     for tag in ("ME4", "ME6"):
         spec = THEOREMS[tag]
-        assert (spec.width_power, spec.factor) == (3, None)
+        assert (spec.derivative_order, spec.factor) == (3, None)
         assert sp.Rational(1) / sp.nsimplify(spec.divisor) == _l2_constant()
 
 
@@ -155,7 +155,7 @@ def test_holder_constant_of_me2_is_the_beta_root(p):
     spec = THEOREMS["ME2"]
     kernel_power = sp.integrate(L1_KERNEL ** p, (t, 0, 1))
     assert kernel_power == sp.beta(2 * p + 1, 2 * p + 1).rewrite(sp.gamma)
-    assert spec.width_power == 4 and spec.divisor == 24.0
+    assert spec.derivative_order == 4 and spec.divisor == 24.0
     exact = kernel_power ** (1 / p)
     assert spec.factor(float(p)) == pytest.approx(float(sp.N(exact, 30)), rel=1e-13)
 
@@ -176,8 +176,7 @@ def _kernel_norm(tag):
 @pytest.mark.parametrize("tag", sorted(PLAIN_RULE))
 def test_each_holder_rule_tends_to_its_plain_rule_as_p_decreases_to_one(tag):
     spec, plain = THEOREMS[tag], THEOREMS[PLAIN_RULE[tag]]
-    assert (spec.derivative_order, spec.lhs_kind, spec.width_power) == (
-        plain.derivative_order, plain.lhs_kind, plain.width_power)
+    assert (spec.derivative_order, spec.lhs_kind) == (plain.derivative_order, plain.lhs_kind)
     norm = _kernel_norm(tag)
     limit = sp.limit(norm / sp.nsimplify(spec.divisor), P, 1, dir="+")
     assert limit == 1 / sp.nsimplify(plain.divisor)
@@ -238,7 +237,6 @@ def test_theorem_1_rules_are_norms_of_their_peano_kernels(tag):
     # L^p norm: T1_3's kernel |1-2t|/2 has L^p norm (1/(p+1))^(1/p) / 2.
     spec = THEOREMS[tag]
     kernel = PEANO[spec.lhs_kind, spec.derivative_order]
-    assert spec.width_power == spec.derivative_order
     constant = 1 / sp.nsimplify(spec.divisor)
     if spec.exponent_kind != "p":
         assert spec.factor is None
@@ -276,6 +274,5 @@ def test_me5_dominates_the_holder_bound_of_its_own_kernel(p, ratio, digits):
     tabled = spec.factor(float(p)) / spec.divisor
     assert round(tabled / kernel_bound, digits) == ratio
     assert tabled > kernel_bound
-    assert (spec.lhs_kind, spec.derivative_order, spec.width_power) == (
-        "midpoint_corrected", 3, 3)
+    assert (spec.lhs_kind, spec.derivative_order) == ("midpoint_corrected", 3)
     assert spec.factor(1.0) / spec.divisor == float(_l2_constant())

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhverify.corpus import admissible_intervals, builtin_corpus
-from hhverify.errors import ParameterError
+from hhverify.errors import OVERFLOW_NOTE, ParameterError
 from hhverify.identities import IDENTITY_IDS, check_identity
 from hhverify.numerics import Interval, QuadratureResult, integrate
 from hhverify.runner import DEFAULT_INTERVALS
@@ -110,6 +112,15 @@ def test_non_convergence_yields_non_verdict(corpus, unit):
     assert r["status"] == "non_converged"
     # f's integral settles exactly; the kernel's runs out.
     assert r["note"] == "quadrature budget exhausted (error estimate 6.939e-18 after 45 evaluations)"
+
+
+def test_an_overflowing_left_side_is_non_converged(corpus):
+    # The one panel's nodes stay inside, but exp(709.8) at the end raises
+    # OverflowError in the trapezoid term; the kernel side stays finite.
+    r = check_identity("L1", corpus["exp"], Interval(700.0, 709.8), quad_budget=15)
+    assert math.isnan(r["lhs"]) and math.isfinite(r["rhs"])
+    assert (r["converged"], r["residual"], r["status"], r["note"]) == (
+        False, None, "non_converged", OVERFLOW_NOTE)
 
 
 def test_the_residual_tolerance_decides_pass_or_fail(corpus):

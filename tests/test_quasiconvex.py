@@ -142,6 +142,19 @@ def test_an_infinite_end_is_non_finite_and_thresholds_the_finite_values():
     assert cert.tol == 1e-12 * 20.0
 
 
+def test_a_witness_not_finite_at_its_mixed_point_is_non_finite_there():
+    # g is finite at the ends and peaks at the turning point 0.1, so the
+    # witness is (0, 1) with lam = 0.9; its mixed point rounds off 0.1,
+    # and there g is NaN.
+    values = {0.0: 0.0, 0.1: 1.0, 1.0: 0.0}
+    cert = check_quasi_convex(lambda x: values.get(x, math.nan), Interval(0.0, 1.0), (0.1,))
+    lam = (1.0 - 0.1) / (1.0 - 0.0)
+    t = lam * 0.0 + (1.0 - lam) * 1.0
+    assert t != 0.1
+    assert (cert.verdict, cert.bad_abscissa, cert.grid_size) == ("non_finite", t, 3)
+    assert math.isnan(cert.max_violation)
+
+
 def test_an_overflowing_g_is_non_finite_at_its_abscissa():
     # exp overflows a double above 709.78: exp(720) raises OverflowError.
     exp = corpus_by_name(builtin_corpus())["exp"]
