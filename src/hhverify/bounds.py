@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .corpus import SmoothFunction
-from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status
+from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status, value_at
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, check_budget, integrate, nonconvergence_note)
 from .quasiconvex import DEFAULT_QC_TOL, QuasiConvexityCertificate, check_quasi_convex
@@ -230,17 +230,15 @@ def _sides(tag: str, f: SmoothFunction, interval: Interval, exponent: Optional[f
            integral: QuadratureResult | None = None) -> dict:
     """lhs, rhs, margin and ratio of a rule instance whose arguments the
     caller checked; or the fields of a record without sides, with a note why."""
-    try:
-        if integral is None:
-            integral = integrate(f.func, interval, quad_tol, quad_budget)
-        if not integral.converged:
-            return {**_NO_SIDES,
-                    "note": f"integral of {f.name} over [{interval.a}, {interval.b}]: "
-                            f"{nonconvergence_note(integral, quad_budget)}"}
-        lhs = abs(defect(THEOREMS[tag].lhs_kind, f, interval, integral.value / interval.width))
-        rhs = rhs_bound(tag, f, interval, exponent)
-    except OverflowError:
-        lhs = rhs = math.nan
+    if integral is None:
+        integral = integrate(f.func, interval, quad_tol, quad_budget)
+    if not integral.converged:
+        return {**_NO_SIDES,
+                "note": f"integral of {f.name} over [{interval.a}, {interval.b}]: "
+                        f"{nonconvergence_note(integral, quad_budget)}"}
+    lhs = abs(value_at(defect, THEOREMS[tag].lhs_kind, f, interval,
+                       integral.value / interval.width))
+    rhs = value_at(rhs_bound, tag, f, interval, exponent)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         return {**_NO_SIDES, "note": OVERFLOW_NOTE}
     # Both sides below the degeneracy cut-off read 0 (a rule applied to a

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the status vocabulary of
-a report record: the checks build their records from it, a run's summary
-counts them and the exit code reads that summary."""
+"""Exception types shared across the package; the status vocabulary of a
+report record: the checks build their records from it, a run's summary
+counts them and the exit code reads that summary; and value_at, the one
+place where a double's overflow becomes a value (NaN, which no check admits)."""
 
 import math
 from collections import Counter
@@ -46,14 +47,19 @@ def exit_code(summary: dict) -> int:
     return 0
 
 
-def failure_note(err: Exception) -> str:
-    """The note of a record whose check raised: overflow, or the error itself."""
-    return OVERFLOW_NOTE if isinstance(err, OverflowError) else str(err)
+def value_at(f, *args) -> float:
+    """f(*args) as a float, NaN where a double overflows on the way."""
+    try:
+        return float(f(*args))
+    except OverflowError:
+        return math.nan
 
 
 def check_tolerance(name: str, value: float, positive: bool = False) -> None:
     """Raise DomainError naming ``name`` unless value is finite and >= 0
-    (> 0 if ``positive``): a NaN or infinite tolerance decides nothing."""
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+    (> 0 if ``positive``): a NaN, infinite or beyond-double tolerance decides
+    nothing.  math.fabs, unlike float, takes no string: a text value stays a TypeError."""
+    if not (math.isfinite(value_at(math.fabs, value))
+            and (value > 0.0 if positive else value >= 0.0)):
         rule = "positive" if positive else "non-negative"
         raise DomainError(f"{name} must be a finite {rule} tolerance, got {value}")

@@ -17,7 +17,7 @@ import math
 
 from .bounds import DEFECTS, LHS_MIDPOINT_CORRECTED, LHS_TRAPEZOID_CORRECTED, defect
 from .corpus import SmoothFunction
-from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status
+from .errors import OVERFLOW_NOTE, ParameterError, check_tolerance, status, value_at
 from .numerics import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval,
                        QuadratureResult, check_budget, integrate, nonconvergence_note)
 
@@ -61,14 +61,8 @@ def check_identity(identity_id: str, f: SmoothFunction, interval: Interval,
     if integral is None:
         integral = integrate(f.func, interval, quad_tol, quad_budget)
     kernel_integral = integrate(kernel, span, quad_tol, quad_budget)
-    try:
-        lhs = sign * defect(kind, f, interval, integral.value / interval.width)
-    except OverflowError:
-        lhs = math.nan
-    try:
-        scale = interval.width ** order / 24.0
-    except OverflowError:
-        scale = math.nan
+    lhs = sign * value_at(defect, kind, f, interval, integral.value / interval.width)
+    scale = value_at(pow, interval.width, order) / 24.0
     rhs = scale * kernel_integral.value
     stalled = next((q for q in (integral, kernel_integral) if not q.converged), None)
     converged = stalled is None

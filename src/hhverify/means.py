@@ -41,7 +41,7 @@ from typing import Iterator, Optional, Sequence
 from .bounds import (DEFAULT_MARGIN_TOL, DEFECTS, LHS_TRAPEZOID_CORRECTED, THEOREMS,
                      endpoint_derivative_max, rule_scale, validate_exponent, within_margin)
 from .corpus import make_power_family
-from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status
+from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status, value_at
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import Interval, integrate
 
@@ -78,14 +78,6 @@ def _cleared_lhs(kind: str, middle: float, a: float, b: float, alpha: float) -> 
          else arithmetic_mean(a ** (alpha + 4.0), b ** (alpha + 4.0)))
     return abs(cleared * s - cleared * _lp(a, b, alpha + 4.0)
                + divisor / cleared * ((b - a) ** 2 * middle * _lp(a, b, alpha + 2.0)))
-
-
-def _or_none(side, *args) -> Optional[float]:
-    """side(*args), or None when a double overflows on the way."""
-    try:
-        return side(*args)
-    except OverflowError:
-        return None
 
 
 def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
@@ -136,23 +128,23 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
 
     for (a, b), interval in zip(intervals, grid):
         # Each instance's rule scale, with its printed divisor or its rule's D.
-        scales = [_or_none(rule_scale, source, b - a, exponent,
+        scales = [value_at(rule_scale, source, b - a, exponent,
                            _PRINTED_DIVISOR[theorem] if paper else source.divisor)
                   for theorem, _, exponent, source, (_, paper), _ in plan]
         for alpha, member in zip(alphas, members):
             pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
             middle = (alpha + 3.0) * (alpha + 4.0)
-            lhs_of = {(kind, paper): _or_none(_cleared_lhs, kind,
+            lhs_of = {(kind, paper): value_at(_cleared_lhs, kind,
                                               middle * (alpha + 4.0) if paper else middle,
                                               a, b, alpha)
                       for kind, paper in lhs_keys}
-            endpoint_max = {n: _or_none(endpoint_derivative_max, member, interval, n)
+            endpoint_max = {n: value_at(endpoint_derivative_max, member, interval, n)
                             for n in orders}
             for (theorem, variant, exponent, source, key, order), scale in zip(plan, scales):
                 kind, paper = key
                 lhs = lhs_of[key]
                 m = endpoint_max[order]
-                if lhs is None or scale is None or m is None:  # a side overflowed
+                if math.isnan(lhs) or math.isnan(scale) or math.isnan(m):  # a side overflowed
                     lhs = rhs = math.nan
                 elif paper:
                     rhs = scale * pprod * m

@@ -14,7 +14,7 @@ from functools import reduce
 from operator import add, mul
 from typing import Callable
 
-from .errors import DomainError, check_tolerance
+from .errors import DomainError, check_tolerance, value_at
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_QUAD_BUDGET = 1_000_000
@@ -23,13 +23,14 @@ DEFAULT_QUAD_BUDGET = 1_000_000
 @dataclass(frozen=True)
 class Interval:
     """A closed segment [a, b] with finite endpoints, a < b strictly and a
-    finite width b - a."""
+    finite width b - a; an end beyond double range is not finite."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        if not (math.isfinite(value_at(math.fabs, self.a))
+                and math.isfinite(value_at(math.fabs, self.b))):
             raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not (self.a < self.b and math.isfinite(float(self.b) - float(self.a))):
             raise DomainError(f"interval requires a < b strictly and a finite width b - a, "
@@ -98,14 +99,6 @@ _KWEIGHTS = _WGK + _WGK[6::-1]
 _GWEIGHTS = _WG + _WG[2::-1]
 
 _EVALS_PER_PANEL = 15
-
-
-def value_at(f: Callable, x: float) -> float:
-    """f(x) as a float, infinite where f overflows a double."""
-    try:
-        return float(f(x))
-    except OverflowError:
-        return math.inf
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import check_tolerance
-from .numerics import Interval, value_at
+from .errors import check_tolerance, value_at
+from .numerics import Interval
 
 DEFAULT_QC_TOL = 1e-12
 

@@ -230,44 +230,47 @@ def _write_file(path: Path, write: Callable[[TextIO], Any]) -> None:
         raise OSError(f"cannot write report to {path}: {err}") from err
 
 
-def check_destination(format: str, path: str | Path | None) -> None:
-    """Raise ValueError if a report cannot be emitted in format to path, or
-    _write_file's OSError if the path's directory is missing, a json or
-    markdown path is a directory, or the filesystem refuses to look the
-    path up; the CLI calls it before a run, so a bad destination costs no
-    work."""
+def check_destination(format: str, path: str | Path | None) -> list[Path]:
+    """The files a report in format writes at path: the path, or for csv
+    <stem>_<kind>.csv next to it per SECTIONS entry; none without a path.
+    Raises ValueError if a report cannot be emitted in format to path, or
+    _write_file's OSError if the path's directory is missing, a file is a
+    directory, or the filesystem refuses to look one up; the CLI calls it
+    before a run, so a bad destination costs no work."""
     if format not in FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
     if format == "csv" and path is None:
         raise ValueError("csv output requires an output path")
-    if path is not None:
-        path = Path(path)
-        try:  # before 3.14 a probe raises on a name the filesystem refuses
-            if not path.parent.is_dir():
-                raise OSError(f"no directory {path.parent}")
-            if format != "csv" and path.is_dir():
-                raise OSError("it is a directory")
-        except OSError as err:
-            raise OSError(f"cannot write report to {path}: {err}") from None
+    if path is None:
+        return []
+    base = Path(path)
+    files = ([base] if format != "csv"
+             else [base.with_name(f"{base.stem}_{kind}.csv") for _, _, kind in SECTIONS])
+    try:  # before 3.14 a probe raises on a name the filesystem refuses
+        if not base.parent.is_dir():
+            raise OSError(f"no directory {base.parent}")
+        for file in files:
+            if file.is_dir():
+                raise OSError(f"{file} is a directory")
+    except OSError as err:
+        raise OSError(f"cannot write report to {path}: {err}") from None
+    return files
 
 
 def emit(report: dict, format: str, path: str | Path | None) -> str | None:
-    """Write the report in the requested format.
+    """Write the report in the requested format to the files check_destination lists.
 
     JSON and markdown return the rendered text when path is None (the CLI
     prints it); CSV always needs a path because it writes one file per
-    record kind, named <stem>_<kind>.csv next to the given path, each
-    streamed to its file a chunk of rows at a time.
+    record kind, each streamed to its file a chunk of rows at a time.
     """
-    check_destination(format, path)
-    if format != "csv":
-        text = render_json(report) if format == "json" else render_markdown(report)
-        if path is None:
-            return text
-        _write_file(Path(path), lambda out: out.write(text))
+    files = check_destination(format, path)
+    if format == "csv":
+        for file, (key, _, kind) in zip(files, SECTIONS):
+            _write_file(file, lambda out: _write_csv(out, report.get(key, []), kind))
         return None
-    base = Path(path)
-    for key, _, kind in SECTIONS:
-        _write_file(base.with_name(f"{base.stem}_{kind}.csv"),
-                    lambda out: _write_csv(out, report.get(key, []), kind))
+    text = render_json(report) if format == "json" else render_markdown(report)
+    if path is None:
+        return text
+    _write_file(files[0], lambda out: out.write(text))
     return None

@@ -15,7 +15,6 @@ and the CLI, raises ConfigError.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -49,10 +48,10 @@ MAX_QC_GRID = 1001
 
 
 def _is_number(value) -> bool:
-    # A JSON integer beyond double range is no number the checks can compare
-    # or subtract: math.isfinite and float arithmetic raise OverflowError on it.
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
+    # A JSON number, which a report writes back: an int or a float, never a
+    # bool, and no integer beyond double range, which the checks cannot subtract.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
 def _is_seq(value, is_item, length=None) -> bool:
@@ -65,8 +64,7 @@ def _is_seq(value, is_item, length=None) -> bool:
 # check so that a wrongly typed value is named rather than crashing one.
 _TYPE_CHECKS = {
     "str": (lambda v: isinstance(v, str), "a string"),
-    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-            "an integer"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (_is_number, "a number"),
     "tuple[str, ...]": (lambda v: _is_seq(v, lambda x: isinstance(x, str)),
                         "a list of strings"),

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, _sides, rhs_bound,
                      validate_exponent)
 from .corpus import SmoothFunction, make_power_family
-from .errors import DomainError, ParameterError, check_tolerance, failure_note, status
+from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status
 from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, check_budget
 
 EXPONENT_SEARCH_TAGS = tuple(tag for tag, spec in THEOREMS.items()
@@ -93,7 +93,7 @@ def _search_record(search: str, tag: str, function: Optional[str], interval: Int
             raise OverflowError
     except (ArithmeticError, DomainError) as err:
         objective, parameters, iterations, converged = None, (), None, False
-        note = failure_note(err)
+        note = OVERFLOW_NOTE if isinstance(err, OverflowError) else str(err)
     return {
         "kind": "search",
         "search": search,

@@ -383,6 +383,19 @@ def test_a_budget_beyond_double_range_is_a_finite_budget(call):
     assert call(10 ** 400)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Interval(0, 10 ** 400), r"interval endpoints must be finite, got \[0, 1000"),
+    (lambda: check_bound("ME1", _BY_NAME["x^4"], Interval(0.0, 1.0), margin_tol=10 ** 400),
+     "margin_tol must be a finite non-negative tolerance, got 1000"),
+    (lambda: check_bound("ME1", _BY_NAME["x^4"], Interval(0.0, 1.0), quad_tol=10 ** 400),
+     "quad_tol must be a finite positive tolerance, got 1000"),
+], ids=["interval", "margin_tol", "quad_tol"])
+def test_an_end_or_tolerance_beyond_double_range_is_a_domain_error(call, message):
+    # float() of such an int overflows: it is no finite double, unlike a budget.
+    with pytest.raises(DomainError, match=f"^{message}"):
+        call()
+
+
 def test_certify_hypothesis_matches_direct_scan(corpus, unit):
     d4 = corpus["x^5"].deriv(4)
     direct = check_quasi_convex(lambda x: np.abs(d4(x)), unit, ())

@@ -211,18 +211,30 @@ TOO_LONG = "x" * 300
                                       ("markdown", "missing/r.md"), ("json", "."),
                                       ("markdown", "."),
                                       pytest.param("json", TOO_LONG + ".json", id="json-too-long"),
-                                      pytest.param("markdown", TOO_LONG + ".md", id="md-too-long")])
+                                      pytest.param("markdown", TOO_LONG + ".md", id="md-too-long"),
+                                      pytest.param("csv", "r.csv", id="csv-bound-is-a-directory"),
+                                      pytest.param("csv", TOO_LONG + ".csv", id="csv-too-long")])
 def test_an_unwritable_out_is_refused_before_the_run(monkeypatch, capsys, tmp_path, fmt, out):
     def never(config):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli, "run", never)
+    # A CSV report at r.csv writes r_bound.csv among its files: here it is a directory.
+    (tmp_path / "r_bound.csv").mkdir()
     target = str(tmp_path / out)
     assert main(["scan", "--format", fmt, "--out", target]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write report to {target}: ")
     assert err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "r_bound.csv"]
+
+
+def test_an_abort_exits_one(monkeypatch):
+    def abort(config):
+        raise click.exceptions.Abort()
+
+    monkeypatch.setattr(cli, "run", abort)
+    assert main(["scan"]) == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])

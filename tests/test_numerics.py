@@ -24,6 +24,8 @@ def test_interval_rejects_degenerate_and_nonfinite():
     with pytest.raises(DomainError, match=r"^interval requires a < b strictly and a finite "
                                           r"width b - a, got \[-1e\+308, 1e\+308\]$"):
         Interval(-1e308, 1e308)
+    # Ends are stored as given: integer ends stay integers.
+    assert type(Interval(1, 2).b) is int
 
 
 def test_quartic_kernel_integral_is_one_thirtieth():

@@ -131,6 +131,14 @@ def test_emit_unwritable_path_mentions_path(golden_report, tmp_path):
     bad = tmp_path / "missing_dir" / "out.json"
     with pytest.raises(OSError, match="out.json"):
         emit(golden_report, "json", bad)
+    # A file that cannot be opened after the probe: the writer names it too.
+    with pytest.raises(OSError, match=f"^cannot write report to {bad}: "):
+        report_module._write_file(bad, lambda out: None)
+
+
+def test_json_refuses_a_value_it_cannot_serialize():
+    with pytest.raises(TypeError, match="^cannot serialize object to JSON$"):
+        render_json({"value": object()})
 
 
 def test_markdown_contains_summary(golden_report):

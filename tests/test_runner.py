@@ -2,8 +2,10 @@ import gc
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hhverify import bounds, identities, runner
@@ -166,6 +168,24 @@ def test_validation_names_offending_field():
         RunConfig.from_dict({"format": "xml"})
     with pytest.raises(ConfigError, match="unknown configuration key"):
         RunConfig.from_dict({"not_a_key": 1})
+    with pytest.raises(ConfigError, match="^qc_grid: must be at least 3, got 2$"):
+        RunConfig.from_dict({"qc_grid": 2})
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("quad_tol", Fraction(1, 10 ** 10), "a number"),
+    ("quad_budget", np.int64(10 ** 6), "an integer"),
+], ids=["Fraction", "int64"])
+def test_a_config_number_is_a_json_int_or_float(field, value, expected):
+    # Either would pass every range check, then fail to serialize into the report.
+    with pytest.raises(ConfigError, match=f"^{field}: must be {expected}, got "):
+        RunConfig(**{field: value}).validate()
+
+
+def test_a_numpy_float_is_a_float():
+    config = RunConfig(tasks=("identities",), corpus=("x^4",), intervals=((0.0, 1.0),),
+                       quad_tol=np.float64(1e-10))
+    assert '"quad_tol": 1e-10,' in render_json(run(config))
 
 
 def test_default_interval_grid_is_wide_enough():
