@@ -56,9 +56,10 @@ EXP_NONE = "none"
 EXP_HOLDER_P = "p"
 EXP_POWER_Q = "q"
 # What an exponent of each kind must satisfy, and that rule as an error states it.
+# An integer beyond double range is not finite: no factor c(p) can read it.
 EXPONENT_RULES = {
-    EXP_HOLDER_P: (lambda p: 1.0 < p < math.inf, "finite p > 1"),
-    EXP_POWER_Q: (lambda q: 1.0 <= q < math.inf, "finite q >= 1"),
+    EXP_HOLDER_P: (lambda p: 1.0 < p and value_at(float, p) < math.inf, "finite p > 1"),
+    EXP_POWER_Q: (lambda q: 1.0 <= q and value_at(float, q) < math.inf, "finite q >= 1"),
 }
 
 # Defect kinds, the rules' left sides.
@@ -146,19 +147,18 @@ def defect(kind: str, f: SmoothFunction, interval: Interval, avg: float) -> floa
     return value + (interval.width / divisor) * (float(d1(b)) - float(d1(a)))
 
 
-def validate_exponent(tag: str, exponent: Optional[float]) -> Optional[float]:
-    """Enforce the exponent rule of a tag; returns the exponent unchanged."""
+def validate_exponent(tag: str, exponent: Optional[float]) -> None:
+    """Raise ParameterError unless the exponent meets the rule of the tag."""
     kind = theorem_spec(tag).exponent_kind
     if kind == EXP_NONE:
         if exponent is not None:
             raise ParameterError(f"{tag} takes no exponent parameter, got {exponent}")
-        return None
+        return
     admits, rule = EXPONENT_RULES[kind]
     if exponent is None:
         raise ParameterError(f"{tag} requires an exponent: {rule}")
     if not admits(exponent):
         raise ParameterError(f"{tag} requires {rule}, got {exponent}")
-    return float(exponent)
 
 
 def endpoint_derivative_max(f: SmoothFunction, interval: Interval, order: int) -> float:
@@ -176,7 +176,7 @@ def rhs_bound(tag: str, f: SmoothFunction, interval: Interval,
     q-parameterized bounds are exactly q-independent.
     """
     spec = theorem_spec(tag)
-    exponent = validate_exponent(tag, exponent)
+    validate_exponent(tag, exponent)
     return (rule_scale(spec, interval.width, exponent, spec.divisor)
             * endpoint_derivative_max(f, interval, spec.derivative_order))
 
@@ -203,19 +203,17 @@ def hypothesis_function(f: SmoothFunction, order: int) -> Callable:
     return lambda x: abs(d(x))
 
 
-def certify_hypothesis(tag: str, f: SmoothFunction, interval: Interval,
+def certify_hypothesis(order: int, f: SmoothFunction, interval: Interval,
                        qc_tol: float = DEFAULT_QC_TOL) -> QuasiConvexityCertificate:
-    """Certificate for quasi-convexity of |f^(n)|, n the tag's derivative
-    order; it decides every tag of that order at every exponent."""
-    order = theorem_spec(tag).derivative_order
+    """Certificate for quasi-convexity of |f^(n)|, n the derivative order;
+    it decides every tag of that order at every exponent."""
     return check_quasi_convex(hypothesis_function(f, order), interval,
                               f.turning_points(order, interval.a, interval.b), qc_tol)
 
 
 def _certificate_dict(cert: QuasiConvexityCertificate) -> dict:
-    # The witness's fields, in CounterExample's order, are the report's keys
-    # (vars keeps __init__'s order; dataclasses.asdict would deep-copy each float).
-    counterexample = None if cert.counterexample is None else dict(vars(cert.counterexample))
+    # A copy of the witness, so that no two records share one dict.
+    counterexample = None if cert.counterexample is None else dict(cert.counterexample)
     return {
         "verdict": cert.verdict,
         "grid_size": cert.grid_size,
@@ -281,7 +279,7 @@ def check_bound(tag: str, f: SmoothFunction, interval: Interval,
     if record["ratio"] is None:
         return record
     if hypothesis is None:
-        hypothesis = certify_hypothesis(tag, f, interval, qc_tol)
+        hypothesis = certify_hypothesis(THEOREMS[tag].derivative_order, f, interval, qc_tol)
     note = {"non_finite": f"hypothesis: non-finite sample at x={hypothesis.bad_abscissa!r}",
             "unresolved": UNRESOLVED_NOTE}.get(hypothesis.verdict, "")
     passed = bool(within_margin(record["lhs"], record["rhs"], margin_tol)

@@ -118,7 +118,7 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     plan = []
     for theorem, variant, exponent in instances:
         source = THEOREMS[APPLICATION_SOURCE[theorem]]
-        exponent = validate_exponent(source.tag, exponent)
+        validate_exponent(source.tag, exponent)
         paper = variant == "paper"
         plan.append((theorem, variant, exponent, source,
                      (LHS_TRAPEZOID_CORRECTED if paper else source.lhs_kind, paper),

@@ -26,25 +26,12 @@ DEFAULT_QC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CounterExample:
-    """A triple violating the defining inequality, with the values seen."""
-
-    x: float
-    y: float
-    lam: float
-    mixed_value: float
-    value_x: float
-    value_y: float
-    violation: float
-
-
-@dataclass(frozen=True)
 class QuasiConvexityCertificate:
     verdict: str  # "certified" | "refuted" | "non_finite" | "unresolved"
     grid_size: int  # abscissae evaluated: the two ends and the turning points
     tol: float
     max_violation: float
-    counterexample: Optional[CounterExample] = None
+    counterexample: Optional[dict] = None  # the witness, under the report's keys
     bad_abscissa: Optional[float] = None
 
     @property
@@ -77,8 +64,9 @@ def _certificate(g: Callable, xs: list[float], gs: list[float],
             return QuasiConvexityCertificate("non_finite", n, tol, math.nan, bad_abscissa=t)
         violation = mixed - max(gs[i], gs[j])
         if violation > tol:
-            return QuasiConvexityCertificate("refuted", n, tol, viol[s], CounterExample(
-                xs[i], xs[j], lam, mixed, gs[i], gs[j], violation))
+            return QuasiConvexityCertificate("refuted", n, tol, viol[s], {
+                "x": xs[i], "y": xs[j], "lam": lam, "mixed_value": mixed,
+                "value_x": gs[i], "value_y": gs[j], "violation": violation})
         viol[s] = violation
     return QuasiConvexityCertificate("certified", n, tol, max(viol[s], 0.0))
 

@@ -234,9 +234,9 @@ def check_destination(format: str, path: str | Path | None) -> list[Path]:
     """The files a report in format writes at path: the path, or for csv
     <stem>_<kind>.csv next to it per SECTIONS entry; none without a path.
     Raises ValueError if a report cannot be emitted in format to path, or
-    _write_file's OSError if the path's directory is missing, a file is a
-    directory, or the filesystem refuses to look one up; the CLI calls it
-    before a run, so a bad destination costs no work."""
+    _write_file's OSError if the path's directory is missing, a CSV path has
+    no file name, a file is a directory, or the filesystem refuses to look one
+    up; the CLI calls it before a run, so a bad destination costs no work."""
     if format not in FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
     if format == "csv" and path is None:
@@ -244,15 +244,15 @@ def check_destination(format: str, path: str | Path | None) -> list[Path]:
     if path is None:
         return []
     base = Path(path)
-    files = ([base] if format != "csv"
-             else [base.with_name(f"{base.stem}_{kind}.csv") for _, _, kind in SECTIONS])
-    try:  # before 3.14 a probe raises on a name the filesystem refuses
+    try:  # with_name raises on an empty name, and before 3.14 a probe on a name the OS refuses
+        files = [base] if format != "csv" else [
+            base.with_name(f"{base.stem}_{kind}.csv") for _, _, kind in SECTIONS]
         if not base.parent.is_dir():
             raise OSError(f"no directory {base.parent}")
         for file in files:
             if file.is_dir():
                 raise OSError(f"{file} is a directory")
-    except OSError as err:
+    except (OSError, ValueError) as err:
         raise OSError(f"cannot write report to {path}: {err}") from None
     return files
 

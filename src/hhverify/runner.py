@@ -232,8 +232,8 @@ def run(config: RunConfig) -> dict:
     grid = [Interval(a, b) for a, b in config.intervals]
 
     identity_checks, bound_checks = [], []
-    # One tag per derivative order: |f^(n)|'s certificate decides every tag of order n.
-    order_tags = {THEOREMS[tag].derivative_order: tag for tag in config.theorems}
+    # |f^(n)|'s certificate decides every tag of derivative order n.
+    orders = {THEOREMS[tag].derivative_order for tag in config.theorems}
     for f in (corpus if "identities" in config.tasks or "bounds" in config.tasks else []):
         # One call per interval, each check over every interval of f before the
         # next check: interleaving the checks interval by interval made the
@@ -247,9 +247,8 @@ def run(config: RunConfig) -> dict:
                                config.residual_tol)
                 for ident in config.identities for iv, integral in zip(intervals, integrals))
         if "bounds" in config.tasks:
-            certificates = {order: [certify_hypothesis(tag, f, iv, config.qc_tol)
-                                    for iv in intervals]
-                            for order, tag in order_tags.items()}
+            certificates = {order: [certify_hypothesis(order, f, iv, config.qc_tol)
+                                    for iv in intervals] for order in orders}
             bound_checks.extend(
                 check_bound(tag, f, iv, exponent, config.quad_tol, config.quad_budget,
                             config.margin_tol, config.qc_tol, integral, certificate)

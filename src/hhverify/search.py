@@ -24,7 +24,8 @@ from typing import Callable, Optional
 from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, THEOREMS, _sides, rhs_bound,
                      validate_exponent)
 from .corpus import SmoothFunction, make_power_family
-from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status
+from .errors import (OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status,
+                     value_at)
 from .numerics import DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, Interval, check_budget
 
 EXPONENT_SEARCH_TAGS = tuple(tag for tag, spec in THEOREMS.items()
@@ -49,21 +50,16 @@ def _check_range(name: str, lo: float, hi: float) -> None:
         raise ParameterError(f"{name} must satisfy {rule}, got ({lo}, {hi})")
 
 
-def _argmin(values: list[float]) -> int:
-    """Index of the first NaN, else of the first smallest value."""
-    return min(range(len(values)), key=lambda i: (values[i] == values[i], values[i]))
-
-
 def _golden_section(fn: Callable[[float], float], lo: float, hi: float,
                     tol: float) -> tuple[float, int]:
-    """Minimize fn on [lo, hi]; returns (argmin, iterations)."""
+    """Maximize fn on [lo, hi]; returns (argmax, iterations)."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
     iters = 0
     while hi - lo > tol and iters < 200:
         iters += 1
-        if f1 <= f2:
+        if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = fn(x1)
@@ -76,24 +72,16 @@ def _golden_section(fn: Callable[[float], float], lo: float, hi: float,
 
 def _search_record(search: str, tag: str, function: Optional[str], interval: Interval,
                    search_range: tuple[float, float], exponent: Optional[float],
-                   run_search: Callable[[], tuple]) -> dict:
-    """The search record of ``run_search()``, which returns the objective,
-    the parameters, the iterations and a note.  A search that raises or
-    whose objective overflowed is non-converged, with no objective; an
-    ArithmeticError carries the note of a bound record without sides.
-    worst_case_alpha's objective is a tightness ratio, whose infinity is not
-    an overflow but check_bound's refutation signal: that record keeps its
-    result and says so."""
-    converged = True
-    try:
-        objective, parameters, iterations, note = run_search()
-        if search == "worst_case_alpha" and objective == math.inf:
-            note = "; ".join(filter(None, (note, RATIO_INFINITE_NOTE)))
-        elif not math.isfinite(objective):
-            raise OverflowError
-    except (ArithmeticError, DomainError) as err:
-        objective, parameters, iterations, converged = None, (), None, False
-        note = OVERFLOW_NOTE if isinstance(err, OverflowError) else str(err)
+                   objective: Optional[float], parameters: list[float],
+                   iterations: Optional[int], note: str) -> dict:
+    """The record of a search's outcome.  A search without an objective
+    (None, with no parameters and no iterations) is non-converged, ``note``
+    saying why.  An infinite objective is worst_case_alpha's tightness
+    ratio, check_bound's refutation signal rather than an overflow: that
+    record keeps its result and says so."""
+    if objective == math.inf:
+        note = "; ".join(filter(None, (note, RATIO_INFINITE_NOTE)))
+    converged = objective is not None
     return {
         "kind": "search",
         "search": search,
@@ -103,7 +91,7 @@ def _search_record(search: str, tag: str, function: Optional[str], interval: Int
         "range": [search_range[0], search_range[1]],
         "exponent": exponent,
         "objective": objective,
-        "parameters": list(parameters),
+        "parameters": parameters,
         "iterations": iterations,
         "converged": converged,
         "status": status(converged, True, True),
@@ -118,15 +106,17 @@ def best_exponent(tag: str, f: SmoothFunction, interval: Interval,
 
     The right side is (w^n / D) c(p) Mn, n the derivative order, with c(p)
     nondecreasing in p, so p_range[0] is an exact argmin (also when
-    Mn = 0): one closed-form evaluation, no quadrature.
+    Mn = 0): one closed-form evaluation, no quadrature.  A right side that
+    is not a finite double leaves no objective, with OVERFLOW_NOTE.
     """
     if tag not in EXPONENT_SEARCH_TAGS:
         raise ParameterError(
             f"exponent search applies to {', '.join(EXPONENT_SEARCH_TAGS)}, got {tag!r}")
     lo, hi = float(p_range[0]), float(p_range[1])
     _check_range("p_range", lo, hi)
-    return _search_record("best_exponent", tag, f.name, interval, p_range, None,
-                          lambda: (rhs_bound(tag, f, interval, lo), (lo,), 1, ""))
+    rhs = value_at(rhs_bound, tag, f, interval, lo)
+    outcome = (rhs, [lo], 1, "") if math.isfinite(rhs) else (None, [], None, OVERFLOW_NOTE)
+    return _search_record("best_exponent", tag, f.name, interval, p_range, None, *outcome)
 
 
 def worst_case_alpha(tag: str, interval: Interval,
@@ -138,8 +128,10 @@ def worst_case_alpha(tag: str, interval: Interval,
     """The search record maximizing the tightness ratio of the tag over the
     power family's parameter on a strictly positive interval: the ratio
     of check_bound's record, ``margin_tol`` deciding its degenerate cases.
-    A tolerance or budget no quadrature admits raises DomainError naming it
-    before the first evaluation."""
+    A member without sides, or an integrand not finite inside the interval
+    (the quadrature's DomainError), ends the search without an objective,
+    with its note.  A tolerance or budget no quadrature admits raises
+    DomainError naming it before the first evaluation."""
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
     _check_range("alpha_range", lo, hi)
     _check_range("interval", interval.a, interval.b)
@@ -148,31 +140,33 @@ def worst_case_alpha(tag: str, interval: Interval,
     check_tolerance("quad_tol", quad_tol, positive=True)
     check_budget("quad_budget", quad_budget)
 
-    def neg_ratio(alpha: float) -> float:
-        sides = _sides(tag, make_power_family(alpha, domain=interval), interval,
-                       exponent, quad_tol, quad_budget, margin_tol)
+    def ratio(alpha: float) -> float:
+        sides = _sides(tag, make_power_family(alpha), interval, exponent,
+                       quad_tol, quad_budget, margin_tol)
         if sides["ratio"] is None:
-            raise ArithmeticError(sides["note"])
-        return -sides["ratio"]
+            raise DomainError(sides["note"])
+        return sides["ratio"]
 
-    def search() -> tuple:
-        step = (hi - lo) / (_SEED_POINTS - 1)
-        seed = [lo + i * step for i in range(_SEED_POINTS - 1)] + [hi]
-        values = [neg_ratio(a) for a in seed]
-        if all(abs(v) <= _DEGENERATE_OBJECTIVE for v in values):
+    step = (hi - lo) / (_SEED_POINTS - 1)
+    seed = [lo + i * step for i in range(_SEED_POINTS - 1)] + [hi]
+    try:
+        values = [ratio(a) for a in seed]
+        top = max(values)
+        if top <= _DEGENERATE_OBJECTIVE:
             mid = 0.5 * (lo + hi)
-            return (-neg_ratio(mid), (mid,), _SEED_POINTS,
-                    "degenerate objective (identically zero)")
-        k = _argmin(values)
-        best, iters = _golden_section(neg_ratio, seed[max(0, k - 1)],
-                                      seed[min(_SEED_POINTS - 1, k + 1)], _PARAM_TOL)
-        # An edge maximum leaves golden section within _PARAM_TOL of the range
-        # boundary; the boundary itself is a valid and possibly better point,
-        # whose value the seed scan already holds.
-        candidates = [best, lo, hi]
-        candidate_values = [neg_ratio(best), values[0], values[-1]]
-        k = _argmin(candidate_values)
-        return -candidate_values[k], (candidates[k],), _SEED_POINTS + iters + 2, ""
-
+            outcome = (ratio(mid), [mid], _SEED_POINTS,
+                       "degenerate objective (identically zero)")
+        else:
+            k = values.index(top)
+            best, iters = _golden_section(ratio, seed[max(0, k - 1)],
+                                          seed[min(_SEED_POINTS - 1, k + 1)], _PARAM_TOL)
+            # An edge maximum leaves golden section within _PARAM_TOL of the range
+            # boundary; the boundary itself is a valid and possibly better point,
+            # whose value the seed scan already holds.
+            objective, alpha = max([(ratio(best), best), (values[0], lo), (values[-1], hi)],
+                                   key=lambda candidate: candidate[0])
+            outcome = objective, [alpha], _SEED_POINTS + iters + 2, ""
+    except DomainError as err:  # a member without sides, or a non-finite integrand
+        outcome = None, [], None, str(err)
     return _search_record("worst_case_alpha", tag, None, interval, alpha_range, exponent,
-                          search)
+                          *outcome)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from hhverify.errors import DomainError
-from hhverify.quasiconvex import CounterExample, QuasiConvexityCertificate
+from hhverify.quasiconvex import QuasiConvexityCertificate
 
 
 def _value(g, x):
@@ -86,9 +86,9 @@ def _verdict(g, xs, gx, ts, viol, n_grid, tol):
         value_x, value_y = float(gx[i]), float(gx[j])
         violation = mixed - max(value_x, value_y)
         if violation > tol:
-            return QuasiConvexityCertificate("refuted", n_grid, tol, float(viol[s]),
-                                             CounterExample(x, y, lam, mixed, value_x,
-                                                            value_y, violation))
+            return QuasiConvexityCertificate("refuted", n_grid, tol, float(viol[s]), {
+                "x": x, "y": y, "lam": lam, "mixed_value": mixed, "value_x": value_x,
+                "value_y": value_y, "violation": violation})
         viol[s] = violation
         s = int(np.argmax(viol))
     return QuasiConvexityCertificate("certified", n_grid, tol, max(float(viol[s]), 0.0))

@@ -184,8 +184,8 @@ def test_criterion_9_quasiconvexity_certifier(corpus, bounds_report):
     w = cert.counterexample
     refutes = cert.verdict == "refuted" and w is not None
     if refutes:
-        mixed = math.sin(w.lam * w.x + (1.0 - w.lam) * w.y)
-        refutes = mixed > max(w.value_x, w.value_y) + cert.tol
+        mixed = math.sin(w["lam"] * w["x"] + (1.0 - w["lam"]) * w["y"])
+        refutes = mixed > max(w["value_x"], w["value_y"]) + cert.tol
     _criterion(9, "certifies power hypotheses and third-derivative magnitudes; "
                   "refutes sine on [0, pi] with a re-verifiable witness",
                certifies and third_deriv_ok and refutes)

@@ -324,6 +324,15 @@ def test_an_f_that_is_not_finite_inside_the_interval_is_a_domain_error(check):
         check(make_power_family(0.5, domain=iv), iv)
 
 
+@pytest.mark.parametrize("call", [check_bound, rhs_bound])
+def test_an_exponent_beyond_double_range_is_a_parameter_error(corpus, unit, call):
+    # 10**400 lies between 1 and inf, but no factor c(p) reads it as a double.
+    with pytest.raises(ParameterError, match=f"^T1_3 requires finite p > 1, got {10**400}$"):
+        call("T1_3", corpus["x^4"], unit, 10**400)
+    with pytest.raises(TypeError):
+        call("T1_3", corpus["x^4"], unit, "2")
+
+
 def test_the_record_keeps_the_exponent_as_given(corpus, unit):
     record = check_bound("ME2", corpus["x^4"], unit, 3)
     assert type(record["exponent"]) is int
@@ -400,8 +409,8 @@ def test_certify_hypothesis_matches_direct_scan(corpus, unit):
     d4 = corpus["x^5"].deriv(4)
     direct = check_quasi_convex(lambda x: np.abs(d4(x)), unit, ())
     assert direct.certified
-    assert certify_hypothesis("ME1", corpus["x^5"], unit) == direct
-    assert certify_hypothesis("ME2", corpus["x^5"], unit) == direct
+    assert certify_hypothesis(THEOREMS["ME1"].derivative_order, corpus["x^5"], unit) == direct
+    assert certify_hypothesis(THEOREMS["ME2"].derivative_order, corpus["x^5"], unit) == direct
 
 
 # Wide sin intervals holding a peak of |sin| (pi/2) or of |cos| (pi), so
@@ -420,7 +429,7 @@ def test_the_certificate_of_the_derivative_decides_every_power(tag):
     for f in builtin_corpus(sin_domain=Interval(0.0, 6.3)):
         d = f.deriv(order)
         for iv in admissible_intervals(f, grid):
-            verdict = certify_hypothesis(tag, f, iv).verdict
+            verdict = certify_hypothesis(order, f, iv).verdict
             verdicts.add(verdict)
             points = f.turning_points(order, iv.a, iv.b)
             for e in (1.5, 2.0, 3.0):

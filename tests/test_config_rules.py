@@ -43,7 +43,7 @@ OWNERS = {
     "quad_tol": (VALUES, lambda tol: check_bound("ME1", X4, UNIT, quad_tol=tol, quad_budget=15)),
     "residual_tol": (VALUES, lambda tol: check_identity("L1", X4, UNIT, residual_tol=tol)),
     "margin_tol": (VALUES, lambda tol: check_bound("ME1", X4, UNIT, margin_tol=tol)),
-    "qc_tol": (VALUES, lambda tol: certify_hypothesis("ME1", X4, UNIT, tol)),
+    "qc_tol": (VALUES, lambda tol: certify_hypothesis(4, X4, UNIT, tol)),
     "quad_budget": (VALUES, lambda budget: check_budget("quad_budget", budget)),
     "p_grid": ([(v,) for v in VALUES], lambda grid: [validate_exponent("ME2", p) for p in grid]),
     "q_grid": ([(v,) for v in VALUES], lambda grid: [validate_exponent("ME3", q) for q in grid]),

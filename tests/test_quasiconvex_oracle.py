@@ -82,7 +82,7 @@ def test_sampled_violation_without_a_verified_witness_is_not_refuted():
         cert = sample_certificate(_spike(t), Interval(0.0, 1.0), n_grid)
         if reproduced:
             assert cert.verdict == "refuted"
-            assert cert.counterexample.violation == 1.0
+            assert cert.counterexample["violation"] == 1.0
         else:
             assert cert.certified
             assert cert.max_violation == 0.0

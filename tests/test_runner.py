@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hhverify import bounds, identities, runner
-from hhverify.bounds import THEOREMS, certify_hypothesis, check_bound
+from hhverify.bounds import certify_hypothesis, check_bound
 from hhverify.corpus import builtin_corpus, corpus_by_name
 from hhverify.errors import ConfigError, exit_code, summary
 from hhverify.identities import check_identity
@@ -120,7 +120,7 @@ def test_a_default_run_certifies_each_derivative_order_once(monkeypatch):
     count(runner, "integrate")
     count(runner, "check_identity")
     count(runner, "certify_hypothesis",
-          key=lambda tag, f, iv, *_: (THEOREMS[tag].derivative_order, f.name, iv))
+          key=lambda order, f, iv, *_: (order, f.name, iv))
     count(bounds, "check_quasi_convex")
     count(identities, "integrate", key=lambda f, span, *_: span)
     run(RunConfig())
@@ -146,6 +146,15 @@ def test_me2_passes_at_a_holder_exponent_beyond_the_beta_underflow():
     assert [r["exponent"] for r in records] == [2.0, 300.0]
     assert [r["status"] for r in records] == ["pass", "pass"]
     assert records[1]["rhs"] == pytest.approx(0.0618, abs=1e-4)
+
+
+def test_a_run_keeps_each_exponent_as_given():
+    # An integer in p_grid reads the same in bound and application records.
+    report = run(RunConfig(tasks=("bounds", "applications"), corpus=("x^4",),
+                           intervals=((0.5, 1.0),), theorems=("ME2",), applications=("A3_2",),
+                           p_grid=(2,)))
+    assert {type(r["exponent"]) for r in report["bound_checks"]} == \
+        {type(r["exponent"]) for r in report["application_checks"]} == {int}
 
 
 def test_validation_names_offending_field():
@@ -285,8 +294,9 @@ def test_turning_points_below_double_resolution_give_no_verdict(interval):
         assert record["status"] == "non_converged"
         assert record["note"].startswith(f"integral of sin over [{interval[0]!r}, ")
     sin = corpus_by_name(builtin_corpus(sin_domain=Interval(interval[0], 2 * interval[0])))
-    for tag in THEOREMS:
-        assert certify_hypothesis(tag, sin["sin"], Interval(*interval)).verdict == "unresolved", tag
+    for order in (1, 2, 3, 4):
+        assert certify_hypothesis(order, sin["sin"], Interval(*interval)).verdict == "unresolved", \
+            order
 
 
 def test_a_turning_point_rounded_onto_an_end_gives_no_verdict():

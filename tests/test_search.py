@@ -177,6 +177,29 @@ def test_worst_alpha_evaluates_no_point_after_the_search(monkeypatch, tag):
 
 
 @pytest.mark.parametrize("tag", ["ME1", "ME4"])
+def test_worst_alpha_objective_is_the_largest_ratio_it_evaluated(monkeypatch, tag):
+    # Each member's alpha and its ratio, in the order the search made them.
+    alphas, ratios = [], []
+    members, sides = search.make_power_family, search._sides
+
+    def member(alpha, *args, **kwargs):
+        alphas.append(alpha)
+        return members(alpha, *args, **kwargs)
+
+    def counting(*args, **kwargs):
+        result = sides(*args, **kwargs)
+        ratios.append(result["ratio"])
+        return result
+
+    monkeypatch.setattr(search, "make_power_family", member)
+    monkeypatch.setattr(search, "_sides", counting)
+    r = worst_case_alpha(tag, Interval(1.0, 2.0), (0.01, 1.0))
+    assert len(alphas) == len(ratios)
+    assert r["objective"] == max(ratios)
+    assert r["objective"] in (v for a, v in zip(alphas, ratios) if a == r["parameters"][0])
+
+
+@pytest.mark.parametrize("tag", ["ME1", "ME4"])
 def test_worst_alpha_reports_a_degenerate_objective_at_the_midpoint(tag):
     # On [0.001, 0.002] both sides are far below the absolute ratio cut-off,
     # so every seed ratio reads 0 and no bracket is searched.
@@ -204,6 +227,14 @@ def test_a_search_whose_integral_stalls_has_no_objective():
     assert {key: r[key] for key in _NO_RESULT} == _NO_RESULT
     assert re.fullmatch(r"integral of power_family\(\S+\) over \[1\.0, 2\.0\]: "
                         r"quadrature budget exhausted \(.*\)", r["note"])
+
+
+def test_a_search_whose_integrand_is_not_finite_has_no_objective():
+    # On [1, 1e300] the power family overflows a double inside the interval:
+    # the quadrature's DomainError names the abscissa, and the search notes it.
+    r = worst_case_alpha("ME1", Interval(1.0, 1e300), (0.01, 1.0))
+    assert {key: r[key] for key in _NO_RESULT} == _NO_RESULT
+    assert re.fullmatch(r"integrand returned a non-finite value at x=\S+", r["note"])
 
 
 def test_an_infinite_ratio_keeps_the_search_result():
