@@ -157,7 +157,7 @@ def validate_exponent(tag: str, exponent: Optional[float]) -> None:
     admits, rule = EXPONENT_RULES[kind]
     if exponent is None:
         raise ParameterError(f"{tag} requires an exponent: {rule}")
-    if not admits(exponent):
+    if isinstance(exponent, bool) or not admits(exponent):
         raise ParameterError(f"{tag} requires {rule}, got {exponent}")
 
 

@@ -20,6 +20,7 @@ from .numerics import Interval
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0)
 DEFAULT_SIN_DOMAIN = Interval(0.2, 1.3)
+DEFAULT_POWER_DOMAIN = Interval(0.25, 20.0)
 _HALF_PI = math.pi / 2.0
 _FLAT = 2.0 ** -26
 
@@ -67,7 +68,7 @@ def _sin_turning_points(k: int, a: float, b: float) -> tuple[float, ...]:
     return tuple(a + d for d in offsets if _FLAT <= d < b - a - _FLAT)
 
 
-def make_power_family(alpha: float, domain: Interval | None = None) -> SmoothFunction:
+def make_power_family(alpha: float, domain: Interval = DEFAULT_POWER_DOMAIN) -> SmoothFunction:
     """Member of the power family whose fourth derivative is x**alpha.
 
     f(x) = x**(alpha+4) / ((alpha+1)(alpha+2)(alpha+3)(alpha+4)) on a
@@ -76,8 +77,6 @@ def make_power_family(alpha: float, domain: Interval | None = None) -> SmoothFun
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"family parameter must lie in (0, 1], got {alpha}")
-    if domain is None:
-        domain = Interval(0.25, 20.0)
     if domain.a < 0.0:
         raise DomainError(f"power family needs a non-negative domain, got [{domain.a}, {domain.b}]")
 

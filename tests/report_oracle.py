@@ -1,7 +1,7 @@
 """Test-only oracle: the report renderers as they were before each record
 was flattened once, kept verbatim (a row dict per column, DictWriter, one
-json.dumps per string) but for the CSV line terminator, which render_csv
-explains.  tests/test_report.py asserts that the package's
+json.dumps per string) but for the CSV line terminator and NUL, which
+render_csv explains.  tests/test_report.py asserts that the package's
 renderers give the same bytes on any record this oracle accepts.
 """
 
@@ -101,20 +101,23 @@ def _csv_row(record: dict) -> dict[str, str]:
 def render_csv(records: list[dict], kind: str) -> str:
     # Rows end in CRLF so that csv quotes a cell holding CR on every Python
     # (before 3.13 it quotes only the characters of the line terminator);
-    # each row's own terminator is then written as LF.
+    # each row's own terminator is then written as LF.  Python 3.10's csv
+    # cannot write NUL, which quotes nothing: it is written as a lone
+    # surrogate, which no record holds, and put back.
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS[kind], lineterminator="\r\n")
     lines = []
 
     def end_row() -> None:
-        lines.append(buf.getvalue()[:-2] + "\n")
+        lines.append(buf.getvalue()[:-2].replace("\ud800", "\0") + "\n")
         buf.seek(0)
         buf.truncate()
 
     writer.writeheader()
     end_row()
     for record in records:
-        writer.writerow(_csv_row(record))
+        writer.writerow({col: cell.replace("\0", "\ud800")
+                         for col, cell in _csv_row(record).items()})
         end_row()
     return "".join(lines)
 

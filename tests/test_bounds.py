@@ -333,6 +333,14 @@ def test_an_exponent_beyond_double_range_is_a_parameter_error(corpus, unit, call
         call("T1_3", corpus["x^4"], unit, "2")
 
 
+def test_a_bool_is_not_an_exponent(corpus, unit):
+    # True compares as 1, so q = True would pass as q = 1; a config refuses a bool too.
+    with pytest.raises(ParameterError, match="^ME3 requires finite q >= 1, got True$"):
+        check_bound("ME3", corpus["x^4"], unit, True)
+    with pytest.raises(ParameterError, match="^ME3 requires finite q >= 1, got True$"):
+        application_check("A3_3", "derived", 1.0, 2.0, 0.5, True)
+
+
 def test_the_record_keeps_the_exponent_as_given(corpus, unit):
     record = check_bound("ME2", corpus["x^4"], unit, 3)
     assert type(record["exponent"]) is int

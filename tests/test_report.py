@@ -86,6 +86,19 @@ def test_golden_json(golden_report):
     assert render_json(golden_report) == expected
 
 
+def _without_timestamp(text):
+    return "".join(line for line in text.splitlines(True) if '"generated_at"' not in line)
+
+
+def test_records_keep_the_pinned_order_ties_included():
+    # The pinned report's config repeats and disorders its inputs: [1.0, 2.0]
+    # and [1, 2] are equal intervals, and theorems, variants and exponents
+    # recur, so equal sort keys must keep the order the run made them in.
+    text = (GOLDEN_DIR / "golden_order.json").read_text(encoding="utf-8")
+    report = run(RunConfig.from_dict(json.loads(text)["config"]))
+    assert _without_timestamp(render_json(report)) == _without_timestamp(text)
+
+
 @pytest.mark.parametrize("kind,key", [
     ("identity", "identity_checks"), ("bound", "bound_checks"),
     ("application", "application_checks"), ("search", "searches"),
