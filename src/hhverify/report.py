@@ -7,17 +7,21 @@ Non-finite floats have no JSON representation and serialize as null.
 CSV output is one file per record kind, with LF line ends and a cell
 quoted only when it holds a comma, double quote, CR or LF, so its bytes
 too are the same on every Python; markdown renders summary tables.
+Each format is rendered as a sequence of text chunks: a file is streamed
+from them, and the text printed without a file is their join.
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
 import math
+import os
 import re
+import stat
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Sequence
 
 FORMATS = ("json", "csv", "markdown")
 # (report key, markdown title, record kind) per record list.
@@ -83,8 +87,29 @@ def _json(obj: Any, pad: str) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+def _json_chunks(report: Any) -> Iterator[str]:
+    """render_json's text: each element of a list at the top level of the
+    report (each record of a record list) is one chunk."""
+    if not isinstance(report, dict) or not report:
+        yield _json(report, "") + "\n"
+        return
+    pad = _INDENT * 2
+    text = "{\n"
+    for i, (key, value) in enumerate(report.items()):
+        text += (",\n" if i else "") + _INDENT + encode_basestring(str(key)) + ": "
+        if isinstance(value, list) and value:
+            text += "[\n"
+            for element in value:
+                yield text + pad + _json(element, pad)
+                text = ",\n"
+            text = "\n" + _INDENT + "]"
+        else:
+            text += _json(value, _INDENT)
+    yield text + "\n}\n"
+
+
 def render_json(report: dict) -> str:
-    return _json(report, "") + "\n"
+    return "".join(_json_chunks(report))
 
 
 def _cell(value: Any) -> str:
@@ -174,69 +199,97 @@ def _csv_rows(records: list[dict], kind: str, quote: bool) -> Iterator[Iterator[
         yield zip(*_csv_columns(records[start:start + _CHUNK], kind, tables, quote))
 
 
-def _write_csv(out: TextIO, records: list[dict], kind: str) -> None:
-    """The header and one line per record, LF-terminated; a cell holding a
-    comma, double quote, CR or LF is quoted, with its quotes doubled."""
-    out.write(",".join(CSV_COLUMNS[kind]) + "\n")
+def _csv_chunks(records: list[dict], kind: str) -> Iterator[str]:
+    """The header, then the lines of each chunk of records, LF-terminated; a
+    cell holding a comma, double quote, CR or LF is quoted, with its quotes
+    doubled."""
+    yield ",".join(CSV_COLUMNS[kind]) + "\n"
     for rows in _csv_rows(records, kind, quote=True):
-        out.write("\n".join(map(",".join, rows)) + "\n")
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def render_csv(records: list[dict], kind: str) -> str:
-    buf = io.StringIO()
-    _write_csv(buf, records, kind)
-    return buf.getvalue()
+    return "".join(_csv_chunks(records, kind))
 
 
-def _md_table(headers: list[str], rows: Iterable[Sequence[str]]) -> list[str]:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
+def _md_table(headers: list[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    yield "| " + " | ".join(headers) + " |\n"
+    yield "| " + " | ".join("---" for _ in headers) + " |\n"
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+        yield "| " + " | ".join(row) + " |\n"
 
 
-def render_markdown(report: dict) -> str:
+def _markdown_lines(report: dict) -> Iterator[str]:
     summary = report["summary"]
-    lines = [
-        "# hhverify run report",
-        "",
-        f"- tool: {report['tool']} {report['version']}",
-        f"- generated_at: {report['generated_at']}",
-        "",
-        "## Summary",
-        "",
-    ]
-    lines += _md_table(
+    yield (f"# hhverify run report\n\n- tool: {report['tool']} {report['version']}\n"
+           f"- generated_at: {report['generated_at']}\n\n## Summary\n\n")
+    yield from _md_table(
         ["total", "pass", "fail", "refuted hypothesis", "non-converged"],
         [[str(summary["total"]), str(summary["pass"]), str(summary["fail"]),
           str(summary["refuted_hypothesis"]), str(summary["non_converged"])]])
     for key, title, kind in SECTIONS:
         records = report.get(key, [])
-        if not records:
-            continue
-        lines += ["", f"## {title}", ""]
-        lines += _md_table(list(CSV_COLUMNS[kind]),
-                           chain.from_iterable(_csv_rows(records, kind, quote=False)))
-    lines.append("")
-    return "\n".join(lines)
+        if records:
+            yield f"\n## {title}\n\n"
+            yield from _md_table(list(CSV_COLUMNS[kind]),
+                                 chain.from_iterable(_csv_rows(records, kind, quote=False)))
 
 
-def _write_file(path: Path, write: Callable[[TextIO], Any]) -> None:
+def render_markdown(report: dict) -> str:
+    return "".join(_markdown_lines(report))
+
+
+def _write_files(contents: Iterable[tuple[Path, Iterable[str]]]) -> None:
+    """Stream each file's chunks into a temporary in the file's directory,
+    and move every file into place only once all are complete.  On any
+    error or interrupt the temporaries are removed, so existing files keep
+    their bytes.  A symbolic link's target is what gets replaced, and an
+    existing file keeps its permission bits.  An existing file that is not
+    a regular file (a device such as /dev/null, a pipe) is written in place,
+    as os.replace would swap it for a regular file."""
+    moves: list[tuple[str, str]] = []
     try:
-        with path.open("w", encoding="utf-8") as out:
-            write(out)
-    except OSError as err:
-        raise OSError(f"cannot write report to {path}: {err}") from err
+        for file, chunks in contents:
+            try:
+                target = os.path.realpath(file)
+                try:
+                    mode = os.stat(target).st_mode
+                except FileNotFoundError:
+                    mode = None
+                if mode is not None and not stat.S_ISREG(mode):
+                    out = open(target, "w", encoding="utf-8")
+                else:
+                    # A fixed-length name: a destination's name may be as long as a name can be.
+                    temporary = os.path.join(os.path.dirname(target),
+                                             f".hhverify-{os.urandom(6).hex()}.tmp")
+                    # Mode 0o666 under the umask, as open(file, "w") creates a file.
+                    out = open(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666),
+                               "w", encoding="utf-8")
+                    moves.append((temporary, target))
+                    if mode is not None:
+                        os.chmod(temporary, stat.S_IMODE(mode))
+                with out:
+                    out.writelines(chunks)
+            except OSError as err:
+                raise OSError(f"cannot write report to {file}: {err}") from err
+        for temporary, target in moves:
+            os.replace(temporary, target)
+    except BaseException:
+        for temporary, _ in moves:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+        raise
 
 
 def check_destination(format: str, path: str | Path | None) -> list[Path]:
     """The files a report in format writes at path: the path, or for csv
     <stem>_<kind>.csv next to it per SECTIONS entry; none without a path.
     Raises ValueError if a report cannot be emitted in format to path, or
-    _write_file's OSError if the path's directory is missing, a CSV path has
-    no file name, a file is a directory, or the filesystem refuses to look one
-    up; the CLI calls it before a run, so a bad destination costs no work."""
+    an OSError that names the path if the path's directory is missing, a CSV
+    path has no file name, a file is a directory or an existing file that
+    cannot be opened for writing (os.replace would not refuse a read-only
+    file), or the filesystem refuses to look one up; the CLI calls it before
+    a run, so a bad destination costs no work."""
     if format not in FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
     if format == "csv" and path is None:
@@ -252,6 +305,8 @@ def check_destination(format: str, path: str | Path | None) -> list[Path]:
         for file in files:
             if file.is_dir():
                 raise OSError(f"{file} is a directory")
+            if file.is_file():  # opened without truncating: the file keeps its bytes
+                os.close(os.open(file, os.O_WRONLY))
     except (OSError, ValueError) as err:
         raise OSError(f"cannot write report to {path}: {err}") from None
     return files
@@ -262,15 +317,16 @@ def emit(report: dict, format: str, path: str | Path | None) -> str | None:
 
     JSON and markdown return the rendered text when path is None (the CLI
     prints it); CSV always needs a path because it writes one file per
-    record kind, each streamed to its file a chunk of rows at a time.
+    record kind.  A file is streamed a chunk at a time (a JSON record, a
+    markdown line, a chunk of CSV rows) and replaced only when every file
+    of the report is complete (see _write_files).
     """
     files = check_destination(format, path)
-    if format == "csv":
-        for file, (key, _, kind) in zip(files, SECTIONS):
-            _write_file(file, lambda out: _write_csv(out, report.get(key, []), kind))
-        return None
-    text = render_json(report) if format == "json" else render_markdown(report)
     if path is None:
-        return text
-    _write_file(files[0], lambda out: out.write(text))
+        return render_json(report) if format == "json" else render_markdown(report)
+    if format == "csv":
+        chunks = [_csv_chunks(report.get(key, []), kind) for key, _, kind in SECTIONS]
+    else:
+        chunks = [(_json_chunks if format == "json" else _markdown_lines)(report)]
+    _write_files(zip(files, chunks))
     return None

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import click
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhverify import cli
 from hhverify.cli import main
+from hhverify.report import check_destination
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -258,6 +259,38 @@ def test_version_flag():
     assert main(["--version"]) == 0
 
 
+def test_the_module_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "hhverify.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(f", version {cli.__version__}\n")
+    done = subprocess.run([sys.executable, "-m", "hhverify.cli", "nonsense"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: No such command")
+
+
+def test_a_read_only_out_is_refused_before_the_run(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o444)
+    with contextlib.suppress(PermissionError):
+        os.close(os.open(out, os.O_WRONLY))
+        pytest.skip("this user may write a read-only file")
+
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", never)
+    assert main(["scan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write report to {out}: ")
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_quadrature_tolerance_flag(tmp_path):
     cfg = _write_config(tmp_path, SMALL_SCAN)
     out = tmp_path / "r.json"
@@ -361,21 +394,39 @@ def mutated_golden(draw):
         return data
 
 
+def _unflattenable_hypothesis():
+    """golden.json whose sixth bound record's hypothesis cannot be flattened:
+    the identity records before it render first."""
+    data = json.loads((GOLDEN_DIR / "golden.json").read_text(encoding="utf-8"))
+    data["bound_checks"][5]["hypothesis"] = [1, 2]
+    return data
+
+
 @settings(max_examples=200, deadline=None)
-@given(mutated_golden(), st.sampled_from(["json", "markdown", "csv"]))
-def test_report_on_malformed_input_never_tracebacks(tmp_path_factory, data, fmt):
+@example(_unflattenable_hypothesis(), "csv", True)
+@example(_unflattenable_hypothesis(), "markdown", True)
+@given(mutated_golden(), st.sampled_from(["json", "markdown", "csv"]), st.booleans())
+def test_report_on_malformed_input_never_tracebacks(tmp_path_factory, data, fmt, existing):
     workdir = tmp_path_factory.mktemp("malformed")
     path = workdir / "r.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    argv = ["report", str(path), "--format", fmt]
-    if fmt == "csv":
-        argv += ["--out", str(workdir / "r.csv")]
+    out = workdir / f"out.{fmt}"
+    files = check_destination(fmt, out)
+    if existing:
+        for file in files:
+            file.write_text(f"old {file.name}\n", encoding="utf-8")
+    before = {f.name: f.read_bytes() for f in workdir.iterdir()}
+    argv = ["report", str(path), "--format", fmt, "--out", str(out)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1
+    if code == 1:  # the pre-created files keep their bytes, and no file is added
+        assert {f.name: f.read_bytes() for f in workdir.iterdir()} == before
+    else:
+        assert sorted(workdir.iterdir()) == sorted([path, *files])
 
 
 # Each command's options (name, flags, help) and its --help text at 80

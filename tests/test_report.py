@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import stat
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -146,7 +150,78 @@ def test_emit_unwritable_path_mentions_path(golden_report, tmp_path):
         emit(golden_report, "json", bad)
     # A file that cannot be opened after the probe: the writer names it too.
     with pytest.raises(OSError, match=f"^cannot write report to {bad}: "):
-        report_module._write_file(bad, lambda out: None)
+        report_module._write_files([(bad, [])])
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return run(RunConfig())
+
+
+# Rendered whole before writing, the peaks were 2.0x the JSON text and 2.4x
+# the markdown text.  A markdown table is flattened a chunk of 256 records at
+# a time, and the cells of one chunk of the default bound records are 0.65x
+# the markdown text.
+@pytest.mark.parametrize("fmt, render, share", [("json", render_json, 0.25),
+                                                ("markdown", render_markdown, 1.0)])
+def test_a_file_report_is_streamed_without_its_whole_text(default_report, tmp_path,
+                                                          fmt, render, share):
+    text = render(default_report)
+    out = tmp_path / f"r.{fmt}"
+    tracemalloc.start()
+    try:
+        emit(default_report, fmt, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < share * len(text)
+    assert out.read_text(encoding="utf-8") == text
+    assert os.listdir(tmp_path) == [out.name]
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+def test_a_report_that_fails_to_render_changes_no_file(golden_report, tmp_path, fmt):
+    # The last record cannot be rendered, after every other has been streamed.
+    broken = {**golden_report, "searches": [*golden_report["searches"], object()]}
+    files = report_module.check_destination(fmt, tmp_path / f"r.{fmt}")
+    for file in files[len(files) // 2:]:  # the later half exist already
+        file.write_text("old\n", encoding="utf-8")
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    with pytest.raises(TypeError):
+        emit(broken, fmt, tmp_path / f"r.{fmt}")
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_a_file_report_replaces_a_links_target_and_keeps_its_mode(golden_report, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    emit(golden_report, "json", link)
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == render_json(golden_report)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    # A new file gets the mode open(path, "w") gives it.
+    umask = os.umask(0o022)
+    os.umask(umask)
+    emit(golden_report, "json", tmp_path / "new.json")
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o666 & ~umask
+
+
+def test_a_file_that_is_no_regular_file_is_written_in_place(golden_report, tmp_path):
+    # os.replace would swap a pipe or a device such as /dev/null for a file.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_text(encoding="utf-8")),
+                              daemon=True)
+    reader.start()
+    emit(golden_report, "markdown", pipe)
+    reader.join(timeout=10)
+    assert read == [render_markdown(golden_report)]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_json_refuses_a_value_it_cannot_serialize():
