@@ -7,8 +7,8 @@ Non-finite floats have no JSON representation and serialize as null.
 CSV output is one file per record kind, with LF line ends and a cell
 quoted only when it holds a comma, double quote, CR or LF, so its bytes
 too are the same on every Python; markdown renders summary tables.
-Each format is rendered as a sequence of text chunks: a file is streamed
-from them, and the text printed without a file is their join.
+Each format is rendered as a sequence of text chunks, and its text is
+their join; markdown and CSV files are streamed from the chunks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import contextlib
 import math
 import os
 import re
-import stat
+import shutil
+import tempfile
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -109,7 +110,12 @@ def _json_chunks(report: Any) -> Iterator[str]:
 
 
 def render_json(report: dict) -> str:
-    return "".join(_json_chunks(report))
+    # CPython extends a string that only this name holds in place, so the
+    # text is built without the second copy that a join of the chunks makes.
+    text = ""
+    for chunk in _json_chunks(report):
+        text += chunk
+    return text
 
 
 def _cell(value: Any) -> str:
@@ -239,46 +245,29 @@ def render_markdown(report: dict) -> str:
     return "".join(_markdown_lines(report))
 
 
-def _write_files(contents: Iterable[tuple[Path, Iterable[str]]]) -> None:
-    """Stream each file's chunks into a temporary in the file's directory,
-    and move every file into place only once all are complete.  On any
-    error or interrupt the temporaries are removed, so existing files keep
-    their bytes.  A symbolic link's target is what gets replaced, and an
-    existing file keeps its permission bits.  An existing file that is not
-    a regular file (a device such as /dev/null, a pipe) is written in place,
-    as os.replace would swap it for a regular file."""
-    moves: list[tuple[str, str]] = []
-    try:
-        for file, chunks in contents:
-            try:
-                target = os.path.realpath(file)
-                try:
-                    mode = os.stat(target).st_mode
-                except FileNotFoundError:
-                    mode = None
-                if mode is not None and not stat.S_ISREG(mode):
-                    out = open(target, "w", encoding="utf-8")
-                else:
-                    # A fixed-length name: a destination's name may be as long as a name can be.
-                    temporary = os.path.join(os.path.dirname(target),
-                                             f".hhverify-{os.urandom(6).hex()}.tmp")
-                    # Mode 0o666 under the umask, as open(file, "w") creates a file.
-                    out = open(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666),
-                               "w", encoding="utf-8")
-                    moves.append((temporary, target))
-                    if mode is not None:
-                        os.chmod(temporary, stat.S_IMODE(mode))
-                with out:
-                    out.writelines(chunks)
-            except OSError as err:
-                raise OSError(f"cannot write report to {file}: {err}") from err
-        for temporary, target in moves:
-            os.replace(temporary, target)
-    except BaseException:
-        for temporary, _ in moves:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temporary)
-        raise
+# A text file is handed at most this many characters at a time, its write
+# chunk: a longer text would be encoded whole before it is written.
+_PIECE = 8192
+
+
+def _write_files(files: Sequence[Path], contents: Iterable[Iterable[str]]) -> None:
+    """Write each file's chunks to an anonymous temporary file, then copy
+    every temporary into its file: a report that fails to render opens no
+    file, and its temporaries vanish as they close."""
+    with contextlib.ExitStack() as stack:
+        temporaries = []
+        try:
+            for file, chunks in zip(files, contents):
+                temporary = stack.enter_context(
+                    tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                temporary.writelines(chunks)
+                temporaries.append(temporary)
+            for file, temporary in zip(files, temporaries):
+                temporary.seek(0)
+                with open(file, "w", encoding="utf-8") as out:
+                    shutil.copyfileobj(temporary, out, _PIECE)
+        except OSError as err:
+            raise OSError(f"cannot write report to {file}: {err}") from err
 
 
 def check_destination(format: str, path: str | Path | None) -> list[Path]:
@@ -287,9 +276,10 @@ def check_destination(format: str, path: str | Path | None) -> list[Path]:
     Raises ValueError if a report cannot be emitted in format to path, or
     an OSError that names the path if the path's directory is missing, a CSV
     path has no file name, a file is a directory or an existing file that
-    cannot be opened for writing (os.replace would not refuse a read-only
-    file), or the filesystem refuses to look one up; the CLI calls it before
-    a run, so a bad destination costs no work."""
+    cannot be opened for writing, or the filesystem refuses to look one up;
+    the CLI calls it before a run, so a bad destination costs no work, and
+    a CSV report does not rewrite some of its files before it meets one it
+    cannot write."""
     if format not in FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected one of {FORMATS}")
     if format == "csv" and path is None:
@@ -317,16 +307,21 @@ def emit(report: dict, format: str, path: str | Path | None) -> str | None:
 
     JSON and markdown return the rendered text when path is None (the CLI
     prints it); CSV always needs a path because it writes one file per
-    record kind.  A file is streamed a chunk at a time (a JSON record, a
-    markdown line, a chunk of CSV rows) and replaced only when every file
-    of the report is complete (see _write_files).
+    record kind.  A markdown or CSV file is streamed a chunk at a time (a
+    line, a chunk of rows); a JSON file is written from render_json's text,
+    a slice at a time, as perfbench's tracer counts a JSON report's bytes
+    from that text.  No file is opened before every file of the report has
+    rendered (see _write_files).
     """
     files = check_destination(format, path)
     if path is None:
         return render_json(report) if format == "json" else render_markdown(report)
     if format == "csv":
-        chunks = [_csv_chunks(report.get(key, []), kind) for key, _, kind in SECTIONS]
+        contents = [_csv_chunks(report.get(key, []), kind) for key, _, kind in SECTIONS]
+    elif format == "json":
+        text = render_json(report)
+        contents = [(text[i:i + _PIECE] for i in range(0, len(text), _PIECE))]
     else:
-        chunks = [(_json_chunks if format == "json" else _markdown_lines)(report)]
-    _write_files(zip(files, chunks))
+        contents = [_markdown_lines(report)]
+    _write_files(files, contents)
     return None
