@@ -3,9 +3,10 @@
 Subcommands map to the checker families: verify-identity, verify-bound,
 verify-application, tightness, scan (everything), and report (re-render a
 saved JSON report).  A task subcommand emits the report that run returns
-and exits with errors.exit_code of its summary: 0 all checks pass, 2 at
-least one inequality failure or refuted hypothesis, 3 numerical
-non-convergence; 1 is a usage/configuration error.
+(a CSV report, which holds no summary, is written from runner.sections as
+its records are computed) and exits with errors.exit_code of its summary:
+0 all checks pass, 2 at least one inequality failure or refuted
+hypothesis, 3 numerical non-convergence; 1 is a usage/configuration error.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import ConfigError, exit_code
+from .errors import ConfigError, exit_code, summary
 from .numerics import DEFAULT_QUAD_TOL
 from .report import FORMATS, SECTIONS, check_destination, emit
-from .runner import ALL_TASKS, RunConfig, run
+from .runner import ALL_TASKS, RunConfig, run, sections
 
 # Most points --alpha-grid expands to; each alpha adds a corpus member.
 MAX_ALPHA_POINTS = 1000
@@ -124,18 +125,32 @@ def _common_options(fn):
 
 
 def _execute_with(tasks, **options) -> int:
-    check_destination(options["fmt"], options["out"])
+    fmt, out = options["fmt"], options["out"]
+    check_destination(fmt, out)
     config = _build_config(tasks, options)
-    report = run(config)
-    rendered = emit(report, options["fmt"], options["out"])
-    if rendered is not None:
-        click.echo(rendered, nl=False)
-    summary = report["summary"]
+    if fmt == "csv":
+        # A CSV report holds no summary: each record is written as it is
+        # computed, and its status counted as it passes.
+        counts = summary(())
+
+        def counted(records):
+            for record in records:
+                counts["total"] += 1
+                counts[record["status"]] += 1
+                yield record
+
+        emit({key: counted(records) for key, records in sections(config).items()}, fmt, out)
+    else:
+        report = run(config)
+        rendered = emit(report, fmt, out)
+        if rendered is not None:
+            click.echo(rendered, nl=False)
+        counts = report["summary"]
     click.echo(
-        f"checks: {summary['total']}  pass: {summary['pass']}  "
-        f"fail: {summary['fail']}  refuted: {summary['refuted_hypothesis']}  "
-        f"non-converged: {summary['non_converged']}", err=True)
-    return exit_code(summary)
+        f"checks: {counts['total']}  pass: {counts['pass']}  "
+        f"fail: {counts['fail']}  refuted: {counts['refuted_hypothesis']}  "
+        f"non-converged: {counts['non_converged']}", err=True)
+    return exit_code(counts)
 
 
 @click.group(name="hhverify")

@@ -36,12 +36,14 @@ the record does not pass, is non-converged and carries OVERFLOW_NOTE.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .bounds import (DEFAULT_MARGIN_TOL, DEFECTS, LHS_TRAPEZOID_CORRECTED, THEOREMS,
                      endpoint_derivative_max, rule_scale, validate_exponent, within_margin)
 from .corpus import make_power_family
-from .errors import OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, status, value_at
+from .errors import (OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, exponent_key,
+                     sorted_runs, status, value_at)
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import Interval, integrate
 
@@ -83,15 +85,19 @@ def _cleared_lhs(kind: str, middle: float, a: float, b: float, alpha: float) -> 
 def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                      intervals: Sequence[tuple[float, float]], alphas: Sequence[float],
                      margin_tol: float = DEFAULT_MARGIN_TOL) -> Iterator[dict]:
-    """Every (theorem, variant, exponent) instance at every (a, b) and alpha.
+    """Every (theorem, variant, exponent) instance at every (a, b) and alpha,
+    in report order.
 
-    Yields one application record per instance; a side that is not a
-    finite double leaves it non-converged.  Instances vary fastest, then
-    alpha, then the interval.  P, the left sides and the member's endpoint
-    maximum of each derivative order are computed once per (a, b, alpha),
-    and each instance's rule scale once per (a, b), as every instance or
-    alpha there uses them; each is the expression a lone instance evaluates,
-    so a record is bit for bit the one-instance one.
+    Yields one application record per instance, interval and alpha; a side
+    that is not a finite double leaves it non-converged.  The records come
+    by theorem, variant, a, b, alpha and exponent (None first); records
+    equal in all six come in the order of their interval, then their
+    alpha, then their instance in the arguments.  P, the left sides and
+    the member's endpoint maximum of each derivative order are computed
+    once per (a, b, alpha), into flat tables of floats, and each instance's
+    rule scale once per (a, b), as every instance or alpha there uses
+    them; each is the expression a lone instance evaluates, so a record is
+    bit for bit the one-instance one.
     The derived right side is 12P or 24P times rhs_bound of the source rule
     on the member: its rule scale times Mn, the member's endpoint maximum.
     The printed one divides by the printed divisor, and its power-mean max
@@ -113,43 +119,57 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
     check_tolerance("margin_tol", margin_tol)
     # One member per alpha: the right sides read its derivatives at the ends, never its domain.
     members = [make_power_family(alpha) for alpha in alphas]
-    # Per instance: its fields, its source rule, its left side's key (the
-    # defect it clears, and whether printed) and its Mn's order.
+    # Per (a, b, alpha) cell, i * len(alphas) + j: the left side that each
+    # instance clears (by its defect kind, and whether printed) and the
+    # member's endpoint maximum of each order an instance reads.
+    lhs_of: dict[tuple[str, bool], list[float]] = {}
+    max_of: dict[int, list[float]] = {}
+    # Per instance: its fields, its source rule, its defect kind, whether
+    # printed, and the columns of its left side and its Mn.
     plan = []
     for theorem, variant, exponent in instances:
         source = THEOREMS[APPLICATION_SOURCE[theorem]]
         validate_exponent(source.tag, exponent)
         paper = variant == "paper"
-        plan.append((theorem, variant, exponent, source,
-                     (LHS_TRAPEZOID_CORRECTED if paper else source.lhs_kind, paper),
-                     4 if paper else source.derivative_order))
-    lhs_keys = {key for _, _, _, _, key, _ in plan}
-    orders = {order for *_, order in plan}
-
+        kind = LHS_TRAPEZOID_CORRECTED if paper else source.lhs_kind
+        plan.append((theorem, variant, exponent, source, kind, paper,
+                     lhs_of.setdefault((kind, paper), []),
+                     max_of.setdefault(4 if paper else source.derivative_order, [])))
+    # Per (a, b) and instance, i * len(plan) + k: its rule scale, with its
+    # printed divisor or its rule's D.
+    scales = []
     for (a, b), interval in zip(intervals, grid):
-        # Each instance's rule scale, with its printed divisor or its rule's D.
-        scales = [value_at(rule_scale, source, b - a, exponent,
-                           _PRINTED_DIVISOR[theorem] if paper else source.divisor)
-                  for theorem, _, exponent, source, (_, paper), _ in plan]
+        scales += [value_at(rule_scale, source, b - a, exponent,
+                            _PRINTED_DIVISOR[theorem] if paper else source.divisor)
+                   for theorem, _, exponent, source, _, paper, _, _ in plan]
         for alpha, member in zip(alphas, members):
-            pprod = (alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0)
             middle = (alpha + 3.0) * (alpha + 4.0)
-            lhs_of = {(kind, paper): value_at(_cleared_lhs, kind,
-                                              middle * (alpha + 4.0) if paper else middle,
-                                              a, b, alpha)
-                      for kind, paper in lhs_keys}
-            endpoint_max = {n: value_at(endpoint_derivative_max, member, interval, n)
-                            for n in orders}
-            for (theorem, variant, exponent, source, key, order), scale in zip(plan, scales):
-                kind, paper = key
-                lhs = lhs_of[key]
-                m = endpoint_max[order]
+            for (kind, paper), column in lhs_of.items():
+                column.append(value_at(_cleared_lhs, kind,
+                                       middle * (alpha + 4.0) if paper else middle, a, b, alpha))
+            for n, column in max_of.items():
+                column.append(value_at(endpoint_derivative_max, member, interval, n))
+    pprods = [(alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0) for alpha in alphas]
+
+    # Report order without a sort: the (theorem, variant) groups, then the
+    # runs of equal intervals, alphas and exponents; a tie within them goes
+    # by interval, then alpha, then instance, as given.
+    interval_runs = sorted_runs(range(len(grid)), key=lambda i: (grid[i].a, grid[i].b))
+    alpha_runs = sorted_runs(range(len(alphas)), key=alphas.__getitem__)
+    for group in sorted_runs(range(len(plan)), key=lambda k: plan[k][:2]):
+        exponent_runs = sorted_runs(group, key=lambda k: exponent_key(plan[k][2]))
+        for runs in product(interval_runs, alpha_runs, exponent_runs):
+            for i, j, k in product(*runs):
+                theorem, variant, exponent, _, kind, paper, lhs_column, max_column = plan[k]
+                cell = i * len(alphas) + j
+                lhs, scale, m = lhs_column[cell], scales[i * len(plan) + k], max_column[cell]
+                a, b = intervals[i]
                 if math.isnan(lhs) or math.isnan(scale) or math.isnan(m):  # a side overflowed
                     lhs = rhs = math.nan
                 elif paper:
-                    rhs = scale * pprod * m
+                    rhs = scale * pprods[j] * m
                 else:
-                    rhs = abs(DEFECTS[kind][1]) * pprod * (scale * m)
+                    rhs = abs(DEFECTS[kind][1]) * pprods[j] * (scale * m)
                 finite = math.isfinite(lhs) and math.isfinite(rhs)
                 passed = finite and within_margin(lhs, rhs, margin_tol)
                 note = ""
@@ -158,7 +178,7 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                 elif not passed:
                     note = REFUTED_NOTE if paper else "derived inequality violated"
                 yield {"kind": "application", "theorem": theorem, "variant": variant,
-                       "a": a, "b": b, "alpha": alpha, "exponent": exponent,
+                       "a": a, "b": b, "alpha": alphas[j], "exponent": exponent,
                        "lhs": lhs, "rhs": rhs, "pass": passed,
                        "status": status(finite, True, passed), "note": note}
 

@@ -19,7 +19,7 @@ import os
 import re
 import shutil
 import tempfile
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -196,16 +196,17 @@ def _csv_columns(chunk: list[dict], kind: str, tables: dict[str, dict],
     return columns
 
 
-def _csv_rows(records: list[dict], kind: str, quote: bool) -> Iterator[Iterator[tuple]]:
+def _csv_rows(records: Iterable[dict], kind: str, quote: bool) -> Iterator[Iterator[tuple]]:
     """The rows of each chunk of records: each record's cells in CSV_COLUMNS
     order, flattened a column at a time, with one text table per naming
     column for all chunks.  Markdown tables show the same cells unquoted."""
     tables = {col: {} for col in _NAMING}
-    for start in range(0, len(records), _CHUNK):
-        yield zip(*_csv_columns(records[start:start + _CHUNK], kind, tables, quote))
+    records = iter(records)
+    while chunk := list(islice(records, _CHUNK)):
+        yield zip(*_csv_columns(chunk, kind, tables, quote))
 
 
-def _csv_chunks(records: list[dict], kind: str) -> Iterator[str]:
+def _csv_chunks(records: Iterable[dict], kind: str) -> Iterator[str]:
     """The header, then the lines of each chunk of records, LF-terminated; a
     cell holding a comma, double quote, CR or LF is quoted, with its quotes
     doubled."""
@@ -307,11 +308,15 @@ def emit(report: dict, format: str, path: str | Path | None) -> str | None:
 
     JSON and markdown return the rendered text when path is None (the CLI
     prints it); CSV always needs a path because it writes one file per
-    record kind.  A markdown or CSV file is streamed a chunk at a time (a
+    record kind, and reads nothing but the record lists, each of which may
+    be any iterable of records, read once, in SECTIONS order (the CLI
+    passes runner.sections, so each record is written as it is computed).
+    A markdown or CSV file is streamed a chunk at a time (a
     line, a chunk of rows); a JSON file is written from render_json's text,
     a slice at a time, as perfbench's tracer counts a JSON report's bytes
     from that text.  No file is opened before every file of the report has
-    rendered (see _write_files).
+    rendered (see _write_files), so a record list that raises leaves every
+    file as it was.
     """
     files = check_destination(format, path)
     if path is None:

@@ -1,33 +1,39 @@
 """Batch runner: executes configured checks and returns their report.
 
 Each check returns its record, a JSON-shaped dict with a fixed field
-order; the runner sorts each record list in place, in one stable pass
-per key field so that no key tuple is built per record, and returns the
-report dict that render_json writes and ``hhverify report`` loads, so
-two runs with the same configuration yield byte-identical output
-(the generated_at timestamp aside).  Shared work (the average integral
-per function/interval pair and each distinct quasi-convexity
-certificate) is computed once and reused.  RunConfig.validate checks
-each value with the library code that reads it and raises that code's
-error as a ConfigError naming the field; only the config layer, RunConfig
-and the CLI, raises ConfigError.
+order.  ``sections`` computes each record list one record at a time, in
+report order: identities by (id, function, interval); bounds by
+(THEOREM_ORDER, function, interval, exponent, no exponent first);
+applications by (theorem, variant, a, b, alpha, exponent), from
+means.application_rows; searches by (search, theorem).  Ties keep run
+order, the order of the configured lists.  ``run`` lists the records and
+returns the report dict that render_json writes and ``hhverify report``
+loads, so two runs with the same configuration yield byte-identical
+output (the generated_at timestamp aside); the CLI writes a CSV report,
+which holds no summary, from ``sections`` as its records are computed.
+Shared work (the average integral per function/interval pair and each
+distinct quasi-convexity certificate) is computed once and reused.
+RunConfig.validate checks each value with the library code that reads
+it and raises that code's error as a ConfigError naming the field; only
+the config layer, RunConfig and the CLI, raises ConfigError.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain
-from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, EXPONENT_RULES,
                      THEOREM_ORDER, THEOREMS, check_bound, certify_hypothesis, theorem_spec)
 from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
                      admissible_intervals, builtin_corpus, corpus_by_name)
-from .errors import ConfigError, DomainError, ParameterError, check_tolerance, summary
+from .errors import (ConfigError, DomainError, ParameterError, check_tolerance, exponent_key,
+                     sorted_runs, summary)
 from .identities import DEFAULT_RESIDUAL_TOL, IDENTITY_IDS, check_identity
 # application_check: uncalled, kept for perfbench's tracer.
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
@@ -210,81 +216,112 @@ def _exponents_for(tag: str, config: RunConfig) -> list[Optional[float]]:
     return list(grids.get(theorem_spec(tag).exponent_kind, (None,)))
 
 
-def _exponent(record: dict) -> float:
-    """A record's exponent as a sort key; -1.0, below every exponent, when it has none."""
-    exponent = record["exponent"]
-    return -1.0 if exponent is None else exponent
+def sections(config: RunConfig) -> dict[str, Iterator[dict]]:
+    """Validate config, then return, by report key, an iterator over each
+    record list of its report that computes each record as it is read.
 
+    Each list comes in report order (see the module docstring) without a
+    sort of its records: the loops run over the sorted names, tags and
+    ids and over the runs of equal intervals, and a tie comes in run
+    order, one listing of a repeated function, id or tag after another,
+    then the exponents and the intervals as configured.  Read in key
+    order, the lists compute each (function, interval) integral and each
+    (derivative order, function, interval) certificate once, and drop it
+    after its last reader: the integrals serve the identity and bound
+    records, the certificates the bound records of their order.
+    """
+    by_name = config.validate()
+    # Each function and how often the corpus names it: the records of a
+    # repeated name are the same, in run order one listing after another.
+    listed = Counter(config.corpus or list(by_name))
+    names = sorted(listed)
+    grid = [Interval(a, b) for a, b in config.intervals]
+    integrals: dict[str, list] = {}
 
-def _sort(records: list[dict], *keys) -> None:
-    """Sort records in place by the keys (a field name or a function of the
-    record), the first most significant: one stable pass per key, the last
-    first, so ties keep run order and no key tuple is built per record."""
-    for key in reversed(keys):
-        records.sort(key=itemgetter(key) if isinstance(key, str) else key)
+    def interval_runs(name: str) -> list[list]:
+        """The function's admissible intervals with its integral over each,
+        in runs of equal intervals; computed on first use."""
+        if name not in integrals:
+            f = by_name[name]
+            pairs = [(iv, integrate(f.func, iv, config.quad_tol, config.quad_budget))
+                     for iv in admissible_intervals(f, grid)]
+            integrals[name] = sorted_runs(pairs, key=lambda pair: (pair[0].a, pair[0].b))
+        return integrals[name]
+
+    # Each check runs over every interval of a function before the next:
+    # interleaving the checks interval by interval made the identities and
+    # bounds of the benchmark's sweep_coarse 15-20% slower.
+    def identity_checks():
+        idents = sorted(set(config.identities))
+        for ident in idents:
+            for name in names:
+                f, repeats = by_name[name], listed[name] * config.identities.count(ident)
+                for run in interval_runs(name):
+                    for _ in range(repeats):
+                        for iv, integral in run:
+                            yield check_identity(ident, f, iv, config.quad_tol,
+                                                 config.quad_budget, integral, config.residual_tol)
+                if ident == idents[-1] and "bounds" not in config.tasks:
+                    del integrals[name]  # read for the last time
+
+    def bound_checks():
+        # |f^(n)|'s certificate decides every tag of derivative order n; the
+        # last tag of each order reads its certificates for the last time.
+        certificates = {}
+        tags = sorted(set(config.theorems), key=THEOREM_ORDER.index)
+        last_of_order = {THEOREMS[tag].derivative_order: tag for tag in tags}
+        for tag in tags:
+            order = THEOREMS[tag].derivative_order
+            for name in names:
+                f, runs = by_name[name], interval_runs(name)
+                if (order, name) not in certificates:
+                    certificates[order, name] = [
+                        [certify_hypothesis(order, f, iv, config.qc_tol) for iv, _ in run]
+                        for run in runs]
+                exponents = sorted(
+                    _exponents_for(tag, config) * (listed[name] * config.theorems.count(tag)),
+                    key=exponent_key)
+                for run, run_certificates in zip(runs, certificates[order, name]):
+                    for exponent in exponents:
+                        for (iv, integral), certificate in zip(run, run_certificates):
+                            yield check_bound(tag, f, iv, exponent, config.quad_tol,
+                                              config.quad_budget, config.margin_tol,
+                                              config.qc_tol, integral, certificate)
+                if last_of_order[order] == tag:
+                    del certificates[order, name]
+                if tag == tags[-1]:
+                    del integrals[name]
+
+    def application_checks():
+        instances = [(tag, variant, exponent)
+                     for tag in config.applications for variant in config.variants
+                     for exponent in _exponents_for(APPLICATION_SOURCE[tag], config)]
+        positive = [(iv.a, iv.b) for iv in grid if iv.a > 0.0]
+        yield from application_rows(instances, positive, config.alpha_grid, config.margin_tol)
+
+    def searches():
+        p_interval = Interval(*config.search_p_interval)
+        p_function = by_name[config.search_p_function]
+        for tag in sorted(config.search_p_theorems):
+            yield best_exponent(tag, p_function, p_interval, config.search_p_range)
+        alpha_interval = Interval(*config.search_alpha_interval)
+        for tag in sorted(config.search_alpha_theorems):
+            yield worst_case_alpha(tag, alpha_interval, config.search_alpha_range,
+                                   _exponents_for(tag, config)[0], config.quad_tol,
+                                   config.quad_budget, config.margin_tol)
+
+    lists = (identity_checks, bound_checks, application_checks, searches)
+    return {key: records() if task in config.tasks else iter(())
+            for key, task, records in zip(
+                ("identity_checks", "bound_checks", "application_checks", "searches"),
+                ALL_TASKS, lists)}
 
 
 def run(config: RunConfig) -> dict:
     """Execute every configured check and return the report dict: tool,
     version, generated_at, config, summary, then the four record lists."""
-    by_name = config.validate()
-    corpus = [by_name[name] for name in config.corpus or by_name]
-    grid = [Interval(a, b) for a, b in config.intervals]
-
-    identity_checks, bound_checks = [], []
-    # |f^(n)|'s certificate decides every tag of derivative order n.
-    orders = {THEOREMS[tag].derivative_order for tag in config.theorems}
-    for f in (corpus if "identities" in config.tasks or "bounds" in config.tasks else []):
-        # One call per interval, each check over every interval of f before the
-        # next check: interleaving the checks interval by interval made the
-        # identities and bounds of the benchmark's sweep_coarse 15-20% slower.
-        intervals = admissible_intervals(f, grid)
-        integrals = [integrate(f.func, iv, config.quad_tol, config.quad_budget)
-                     for iv in intervals]
-        if "identities" in config.tasks:
-            identity_checks.extend(
-                check_identity(ident, f, iv, config.quad_tol, config.quad_budget, integral,
-                               config.residual_tol)
-                for ident in config.identities for iv, integral in zip(intervals, integrals))
-        if "bounds" in config.tasks:
-            certificates = {order: [certify_hypothesis(order, f, iv, config.qc_tol)
-                                    for iv in intervals] for order in orders}
-            bound_checks.extend(
-                check_bound(tag, f, iv, exponent, config.quad_tol, config.quad_budget,
-                            config.margin_tol, config.qc_tol, integral, certificate)
-                for tag in config.theorems for exponent in _exponents_for(tag, config)
-                for iv, integral, certificate in zip(
-                    intervals, integrals, certificates[THEOREMS[tag].derivative_order]))
-
-    _sort(identity_checks, "id", "function", "interval")
-    order = {tag: i for i, tag in enumerate(THEOREM_ORDER)}
-    _sort(bound_checks, lambda r: order[r["theorem"]], "function", "interval", _exponent)
-
-    application_checks, searches = [], []
-    if "applications" in config.tasks:
-        instances = [(tag, variant, exponent)
-                     for tag in config.applications for variant in config.variants
-                     for exponent in _exponents_for(APPLICATION_SOURCE[tag], config)]
-        positive = [(iv.a, iv.b) for iv in grid if iv.a > 0.0]
-        application_checks = list(
-            application_rows(instances, positive, config.alpha_grid, config.margin_tol))
-        _sort(application_checks, "theorem", "variant", "a", "b", "alpha", _exponent)
-
-    if "searches" in config.tasks:
-        p_interval = Interval(*config.search_p_interval)
-        p_function = by_name[config.search_p_function]
-        alpha_interval = Interval(*config.search_alpha_interval)
-        searches = [best_exponent(tag, p_function, p_interval, config.search_p_range)
-                    for tag in config.search_p_theorems]
-        searches += [worst_case_alpha(tag, alpha_interval, config.search_alpha_range,
-                                      _exponents_for(tag, config)[0], config.quad_tol,
-                                      config.quad_budget, config.margin_tol)
-                     for tag in config.search_alpha_theorems]
-        _sort(searches, "search", "theorem", lambda r: r["function"] or "")
-
+    records = {key: list(checks) for key, checks in sections(config).items()}
     return {"tool": "hhverify", "version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "config": config.to_dict(),
-            "summary": summary(chain(identity_checks, bound_checks, application_checks, searches)),
-            "identity_checks": identity_checks, "bound_checks": bound_checks,
-            "application_checks": application_checks, "searches": searches}
+            "summary": summary(chain.from_iterable(records.values())), **records}

@@ -191,11 +191,17 @@ def test_csv_output_via_cli(tmp_path):
     assert (tmp_path / "r_identity.csv").exists()
 
 
-def test_csv_without_out_is_refused_before_the_run(monkeypatch, capsys):
+def _refuse_any_run(monkeypatch):
+    """Make each name through which the CLI starts a run fail the test."""
     def never(config):
         raise AssertionError("the run started")
 
-    monkeypatch.setattr(cli, "run", never)
+    monkeypatch.setattr(cli, "run", never)  # JSON and markdown reports
+    monkeypatch.setattr(cli, "sections", never)  # CSV reports, streamed
+
+
+def test_csv_without_out_is_refused_before_the_run(monkeypatch, capsys):
+    _refuse_any_run(monkeypatch)
     assert main(["scan", "--format", "csv"]) == 1
     assert capsys.readouterr().err == "error: csv output requires an output path\n"
     golden = str(GOLDEN_DIR / "golden.json")
@@ -217,10 +223,7 @@ TOO_LONG = "x" * 300
                                       pytest.param("csv", TOO_LONG + ".csv", id="csv-too-long"),
                                       pytest.param("csv", ".", id="csv-without-a-name")])
 def test_an_unwritable_out_is_refused_before_the_run(monkeypatch, capsys, tmp_path, fmt, out):
-    def never(config):
-        raise AssertionError("the run started")
-
-    monkeypatch.setattr(cli, "run", never)
+    _refuse_any_run(monkeypatch)
     # Relative to the temporary directory, so that "." is passed as written.
     monkeypatch.chdir(tmp_path)
     # A CSV report at r.csv writes r_bound.csv among its files: here it is a directory.
@@ -281,10 +284,7 @@ def test_a_read_only_out_is_refused_before_the_run(monkeypatch, capsys, tmp_path
         os.close(os.open(out, os.O_WRONLY))
         pytest.skip("this user may write a read-only file")
 
-    def never(config):
-        raise AssertionError("the run started")
-
-    monkeypatch.setattr(cli, "run", never)
+    _refuse_any_run(monkeypatch)
     assert main(["scan", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write report to {out}: ")
     assert out.read_text(encoding="utf-8") == "old\n"
@@ -380,8 +380,18 @@ MUTANTS = (None, 5, "x", [], {}, [1], [1, 2, 3], math.nan)
 
 @st.composite
 def mutated_golden(draw):
-    """golden.json with one field or one record, at any depth, replaced."""
+    """golden.json with one field or one record, at any depth, replaced; or,
+    as often, a field of a record past the first record list, one that
+    holds an object or a list if the record has such a field (a renderer
+    takes those apart), so that a report often fails to render after a
+    file has been written."""
     data = json.loads((GOLDEN_DIR / "golden.json").read_text(encoding="utf-8"))
+    if draw(st.booleans()):
+        records = data[draw(st.sampled_from(["bound_checks", "application_checks", "searches"]))]
+        record = draw(st.sampled_from(records))
+        nested = [key for key, value in record.items() if isinstance(value, (dict, list))]
+        record[draw(st.sampled_from(nested or list(record)))] = draw(st.sampled_from(MUTANTS))
+        return data
     node = data
     while True:
         key = draw(st.sampled_from(list(node) if isinstance(node, dict)

@@ -5,11 +5,14 @@ non-converged, an infinite tightness ratio recorded as such, integers
 beyond double range rejected by name (a quadrature budget excepted),
 settings the command line alone makes rejected in a config file, alpha
 grids whose members would share a name rejected, report bytes that do not
-depend on where the report goes, and CSV bytes that repeat across runs."""
+depend on where the report goes, CSV bytes that repeat across runs, and
+a CSV report written as its records are computed: it holds few of them
+at once, and one that fails midway changes no file."""
 
 import json
 import random
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +20,8 @@ import pytest
 
 import report_oracle
 from hhverify.cli import main
-from hhverify.report import SECTIONS
+from hhverify.errors import DomainError
+from hhverify.report import SECTIONS, check_destination
 from hhverify import runner
 from hhverify.runner import RunConfig, run
 from hhverify.search import RATIO_INFINITE_NOTE
@@ -251,3 +255,61 @@ def test_a_seeded_sweep_writes_the_same_csv_bytes_twice(tmp_path):
     assert len(report["application_checks"]) == 40 * 5 * 12
     for key, _, kind in SECTIONS:
         assert runs[0][kind] == report_oracle.render_csv(report[key], kind).encode("utf-8")
+
+
+def _csv_scan_peak(tmp_path, name, intervals):
+    """The traced peak of a CSV scan of the means over the intervals, and
+    the number of records it writes."""
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({"corpus": ["x^4"], "theorems": ["ME1"], "intervals": intervals,
+                                  "alpha_grid": [0.2, 0.4, 0.6, 0.8, 1.0],
+                                  "search_p_theorems": [], "search_alpha_theorems": []}),
+                      encoding="utf-8")
+    out = tmp_path / name / "r.csv"
+    out.parent.mkdir()
+    argv = ["scan", "--config", str(config), "--format", "csv", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2  # the printed coefficients are refuted
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) - 1
+                for path in check_destination("csv", out))
+    return peak, lines
+
+
+def test_a_csv_scan_holds_few_records_at_once(tmp_path):
+    # A CSV report holds no summary, so each record is written as it is
+    # computed; a report held whole costs some 530 B per record.  One CSV
+    # chunk of records and cells, held at once, costs some 300 kB whatever
+    # the run's size: about 40 B per record over the 7,497 added here.
+    rng = random.Random(11)
+    intervals = []
+    for _ in range(120):
+        a = round(rng.uniform(0.25, 5.5), 4)
+        intervals.append([a, round(a + rng.uniform(0.05, 2.0), 4)])
+    _csv_scan_peak(tmp_path, "warm", intervals[:1])  # the first run's imports and buffers
+    baseline, few = _csv_scan_peak(tmp_path, "one", intervals[:1])
+    peak, records = _csv_scan_peak(tmp_path, "many", intervals)
+    assert records - few == 119 * (60 + 3)  # 60 application records per interval
+    assert (peak - baseline) / (records - few) < 100
+
+
+def test_a_csv_scan_that_fails_midway_changes_no_file(tmp_path, capsys, monkeypatch):
+    # The searches are the last record list: every other one has been
+    # written to its temporary file when the first search raises.
+    def fails(*args, **kwargs):
+        raise DomainError("the search failed")
+
+    monkeypatch.setattr(runner, "worst_case_alpha", fails)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": ["x^4"], "intervals": [[1.0, 2.0]],
+                                  "alpha_grid": [1.0]}), encoding="utf-8")
+    out = tmp_path / "r.csv"
+    for path in check_destination("csv", out):
+        path.write_text(f"old {path.name}\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(["scan", "--config", str(config), "--format", "csv", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: the search failed\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before

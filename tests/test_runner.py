@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhverify import bounds, identities, runner
-from hhverify.bounds import certify_hypothesis, check_bound
-from hhverify.corpus import builtin_corpus, corpus_by_name
+from hhverify.bounds import (EXP_HOLDER_P, EXP_POWER_Q, THEOREM_ORDER, THEOREMS,
+                             certify_hypothesis, check_bound)
+from hhverify.corpus import admissible_intervals, builtin_corpus, corpus_by_name
 from hhverify.errors import ConfigError, exit_code, summary
 from hhverify.identities import check_identity
-from hhverify.means import application_check
+from hhverify.means import APPLICATION_SOURCE, APPLICATION_TAGS, application_check
 from hhverify.numerics import Interval
 from hhverify.report import render_json
 from hhverify.runner import DEFAULT_INTERVALS, RunConfig, run
-from hhverify.search import best_exponent, worst_case_alpha
+from hhverify.search import EXPONENT_SEARCH_TAGS, best_exponent, worst_case_alpha
 
 _CORPUS = corpus_by_name(builtin_corpus())
 
@@ -232,6 +235,83 @@ def test_a_search_record_is_the_library_call():
                                config.search_p_range), exponent_search)
     _same_record(worst_case_alpha("ME1", Interval(*config.search_alpha_interval),
                                   config.search_alpha_range), alpha_search)
+
+
+# Int and float twins tie in every sort key but print differently.
+_ORDER_INTERVALS = ([1, 2], [1.0, 2.0], [0.5, 1.5], [0, 1], [0.0, 1.0])
+
+
+@st.composite
+def _order_configs(draw):
+    """Small configs that repeat and disorder their lists."""
+    def some(items, max_size=3, min_size=1):
+        return draw(st.lists(st.sampled_from(items), min_size=min_size, max_size=max_size))
+
+    alphas = draw(st.permutations([1.0, 0.25, 0.5]))
+    return RunConfig.from_dict({
+        "corpus": some(["x^4", "x^5", "exp", "sin"]), "intervals": some(_ORDER_INTERVALS, 4, 2),
+        "identities": some(["L1", "L2"]), "theorems": some(THEOREM_ORDER),
+        "applications": some(APPLICATION_TAGS, 2), "variants": some(["paper", "derived"]),
+        "p_grid": some([2, 2.0, 3.0]), "q_grid": some([1, 1.0, 2.0]),
+        "alpha_grid": alphas[:draw(st.integers(1, 3))],
+        "search_p_theorems": some(EXPONENT_SEARCH_TAGS, 2, 0),
+        "search_alpha_theorems": some(["ME1", "ME4"], 2, 0)})
+
+
+def _none_first(exponent):
+    return (exponent is not None, exponent or 0.0)
+
+
+def _sorted_run_order_records(config):
+    """Each record list of the report: the records of the public checks in
+    the order of the configured lists, stably sorted by the list's keys."""
+    by_name = corpus_by_name(builtin_corpus(config.alpha_grid, Interval(*config.sin_domain)))
+    corpus = [by_name[name] for name in config.corpus]
+    grid = [Interval(a, b) for a, b in config.intervals]
+
+    def exponents(tag):
+        grids = {EXP_HOLDER_P: config.p_grid, EXP_POWER_Q: config.q_grid}
+        return grids.get(THEOREMS[tag].exponent_kind, (None,))
+
+    identity = [check_identity(ident, f, iv, config.quad_tol, config.quad_budget,
+                               residual_tol=config.residual_tol)
+                for f in corpus for ident in config.identities
+                for iv in admissible_intervals(f, grid)]
+    bound = [check_bound(tag, f, iv, exponent, config.quad_tol, config.quad_budget,
+                         config.margin_tol, config.qc_tol)
+             for f in corpus for tag in config.theorems for exponent in exponents(tag)
+             for iv in admissible_intervals(f, grid)]
+    application = [application_check(tag, variant, iv.a, iv.b, alpha, exponent,
+                                     config.margin_tol)
+                   for iv in grid if iv.a > 0 for alpha in config.alpha_grid
+                   for tag in config.applications for variant in config.variants
+                   for exponent in exponents(APPLICATION_SOURCE[tag])]
+    search = [best_exponent(tag, by_name[config.search_p_function],
+                            Interval(*config.search_p_interval), config.search_p_range)
+              for tag in config.search_p_theorems]
+    search += [worst_case_alpha(tag, Interval(*config.search_alpha_interval),
+                                config.search_alpha_range, exponents(tag)[0], config.quad_tol,
+                                config.quad_budget, config.margin_tol)
+               for tag in config.search_alpha_theorems]
+    return {
+        "identity_checks": sorted(identity, key=lambda r: (r["id"], r["function"],
+                                                           r["interval"])),
+        "bound_checks": sorted(bound, key=lambda r: (
+            THEOREM_ORDER.index(r["theorem"]), r["function"], r["interval"],
+            _none_first(r["exponent"]))),
+        "application_checks": sorted(application, key=lambda r: (
+            r["theorem"], r["variant"], r["a"], r["b"], r["alpha"], _none_first(r["exponent"]))),
+        "searches": sorted(search, key=lambda r: (r["search"], r["theorem"], r["function"] or "")),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(_order_configs())
+def test_each_record_list_is_the_run_order_records_stably_sorted(config):
+    report = run(config)
+    for key, records in _sorted_run_order_records(config).items():
+        # repr tells 1 from 1.0, so a tie out of run order shows.
+        assert repr(report[key]) == repr(records), key
 
 
 def _bound_statuses(config):
