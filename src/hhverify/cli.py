@@ -66,10 +66,16 @@ def _read_json(path: str, what: str):
 
 
 def _check_records(report: dict) -> None:
-    """Raise TypeError naming a record that sits under another kind's
-    section, or a record's ``interval`` or ``range`` that is no pair."""
+    """Raise KeyError naming the keys of a run's report that report lacks,
+    TypeError naming a record list that is no list, a record under another
+    kind's section, or a record's ``interval`` or ``range`` that is no pair."""
+    if missing := [key for key in ("tool", "version", "generated_at", "config", "summary",
+                                   *(key for key, _, _ in SECTIONS)) if key not in report]:
+        raise KeyError(", ".join(missing))
     for key, _, kind in SECTIONS:
-        for record in report.get(key, []):
+        if not isinstance(report[key], list):
+            raise TypeError(f"{key}: expected a list of records, got {report[key]!r}")
+        for record in report[key]:
             if record["kind"] != kind:
                 raise TypeError(f"{key}: expected a {kind!r} record, got kind {record['kind']!r}")
             for name in ("interval", "range"):

@@ -1,12 +1,11 @@
 """Exception types shared across the package; the status vocabulary of a
 report record: the checks build their records from it, a run's summary
-counts them and the exit code reads that summary; the report order's two
-helpers, sorted_runs and exponent_key; and value_at, the one place where a
-double's overflow becomes a value (NaN, which no check admits)."""
+counts them and the exit code reads that summary; exponent_key, the
+report order of exponents; and value_at, the one place where a double's
+overflow becomes a value (NaN, which no check admits)."""
 
 import math
 from collections import Counter
-from itertools import groupby
 
 OVERFLOW_NOTE = "overflow: a side is not a finite double at this instance"
 
@@ -47,13 +46,6 @@ def exit_code(summary: dict) -> int:
     if summary["non_converged"]:
         return 3
     return 0
-
-
-def sorted_runs(items, key) -> list[list]:
-    """The items stably sorted by key, cut into runs of items with equal
-    keys: the runner and means.application_rows build each record list in
-    report order from such runs, rather than sort its records."""
-    return [list(run) for _, run in groupby(sorted(items, key=key), key)]
 
 
 def exponent_key(exponent) -> float:

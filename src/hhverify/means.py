@@ -36,14 +36,14 @@ the record does not pass, is non-converged and carries OVERFLOW_NOTE.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import groupby, product
 from typing import Iterator, Optional, Sequence
 
 from .bounds import (DEFAULT_MARGIN_TOL, DEFECTS, LHS_TRAPEZOID_CORRECTED, THEOREMS,
                      endpoint_derivative_max, rule_scale, validate_exponent, within_margin)
 from .corpus import make_power_family
 from .errors import (OVERFLOW_NOTE, DomainError, ParameterError, check_tolerance, exponent_key,
-                     sorted_runs, status, value_at)
+                     status, value_at)
 # integrate is not called here; perfbench's tracer patches it under this name.
 from .numerics import Interval, integrate
 
@@ -90,9 +90,8 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
 
     Yields one application record per instance, interval and alpha; a side
     that is not a finite double leaves it non-converged.  The records come
-    by theorem, variant, a, b, alpha and exponent (None first); records
-    equal in all six come in the order of their interval, then their
-    alpha, then their instance in the arguments.  P, the left sides and
+    by theorem, variant, a, b, alpha and exponent (None first) where no
+    instance, interval or alpha is given twice.  P, the left sides and
     the member's endpoint maximum of each derivative order are computed
     once per (a, b, alpha), into flat tables of floats, and each instance's
     rule scale once per (a, b), as every instance or alpha there uses
@@ -151,36 +150,34 @@ def application_rows(instances: Sequence[tuple[str, str, Optional[float]]],
                 column.append(value_at(endpoint_derivative_max, member, interval, n))
     pprods = [(alpha + 1.0) * (alpha + 2.0) * (alpha + 3.0) * (alpha + 4.0) for alpha in alphas]
 
-    # Report order without a sort: the (theorem, variant) groups, then the
-    # runs of equal intervals, alphas and exponents; a tie within them goes
-    # by interval, then alpha, then instance, as given.
-    interval_runs = sorted_runs(range(len(grid)), key=lambda i: (grid[i].a, grid[i].b))
-    alpha_runs = sorted_runs(range(len(alphas)), key=alphas.__getitem__)
-    for group in sorted_runs(range(len(plan)), key=lambda k: plan[k][:2]):
-        exponent_runs = sorted_runs(group, key=lambda k: exponent_key(plan[k][2]))
-        for runs in product(interval_runs, alpha_runs, exponent_runs):
-            for i, j, k in product(*runs):
-                theorem, variant, exponent, _, kind, paper, lhs_column, max_column = plan[k]
-                cell = i * len(alphas) + j
-                lhs, scale, m = lhs_column[cell], scales[i * len(plan) + k], max_column[cell]
-                a, b = intervals[i]
-                if math.isnan(lhs) or math.isnan(scale) or math.isnan(m):  # a side overflowed
-                    lhs = rhs = math.nan
-                elif paper:
-                    rhs = scale * pprods[j] * m
-                else:
-                    rhs = abs(DEFECTS[kind][1]) * pprods[j] * (scale * m)
-                finite = math.isfinite(lhs) and math.isfinite(rhs)
-                passed = finite and within_margin(lhs, rhs, margin_tol)
-                note = ""
-                if not finite:
-                    note = OVERFLOW_NOTE
-                elif not passed:
-                    note = REFUTED_NOTE if paper else "derived inequality violated"
-                yield {"kind": "application", "theorem": theorem, "variant": variant,
-                       "a": a, "b": b, "alpha": alphas[j], "exponent": exponent,
-                       "lhs": lhs, "rhs": rhs, "pass": passed,
-                       "status": status(finite, True, passed), "note": note}
+    # Report order without a sort of the records: each (theorem, variant)
+    # group, then the intervals, alphas and exponents, each sorted.
+    by_interval = sorted(range(len(grid)), key=lambda i: (grid[i].a, grid[i].b))
+    by_alpha = sorted(range(len(alphas)), key=alphas.__getitem__)
+    by_instance = sorted(range(len(plan)), key=lambda k: (*plan[k][:2], exponent_key(plan[k][2])))
+    for _, by_exponent in groupby(by_instance, key=lambda k: plan[k][:2]):
+        for i, j, k in product(by_interval, by_alpha, by_exponent):
+            theorem, variant, exponent, _, kind, paper, lhs_column, max_column = plan[k]
+            cell = i * len(alphas) + j
+            lhs, scale, m = lhs_column[cell], scales[i * len(plan) + k], max_column[cell]
+            a, b = intervals[i]
+            if math.isnan(lhs) or math.isnan(scale) or math.isnan(m):  # a side overflowed
+                lhs = rhs = math.nan
+            elif paper:
+                rhs = scale * pprods[j] * m
+            else:
+                rhs = abs(DEFECTS[kind][1]) * pprods[j] * (scale * m)
+            finite = math.isfinite(lhs) and math.isfinite(rhs)
+            passed = finite and within_margin(lhs, rhs, margin_tol)
+            note = ""
+            if not finite:
+                note = OVERFLOW_NOTE
+            elif not passed:
+                note = REFUTED_NOTE if paper else "derived inequality violated"
+            yield {"kind": "application", "theorem": theorem, "variant": variant,
+                   "a": a, "b": b, "alpha": alphas[j], "exponent": exponent,
+                   "lhs": lhs, "rhs": rhs, "pass": passed,
+                   "status": status(finite, True, passed), "note": note}
 
 
 def application_check(theorem: str, variant: str, a: float, b: float, alpha: float,

@@ -5,23 +5,21 @@ order.  ``sections`` computes each record list one record at a time, in
 report order: identities by (id, function, interval); bounds by
 (THEOREM_ORDER, function, interval, exponent, no exponent first);
 applications by (theorem, variant, a, b, alpha, exponent), from
-means.application_rows; searches by (search, theorem).  Ties keep run
-order, the order of the configured lists.  ``run`` lists the records and
-returns the report dict that render_json writes and ``hhverify report``
-loads, so two runs with the same configuration yield byte-identical
-output (the generated_at timestamp aside); the CLI writes a CSV report,
-which holds no summary, from ``sections`` as its records are computed.
-Shared work (the average integral per function/interval pair and each
-distinct quasi-convexity certificate) is computed once and reused.
-RunConfig.validate checks each value with the library code that reads
-it and raises that code's error as a ConfigError naming the field; only
-the config layer, RunConfig and the CLI, raises ConfigError.
+means.application_rows; searches by (search, theorem).  ``run`` lists
+the records and returns the report dict that render_json writes and
+``hhverify report`` loads, so two runs with the same configuration yield
+byte-identical output (the generated_at timestamp aside); the CLI writes
+a CSV report, which holds no summary, from ``sections`` as its records
+are computed.  Shared work (the average integral per function/interval
+pair and each distinct quasi-convexity certificate) is computed once and
+reused.  RunConfig.validate checks each value with the library code that
+reads it and raises that code's error as a ConfigError naming the field;
+only the config layer, RunConfig and the CLI, raises ConfigError.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain
@@ -33,7 +31,7 @@ from .bounds import (DEFAULT_MARGIN_TOL, EXP_HOLDER_P, EXP_POWER_Q, EXPONENT_RUL
 from .corpus import (DEFAULT_ALPHA_GRID, DEFAULT_SIN_DOMAIN, SmoothFunction,
                      admissible_intervals, builtin_corpus, corpus_by_name)
 from .errors import (ConfigError, DomainError, ParameterError, check_tolerance, exponent_key,
-                     sorted_runs, summary)
+                     summary)
 from .identities import DEFAULT_RESIDUAL_TOL, IDENTITY_IDS, check_identity
 # application_check: uncalled, kept for perfbench's tracer.
 from .means import (APPLICATION_SOURCE, APPLICATION_TAGS, APPLICATION_VARIANTS,
@@ -150,6 +148,14 @@ class RunConfig:
             is_valid, expected = _TYPE_CHECKS[f.type[9:-1] if optional else f.type]
             if not (is_valid(value) or (optional and value is None)):
                 raise ConfigError(f"{f.name}: must be {expected}, got {value!r}")
+        # A value listed twice in a list field would yield its records twice.
+        # alpha_grid's owner, builtin_corpus, refuses its repeats by the names they print.
+        for name in (f.name for f in fields(self) if "..." in f.type and f.name != "alpha_grid"):
+            seen = set()
+            for item in getattr(self, name) or ():
+                if (key := _nested(item, tuple)) in seen:
+                    raise ConfigError(f"{name}: {_nested(item, list)!r} is listed twice")
+                seen.add(key)
         for name in ("tasks", "intervals", "theorems", "identities",
                      "applications", "variants", "p_grid", "q_grid", "alpha_grid"):
             if len(getattr(self, name)) == 0:
@@ -221,46 +227,37 @@ def sections(config: RunConfig) -> dict[str, Iterator[dict]]:
     record list of its report that computes each record as it is read.
 
     Each list comes in report order (see the module docstring) without a
-    sort of its records: the loops run over the sorted names, tags and
-    ids and over the runs of equal intervals, and a tie comes in run
-    order, one listing of a repeated function, id or tag after another,
-    then the exponents and the intervals as configured.  Read in key
-    order, the lists compute each (function, interval) integral and each
-    (derivative order, function, interval) certificate once, and drop it
-    after its last reader: the integrals serve the identity and bound
-    records, the certificates the bound records of their order.
+    sort of its records: the loops run over the sorted names, tags, ids,
+    intervals and exponents, each listed once.  Read in key order, the
+    lists compute each (function, interval) integral and each (derivative
+    order, function, interval) certificate once, and drop it after its
+    last reader: the integrals serve the identity and bound records, the
+    certificates the bound records of their order.
     """
     by_name = config.validate()
-    # Each function and how often the corpus names it: the records of a
-    # repeated name are the same, in run order one listing after another.
-    listed = Counter(config.corpus or list(by_name))
-    names = sorted(listed)
-    grid = [Interval(a, b) for a, b in config.intervals]
+    names = sorted(config.corpus or by_name)
+    grid = sorted((Interval(a, b) for a, b in config.intervals), key=lambda iv: (iv.a, iv.b))
     integrals: dict[str, list] = {}
 
-    def interval_runs(name: str) -> list[list]:
-        """The function's admissible intervals with its integral over each,
-        in runs of equal intervals; computed on first use."""
+    def interval_integrals(name: str) -> list[tuple]:
+        """The function's admissible intervals, ascending, each with its
+        integral over it; computed on first use."""
         if name not in integrals:
             f = by_name[name]
-            pairs = [(iv, integrate(f.func, iv, config.quad_tol, config.quad_budget))
-                     for iv in admissible_intervals(f, grid)]
-            integrals[name] = sorted_runs(pairs, key=lambda pair: (pair[0].a, pair[0].b))
+            integrals[name] = [(iv, integrate(f.func, iv, config.quad_tol, config.quad_budget))
+                               for iv in admissible_intervals(f, grid)]
         return integrals[name]
 
     # Each check runs over every interval of a function before the next:
     # interleaving the checks interval by interval made the identities and
     # bounds of the benchmark's sweep_coarse 15-20% slower.
     def identity_checks():
-        idents = sorted(set(config.identities))
+        idents = sorted(config.identities)
         for ident in idents:
             for name in names:
-                f, repeats = by_name[name], listed[name] * config.identities.count(ident)
-                for run in interval_runs(name):
-                    for _ in range(repeats):
-                        for iv, integral in run:
-                            yield check_identity(ident, f, iv, config.quad_tol,
-                                                 config.quad_budget, integral, config.residual_tol)
+                for iv, integral in interval_integrals(name):
+                    yield check_identity(ident, by_name[name], iv, config.quad_tol,
+                                         config.quad_budget, integral, config.residual_tol)
                 if ident == idents[-1] and "bounds" not in config.tasks:
                     del integrals[name]  # read for the last time
 
@@ -268,25 +265,21 @@ def sections(config: RunConfig) -> dict[str, Iterator[dict]]:
         # |f^(n)|'s certificate decides every tag of derivative order n; the
         # last tag of each order reads its certificates for the last time.
         certificates = {}
-        tags = sorted(set(config.theorems), key=THEOREM_ORDER.index)
+        tags = sorted(config.theorems, key=THEOREM_ORDER.index)
         last_of_order = {THEOREMS[tag].derivative_order: tag for tag in tags}
         for tag in tags:
             order = THEOREMS[tag].derivative_order
+            exponents = sorted(_exponents_for(tag, config), key=exponent_key)
             for name in names:
-                f, runs = by_name[name], interval_runs(name)
+                f, pairs = by_name[name], interval_integrals(name)
                 if (order, name) not in certificates:
-                    certificates[order, name] = [
-                        [certify_hypothesis(order, f, iv, config.qc_tol) for iv, _ in run]
-                        for run in runs]
-                exponents = sorted(
-                    _exponents_for(tag, config) * (listed[name] * config.theorems.count(tag)),
-                    key=exponent_key)
-                for run, run_certificates in zip(runs, certificates[order, name]):
+                    certificates[order, name] = [certify_hypothesis(order, f, iv, config.qc_tol)
+                                                 for iv, _ in pairs]
+                for (iv, integral), certificate in zip(pairs, certificates[order, name]):
                     for exponent in exponents:
-                        for (iv, integral), certificate in zip(run, run_certificates):
-                            yield check_bound(tag, f, iv, exponent, config.quad_tol,
-                                              config.quad_budget, config.margin_tol,
-                                              config.qc_tol, integral, certificate)
+                        yield check_bound(tag, f, iv, exponent, config.quad_tol,
+                                          config.quad_budget, config.margin_tol,
+                                          config.qc_tol, integral, certificate)
                 if last_of_order[order] == tag:
                     del certificates[order, name]
                 if tag == tags[-1]:

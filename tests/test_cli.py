@@ -344,6 +344,18 @@ def test_report_without_summary_is_one_line_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_an_object_that_is_no_report_is_refused_in_every_format(tmp_path, capsys, fmt):
+    path = tmp_path / "foo.json"
+    path.write_text('{"foo": 1}', encoding="utf-8")
+    assert main(["report", str(path), "--format", fmt, "--out", str(tmp_path / "o.out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: report: {path} is not an hhverify report (KeyError: 'tool, version, "
+        "generated_at, config, summary, identity_checks, bound_checks, application_checks, "
+        "searches')\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_report_reproduces_the_goldens(tmp_path, capsys):
     golden = str(GOLDEN_DIR / "golden.json")
     for fmt, name in (("json", "golden.json"), ("markdown", "golden.md")):

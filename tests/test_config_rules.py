@@ -1,7 +1,8 @@
 """Each config rule is stated once, by the library code that reads the
 value.  For every field with such an owner, RunConfig.validate rejects a
 boundary value exactly when the owning check rejects it; a value of a type
-the field does not take is the config's own rule and is rejected by type."""
+the field does not take is the config's own rule and is rejected by type,
+and so is a value listed twice in a list field."""
 
 import math
 from dataclasses import fields
@@ -89,3 +90,27 @@ def test_a_config_rejects_a_value_exactly_when_its_owner_does(field):
         elif error is not None:
             assert error.startswith(f"{field}: ") and "\n" not in error, error
     assert drifted == []
+
+
+# Each list field but alpha_grid (whose owner, builtin_corpus, refuses its
+# repeats), with a value listed twice and the value the error names: a
+# number is repeated by its int or float twin, an interval by its pair twin.
+REPEATS = {
+    "tasks": (["bounds", "identities", "bounds"], "'bounds'"),
+    "corpus": (["x^4", "exp", "x^4"], "'x^4'"),
+    "intervals": ([(1, 2), [0.5, 1.0], [1.0, 2.0]], "[1.0, 2.0]"),
+    "theorems": (["ME1", "T1_2", "ME1"], "'ME1'"),
+    "identities": (["L2", "L2"], "'L2'"),
+    "applications": (["A3_4", "A3_1", "A3_4"], "'A3_4'"),
+    "variants": (["derived", "derived"], "'derived'"),
+    "p_grid": ([2, 3.0, 2.0], "2.0"),
+    "q_grid": ([1.0, 1], "1"),
+    "search_p_theorems": (["ME5", "ME5"], "'ME5'"),
+    "search_alpha_theorems": (["ME4", "ME1", "ME4"], "'ME4'"),
+}
+
+
+@pytest.mark.parametrize("field", REPEATS)
+def test_a_value_listed_twice_is_rejected_by_name(field):
+    value, shown = REPEATS[field]
+    assert _config_error(field, value) == f"{field}: {shown} is listed twice"

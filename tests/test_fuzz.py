@@ -16,6 +16,7 @@ import os
 import warnings
 from dataclasses import fields
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -170,3 +171,13 @@ def test_a_grid_above_the_cap_is_rejected_by_name(tmp_path):
         else:
             assert code == 1
             assert err == f"error: qc_grid: must be at most {MAX_QC_GRID}, got {grid}\n"
+
+
+@pytest.mark.parametrize("option, line", [
+    (["--interval", "1:2", "--interval", "1.0:2.0"], "intervals: [1.0, 2.0] is listed twice"),
+    (["--theorems", "ME1,ME1"], "theorems: 'ME1' is listed twice"),
+])
+def test_a_value_listed_twice_on_the_command_line_is_rejected_by_name(tmp_path, option, line):
+    code, err = _run(["scan", *option, "--out", "r.json"], tmp_path)
+    assert (code, err) == (1, f"error: {line}\n")
+    assert list(tmp_path.iterdir()) == []

@@ -94,10 +94,14 @@ def _without_timestamp(text):
     return "".join(line for line in text.splitlines(True) if '"generated_at"' not in line)
 
 
-def test_records_keep_the_pinned_order_ties_included():
-    # The pinned report's config repeats and disorders its inputs: [1.0, 2.0]
-    # and [1, 2] are equal intervals, and theorems, variants and exponents
-    # recur, so equal sort keys must keep the order the run made them in.
+def test_records_keep_the_pinned_order_of_unsorted_lists():
+    """The pinned report's config lists its values out of order, with an
+    int interval and an int exponent that print as given.  After a change
+    to the report's bytes, regenerate the golden from its own config, at
+    the root of the repository:
+
+    PYTHONPATH=src python -c "import json, pathlib; from hhverify.report import render_json; from hhverify.runner import RunConfig, run; path = pathlib.Path('tests/golden/golden_order.json'); report = run(RunConfig.from_dict(json.loads(path.read_text(encoding='utf-8'))['config'])); path.write_text(render_json(dict(report, generated_at='GOLDEN')), encoding='utf-8')"
+    """
     text = (GOLDEN_DIR / "golden_order.json").read_text(encoding="utf-8")
     report = run(RunConfig.from_dict(json.loads(text)["config"]))
     assert _without_timestamp(render_json(report)) == _without_timestamp(text)
